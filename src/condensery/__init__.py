@@ -7,8 +7,8 @@ optimization loop. Ships coreset baselines, an evaluation harness, and a
 small reverse-mode autodiff core everything runs on.
 """
 
-from .bilevel import AccQueue, CondenseConfig, CondenseState, div, inner_step, \
-    outer_step, query_accuracy, run_condense
+from .bilevel import AccQueue, CondenseConfig, CondenseState, inner_step, outer_step, \
+    query_accuracy, run_condense
 from .coreset import SelectionResult, forgetting_events, materialize, select_forgetting, \
     select_herding, select_kcenter, select_random
 from .data import LabeledDataset, NormStats, SyntheticSet, denormalize, \

@@ -11,7 +11,7 @@ above lambda2). Unconditional loop caps guarantee termination.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -89,10 +89,6 @@ class AccQueue:
         return max(self.entries) - min(self.entries)
 
 
-def div(q: AccQueue) -> float:
-    return q.div()
-
-
 @dataclass
 class CondenseState:
     synthetic: SyntheticSet
@@ -108,6 +104,7 @@ class CondenseState:
     total_inner_steps: int = 0
     restarts: int = 0
     max_queue_len: int = 0
+    outer_lr: float = 0.0   # learning rate of the latest outer step
 
 
 def outer_lr_at(cfg: CondenseConfig, outer_iter: int) -> float:
@@ -147,8 +144,7 @@ def _synthetic_batch(state: CondenseState, cfg: CondenseConfig) -> tuple[Tensor,
     return T.take_rows(synth.images, idx), synth.labels[idx]
 
 
-def outer_step(state: CondenseState, real: LabeledDataset, arch: ArchSpec,
-               cfg: CondenseConfig) -> LossBreakdown:
+def outer_step(state: CondenseState, real: LabeledDataset, cfg: CondenseConfig) -> LossBreakdown:
     """One synthetic-pixel update at the scheduled learning rate."""
     K = real.num_classes
     real_idx = sample_class_balanced(real, cfg.n_per_class, state.rng)
@@ -161,13 +157,13 @@ def outer_step(state: CondenseState, real: LabeledDataset, arch: ArchSpec,
     real_means = cwfa(real_pyr, real_labels, K)
     synth_means = cwfa(synth_pyr, synth_labels, K)
     l_f = feature_alignment_loss(synth_means, real_means)
-    logits = discrimination_logits(real_pyr.per_layer[-1], synth_means.centers_matrix(-1))
+    logits = discrimination_logits(real_pyr.per_layer[-1], synth_means.per_layer[-1])
     l_d = discrimination_loss(logits, real_labels)
     breakdown = total_loss(l_f, l_d, cfg.beta)
 
     T.backward(breakdown.total)
-    lr = outer_lr_at(cfg, state.outer_iter)
-    T.sgd_step([state.synthetic.images], lr)
+    state.outer_lr = outer_lr_at(cfg, state.outer_iter)
+    T.sgd_step([state.synthetic.images], state.outer_lr)
     state.theta.zero_grads()
 
     state.lc_out += 1
@@ -229,17 +225,18 @@ def run_condense(real: LabeledDataset, arch: ArchSpec, cfg: CondenseConfig,
             state.lc_in = 0
             state.restarts += 1
             while state.outer_iter < cfg.max_outer_iters:
-                lr = outer_lr_at(cfg, state.outer_iter)
-                breakdown = outer_step(state, real, arch, cfg)
+                breakdown = outer_step(state, real, cfg)
                 acc = query_accuracy(state.theta, real, cfg, state.rng)
                 state.q_out.push(acc)
                 state.max_queue_len = max(state.max_queue_len, len(state.q_out))
                 if writer is not None:
                     lf, ld, tot = breakdown.as_floats()
                     writer.writerow([state.outer_iter, repr(lf), repr(ld), repr(tot),
-                                     repr(acc), state.lc_out, state.lc_in, repr(lr)])
+                                     repr(acc), state.lc_out, state.lc_in,
+                                     repr(state.outer_lr)])
                 if hook is not None:
                     hook(state, breakdown, acc)
+                del breakdown   # frees the step's tape before the inner loop runs
                 if (state.q_out.full and state.q_out.div() < cfg.lambda1) \
                         or state.lc_out >= cfg.l_out:
                     state.lc_out = 0

@@ -167,7 +167,7 @@ def build_condense_config(cfg: dict, ipc_override=None) -> CondenseConfig:
     return CondenseConfig(seed=int(cfg.get("seed", 0)), **c)
 
 
-def _prepare_run_dir(cfg: dict, command: str) -> Path:
+def _prepare_run_dir(cfg: dict) -> Path:
     out = Path(cfg.get("output_dir", "runs/out"))
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "config.yaml", "w", encoding="utf-8") as f:
@@ -199,7 +199,7 @@ def cmd_condense(args) -> int:
     train, _ = build_datasets(cfg)
     ccfg = build_condense_config(cfg)
     arch = build_arch(cfg, train.image_shape, train.num_classes)
-    out = _prepare_run_dir(cfg, "condense")
+    out = _prepare_run_dir(cfg)
     synth_path = out / "synthetic.cnd"
     metrics_path = out / "metrics.csv"
     try:
@@ -239,7 +239,7 @@ def cmd_eval(args) -> int:
     _, test = build_datasets(cfg)
     arch = build_arch(cfg, test.image_shape, test.num_classes)
     n_exp, n_nets, ecfg = _eval_protocol_params(cfg)
-    out = _prepare_run_dir(cfg, "eval")
+    out = _prepare_run_dir(cfg)
     report = evaluate_protocol(synth, arch, test, n_exp, n_nets, ecfg)
     csv_path = out / "eval.csv"
     with open(csv_path, "w", encoding="utf-8") as f:
@@ -275,7 +275,7 @@ def cmd_coreset(args) -> int:
         trace = record_training_trace(train, arch, int(co.get("trace_epochs", 10)),
                                       float(co.get("trace_lr", 0.01)), seed)
         sel = select_forgetting(train, ccfg.ipc, trace)
-    out = _prepare_run_dir(cfg, "coreset")
+    out = _prepare_run_dir(cfg)
     synth = materialize(train, sel)
     save_synthetic(synth, out / "synthetic.cnd")
     sel.to_csv(out / "selection.csv")

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .data import LabeledDataset, NormStats, SyntheticSet
+from .data import LabeledDataset, SyntheticSet
 from .errors import InputError
 from .tensor import Tensor
 

@@ -13,6 +13,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -55,22 +56,33 @@ def _worker_count() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def train_on_synthetic(synth: SyntheticSet, arch_spec: ArchSpec, epochs: int,
-                       lr: float, seed: int, batch_size: int = 256) -> ModelParams:
-    """SGD on cross-entropy over the synthetic images; fresh init per seed."""
+def _sgd_fit(arch_spec: ArchSpec, images: np.ndarray, labels: np.ndarray, epochs: int,
+             lr: float, seed: int, batch_size: int,
+             trace: Optional[np.ndarray] = None) -> ModelParams:
+    """Minibatch SGD on cross-entropy from a fresh init; batches are shuffled
+    each epoch only when there is more than one. ``trace[e, i]`` records
+    whether sample i was classified correctly in epoch e, before its step."""
     params = init_params(arch_spec, seed)
-    n = len(synth.labels)
-    images = synth.images.values   # read-only here; fresh Tensors wrap batches
+    n = len(labels)
     rng = np.random.default_rng(seed + 1)
-    for _ in range(epochs):
+    for e in range(epochs):
         order = rng.permutation(n) if n > batch_size else np.arange(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            pyr = forward(params, Tensor(images[idx]))
-            loss = T.softmax_cross_entropy_mean(pyr.logits, synth.labels[idx])
-            T.backward(loss)
+            logits = forward(params, Tensor(images[idx])).logits
+            if trace is not None:
+                trace[e, idx] = np.argmax(logits.values, axis=1) == labels[idx]
+            T.backward(T.softmax_cross_entropy_mean(logits, labels[idx]))
             T.sgd_step(params.tensors, lr)
     return params
+
+
+def train_on_synthetic(synth: SyntheticSet, arch_spec: ArchSpec, epochs: int,
+                       lr: float, seed: int, batch_size: int = 256) -> ModelParams:
+    """SGD on cross-entropy over the synthetic images; fresh init per seed."""
+    # the pixels are only read; fresh Tensors wrap each batch
+    return _sgd_fit(arch_spec, synth.images.values, synth.labels, epochs, lr, seed,
+                    batch_size)
 
 
 def test_accuracy(params: ModelParams, test_ds: LabeledDataset, chunk: int = 2000) -> float:
@@ -127,17 +139,6 @@ def record_training_trace(ds: LabeledDataset, arch_spec: ArchSpec, epochs: int,
 
     Feeds the forgetting-events selector.
     """
-    params = init_params(arch_spec, seed)
-    n = len(ds)
-    rng = np.random.default_rng(seed + 1)
-    trace = np.zeros((epochs, n), dtype=np.uint8)
-    for e in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            pyr = forward(params, Tensor(ds.images[idx]))
-            trace[e, idx] = (np.argmax(pyr.logits.values, axis=1) == ds.labels[idx])
-            loss = T.softmax_cross_entropy_mean(pyr.logits, ds.labels[idx])
-            T.backward(loss)
-            T.sgd_step(params.tensors, lr)
+    trace = np.zeros((epochs, len(ds)), dtype=np.uint8)
+    _sgd_fit(arch_spec, ds.images, ds.labels, epochs, lr, seed, batch_size, trace)
     return trace

@@ -167,38 +167,21 @@ def _check_composed(rng: np.random.Generator, n_coords: int = 20) -> CheckResult
     root, ts = run(leaves)
     T.backward(root)
 
-    worst_rel = 0.0
-    worst_abs = 0.0
-    passed = True
-    detail = ""
-    sizes = [a.size for a in leaves]
-    total = sum(sizes)
-    coords = rng.choice(total, size=min(n_coords, total), replace=False)
+    analytic = np.concatenate([t.grad.reshape(-1) for t in ts])
+    numeric = np.zeros_like(analytic)
+    offsets = np.cumsum([0] + [a.size for a in leaves])
+    coords = rng.choice(analytic.size, size=min(n_coords, analytic.size), replace=False)
     for c in coords:
-        li = 0
-        off = int(c)
-        while off >= sizes[li]:
-            off -= sizes[li]
-            li += 1
+        li = int(np.searchsorted(offsets, c, side="right")) - 1
         flat = leaves[li].reshape(-1)
+        off = c - offsets[li]
         orig = flat[off]
-        h = H_STEP
-        flat[off] = orig + h
+        flat[off] = orig + H_STEP
         fp = run(leaves)[0].item()
-        flat[off] = orig - h
+        flat[off] = orig - H_STEP
         fm = run(leaves)[0].item()
         flat[off] = orig
-        num = (fp - fm) / (2 * h)
-        ana = ts[li].grad.reshape(-1)[off]
-        if abs(ana) < ZERO_CUT and abs(num) < ZERO_CUT:
-            err = abs(ana - num)
-            worst_abs = max(worst_abs, err)
-            ok = err <= ABS_TOL
-        else:
-            err = abs(ana - num) / max(abs(ana), abs(num))
-            worst_rel = max(worst_rel, err)
-            ok = err <= REL_TOL
-        if not ok and passed:
-            passed = False
-            detail = f"param {li} flat index {off}: analytic {ana:.6e} vs numeric {num:.6e}"
-    return CheckResult("composed_convnet", worst_rel, worst_abs, passed, detail)
+        numeric[c] = (fp - fm) / (2 * H_STEP)
+    mask = np.zeros(analytic.size, dtype=bool)
+    mask[coords] = True
+    return compare(analytic, numeric, "composed_convnet", mask)

@@ -2,9 +2,14 @@
 alignment, discrimination through synthetic class centers, and the
 weighted total.
 
-The alignment term sums squared L2 gaps over classes and layers (sums,
-not means); the discrimination term classifies individual real samples by
-inner product with synthetic class centers at the last tap.
+Every term is a few matrix ops per layer. With the constant
+class-averaging matrix A[K, B] (A[k, i] = 1/n_k when sample i has label
+k, else 0), the class means at layer l are S_l = A @ F_l, one [K, C'_l]
+matrix. The alignment term is sum_l ||S_l - R_l||_F^2 between synthetic
+and real means: squared L2 gaps summed over classes and layers, not
+averaged. The last layer's synthetic mean matrix is the center matrix the
+discrimination term uses to classify individual real samples by inner
+product.
 """
 
 from __future__ import annotations
@@ -21,17 +26,12 @@ from .tensor import Tensor
 
 @dataclass
 class ClassMeans:
-    """per_layer_per_class[l][k] is the mean feature row [1, C'_l]."""
-    per_layer_per_class: list
-    num_classes: int
+    """per_layer[l] is the [K, C'_l] class-mean matrix; row k is class k."""
+    per_layer: list
 
     @property
     def num_layers(self) -> int:
-        return len(self.per_layer_per_class)
-
-    def centers_matrix(self, layer: int = -1) -> Tensor:
-        """Class centers at one layer stacked into [K, C']."""
-        return T.concat_rows(self.per_layer_per_class[layer])
+        return len(self.per_layer)
 
 
 @dataclass
@@ -52,35 +52,27 @@ def cwfa(pyramid: FeaturePyramid, labels, num_classes: int) -> ClassMeans:
     gradients flow back into the features.
     """
     labels = np.asarray(labels, dtype=np.intp)
-    class_idx = []
-    for k in range(num_classes):
-        idx = np.nonzero(labels == k)[0]
-        if idx.size == 0:
-            raise InputError(f"class {k} has no samples in the batch")
-        class_idx.append(idx)
-    per_layer = []
-    for feats in pyramid.per_layer:
-        row = [T.mean_rows(T.take_rows(feats, idx)) for idx in class_idx]
-        per_layer.append(row)
-    return ClassMeans(per_layer, num_classes)
+    onehot = labels[None, :] == np.arange(num_classes)[:, None]
+    counts = onehot.sum(axis=1)
+    missing = np.flatnonzero(counts == 0)
+    if missing.size:
+        raise InputError(f"class {missing[0]} has no samples in the batch")
+    avg = Tensor(onehot / counts[:, None])
+    return ClassMeans([T.matmul(avg, feats) for feats in pyramid.per_layer])
 
 
 def feature_alignment_loss(synth: ClassMeans, real: ClassMeans) -> Tensor:
-    """Sum over classes and layers of squared L2 gaps between mean rows."""
-    if synth.num_layers != real.num_layers or synth.num_classes != real.num_classes:
-        raise DimensionError(
-            f"class means disagree: L {synth.num_layers} vs {real.num_layers}, "
-            f"K {synth.num_classes} vs {real.num_classes}")
+    """Sum over layers of ||S_l - R_l||_F^2, i.e. over classes and layers of
+    squared L2 gaps between mean rows."""
+    if synth.num_layers != real.num_layers:
+        raise DimensionError(f"class means disagree: L {synth.num_layers} vs {real.num_layers}")
     acc = None
-    for l in range(real.num_layers):
-        for k in range(real.num_classes):
-            s = synth.per_layer_per_class[l][k]
-            r = real.per_layer_per_class[l][k]
-            if s.shape != r.shape:
-                raise DimensionError(f"layer {l} width mismatch: {s.shape} vs {r.shape}")
-            d = T.sub(s, r)
-            term = T.sum_all(T.mul(d, d))
-            acc = term if acc is None else T.add(acc, term)
+    for l, (s, r) in enumerate(zip(synth.per_layer, real.per_layer)):
+        if s.shape != r.shape:
+            raise DimensionError(f"layer {l} class means disagree: {s.shape} vs {r.shape}")
+        d = T.sub(s, r)
+        term = T.sum_all(T.mul(d, d))
+        acc = term if acc is None else T.add(acc, term)
     return acc
 
 

@@ -2,9 +2,14 @@
 
 Every operation records its inputs and a backward closure on the produced
 tensor; ``backward()`` on a scalar root walks the graph in reverse
-topological order and accumulates gradients additively, so fan-out is
-handled correctly. Only the primitives needed by the condensation networks
-and losses are provided; there is no broadcasting beyond what they need.
+topological order, hands each node's closure that node's accumulated
+gradient, and accumulates gradients additively into the parents, so
+fan-out is handled correctly. A closure receives the upstream gradient as
+its argument and never references the tensor it belongs to, so a tape
+holds no reference cycle and is freed by refcounting as soon as its last
+tensor goes out of scope. Only the primitives needed by the condensation
+networks and losses are provided; there is no broadcasting beyond what
+they need.
 """
 
 from __future__ import annotations
@@ -20,12 +25,13 @@ class Tensor:
     """Dense float64 array plus an optional gradient accumulator.
 
     Tensors produced by ops carry references to their parents and a
-    backward closure; leaf tensors (parameters, inputs) carry neither.
+    backward closure that maps this tensor's gradient into the parents'
+    ``grad``; leaf tensors (parameters, inputs) carry neither.
     """
 
     __slots__ = ("values", "grad", "_parents", "_backward", "_op")
 
-    def __init__(self, values, _parents: tuple = (), _backward: Optional[Callable[[], None]] = None, _op: str = ""):
+    def __init__(self, values, _parents: tuple = (), _backward: Optional[Callable[[np.ndarray], None]] = None, _op: str = ""):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self._parents = _parents
@@ -79,7 +85,7 @@ def backward(root: Tensor) -> None:
     root.grad = np.ones_like(root.values)
     for node in reversed(order):
         if node._backward is not None:
-            node._backward()
+            node._backward(node.grad)
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:
@@ -104,139 +110,92 @@ def sgd_step(params: Sequence[Tensor], lr: float) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"add: {a.shape} vs {b.shape}")
-    out = Tensor(a.values + b.values, (a, b), _op="add")
 
-    def _bw():
-        a._accum(out.grad)
-        b._accum(out.grad)
+    def _bw(g):
+        a._accum(g)
+        b._accum(g)
 
-    out._backward = _bw
-    return out
+    return Tensor(a.values + b.values, (a, b), _bw, "add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"sub: {a.shape} vs {b.shape}")
-    out = Tensor(a.values - b.values, (a, b), _op="sub")
 
-    def _bw():
-        a._accum(out.grad)
-        b._accum(-out.grad)
+    def _bw(g):
+        a._accum(g)
+        b._accum(-g)
 
-    out._backward = _bw
-    return out
+    return Tensor(a.values - b.values, (a, b), _bw, "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"mul: {a.shape} vs {b.shape}")
-    out = Tensor(a.values * b.values, (a, b), _op="mul")
 
-    def _bw():
-        a._accum(out.grad * b.values)
-        b._accum(out.grad * a.values)
+    def _bw(g):
+        a._accum(g * b.values)
+        b._accum(g * a.values)
 
-    out._backward = _bw
-    return out
+    return Tensor(a.values * b.values, (a, b), _bw, "mul")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    out = Tensor(a.values * c, (a,), _op="scale")
 
-    def _bw():
-        a._accum(out.grad * c)
+    def _bw(g):
+        a._accum(g * c)
 
-    out._backward = _bw
-    return out
+    return Tensor(a.values * c, (a,), _bw, "scale")
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.values.sum(), (a,), _op="sum_all")
 
-    def _bw():
-        a._accum(np.full_like(a.values, out.grad))
+    def _bw(g):
+        a._accum(np.full_like(a.values, g))
 
-    out._backward = _bw
-    return out
-
-
-def mean_rows(a: Tensor) -> Tensor:
-    """Mean over axis 0, keeping the row axis: [B, ...] -> [1, ...]."""
-    n = a.shape[0]
-    out = Tensor(a.values.mean(axis=0, keepdims=True), (a,), _op="mean_rows")
-
-    def _bw():
-        a._accum(np.broadcast_to(out.grad / n, a.values.shape))
-
-    out._backward = _bw
-    return out
+    return Tensor(a.values.sum(), (a,), _bw, "sum_all")
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
-    out = Tensor(a.values.reshape(shape), (a,), _op="reshape")
 
-    def _bw():
-        a._accum(out.grad.reshape(a.values.shape))
+    def _bw(g):
+        a._accum(g.reshape(a.values.shape))
 
-    out._backward = _bw
-    return out
+    return Tensor(a.values.reshape(shape), (a,), _bw, "reshape")
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
     """Select rows along axis 0 by integer index array."""
     idx = np.asarray(idx, dtype=np.intp)
-    out = Tensor(a.values[idx], (a,), _op="take_rows")
 
-    def _bw():
+    def _bw(g):
         if a.grad is None:
             a.grad = np.zeros_like(a.values)
-        np.add.at(a.grad, idx, out.grad)
+        np.add.at(a.grad, idx, g)
 
-    out._backward = _bw
-    return out
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack tensors of identical shape [1, ...] into [len(parts), ...]."""
-    base = parts[0].shape
-    for p in parts:
-        if p.shape != base:
-            raise DimensionError(f"concat_rows: {p.shape} vs {base}")
-    out = Tensor(np.concatenate([p.values for p in parts], axis=0), (*parts,), _op="concat_rows")
-    rows = base[0]
-
-    def _bw():
-        for i, p in enumerate(parts):
-            p._accum(out.grad[i * rows:(i + 1) * rows])
-
-    out._backward = _bw
-    return out
+    return Tensor(a.values[idx], (a,), _bw, "take_rows")
 
 
 def transpose2d(a: Tensor) -> Tensor:
     if a.values.ndim != 2:
         raise DimensionError(f"transpose2d needs a matrix, got {a.shape}")
-    out = Tensor(a.values.T.copy(), (a,), _op="transpose2d")
 
-    def _bw():
-        a._accum(out.grad.T)
+    def _bw(g):
+        a._accum(g.T)
 
-    out._backward = _bw
-    return out
+    return Tensor(a.values.T.copy(), (a,), _bw, "transpose2d")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: {a.shape} @ {b.shape}")
-    out = Tensor(a.values @ b.values, (a, b), _op="matmul")
 
-    def _bw():
-        a._accum(out.grad @ b.values.T)
-        b._accum(a.values.T @ out.grad)
+    def _bw(g):
+        a._accum(g @ b.values.T)
+        b._accum(a.values.T @ g)
 
-    out._backward = _bw
-    return out
+    return Tensor(a.values @ b.values, (a, b), _bw, "matmul")
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +204,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.values > 0.0
-    out = Tensor(np.where(mask, a.values, 0.0), (a,), _op="relu")
 
-    def _bw():
-        a._accum(out.grad * mask)
+    def _bw(g):
+        a._accum(g * mask)
 
-    out._backward = _bw
-    return out
+    return Tensor(np.where(mask, a.values, 0.0), (a,), _bw, "relu")
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -260,15 +217,13 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(f"linear: input {x.shape}, weight {weight.shape}")
     if bias.shape != (weight.shape[1],):
         raise DimensionError(f"linear: bias {bias.shape} vs K={weight.shape[1]}")
-    out = Tensor(x.values @ weight.values + bias.values, (x, weight, bias), _op="linear")
 
-    def _bw():
-        x._accum(out.grad @ weight.values.T)
-        weight._accum(x.values.T @ out.grad)
-        bias._accum(out.grad.sum(axis=0))
+    def _bw(g):
+        x._accum(g @ weight.values.T)
+        weight._accum(x.values.T @ g)
+        bias._accum(g.sum(axis=0))
 
-    out._backward = _bw
-    return out
+    return Tensor(x.values @ weight.values + bias.values, (x, weight, bias), _bw, "linear")
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
@@ -302,10 +257,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
         for j in range(kw):
             sl = xp[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride]
             out_v += np.einsum("bchw,oc->bohw", sl, kv[:, :, i, j], optimize=True)
-    out = Tensor(out_v, (x, kernel, bias), _op="conv2d")
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         bias._accum(g.sum(axis=(0, 2, 3)))
         gxp = np.zeros_like(xp)
         if kernel.grad is None:
@@ -318,8 +271,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
                     "bohw,oc->bchw", g, kv[:, :, i, j], optimize=True)
         x._accum(gxp[:, :, pad:pad + H, pad:pad + W] if pad else gxp)
 
-    out._backward = _bw
-    return out
+    return Tensor(out_v, (x, kernel, bias), _bw, "conv2d")
 
 
 def instance_norm2d(x: Tensor, eps: float = 1e-5) -> Tensor:
@@ -333,16 +285,13 @@ def instance_norm2d(x: Tensor, eps: float = 1e-5) -> Tensor:
     var = x.values.var(axis=(2, 3), keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     y = (x.values - mu) * inv
-    out = Tensor(y, (x,), _op="instance_norm2d")
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         gm = g.mean(axis=(2, 3), keepdims=True)
         gym = (g * y).mean(axis=(2, 3), keepdims=True)
         x._accum((g - gm - y * gym) * inv)
 
-    out._backward = _bw
-    return out
+    return Tensor(y, (x,), _bw, "instance_norm2d")
 
 
 def avg_pool2d(x: Tensor, k: int, stride: Optional[int] = None) -> Tensor:
@@ -364,18 +313,16 @@ def avg_pool2d(x: Tensor, k: int, stride: Optional[int] = None) -> Tensor:
             for j in range(k):
                 v += x.values[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride]
         v /= k * k
-    out = Tensor(v, (x,), _op="avg_pool2d")
 
-    def _bw():
-        g = out.grad / (k * k)
+    def _bw(g):
+        g = g / (k * k)
         if x.grad is None:
             x.grad = np.zeros_like(x.values)
         for i in range(k):
             for j in range(k):
                 x.grad[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride] += g
 
-    out._backward = _bw
-    return out
+    return Tensor(v, (x,), _bw, "avg_pool2d")
 
 
 def softmax_cross_entropy_mean(logits: Tensor, labels) -> Tensor:
@@ -396,12 +343,10 @@ def softmax_cross_entropy_mean(logits: Tensor, labels) -> Tensor:
     lse = np.log(ez.sum(axis=1, keepdims=True))
     logp = z - lse
     loss = -logp[np.arange(B), labels].mean()
-    out = Tensor(loss, (logits,), _op="softmax_cross_entropy_mean")
 
-    def _bw():
+    def _bw(g):
         p = ez / ez.sum(axis=1, keepdims=True)
         p[np.arange(B), labels] -= 1.0
-        logits._accum(p * (float(out.grad) / B))
+        logits._accum(p * (float(g) / B))
 
-    out._backward = _bw
-    return out
+    return Tensor(loss, (logits,), _bw, "softmax_cross_entropy_mean")

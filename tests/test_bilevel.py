@@ -1,11 +1,13 @@
 """Dynamic bi-level loop: queues, break conditions, schedules, termination."""
 
+import gc
+
 import numpy as np
 import pytest
 
-from condensery.bilevel import AccQueue, CondenseConfig, CondenseState, div, init_state, \
-    inner_step, outer_lr_at, outer_step, query_accuracy, run_condense
-from condensery.data import make_blob_split, make_blobs
+from condensery.bilevel import AccQueue, CondenseConfig, init_state, inner_step, \
+    outer_lr_at, outer_step, query_accuracy, run_condense
+from condensery.data import make_blobs
 from condensery.errors import ConfigError, UsageError
 from condensery.models import ConvNetSpec, forward, init_params
 from condensery.tensor import Tensor
@@ -56,12 +58,12 @@ def test_div_examples():
     q = AccQueue(5)
     for v in (0.50, 0.52, 0.49):
         q.push(v)
-    assert div(q) == pytest.approx(0.03)
+    assert q.div() == pytest.approx(0.03)
     single = AccQueue(3)
     single.push(0.7)
-    assert div(single) == 0.0
+    assert single.div() == 0.0
     with pytest.raises(UsageError):
-        div(AccQueue(3))
+        AccQueue(3).div()
 
 
 def test_div_matches_sort_oracle():
@@ -101,7 +103,7 @@ def test_outer_step_zero_alignment_when_synthetic_equals_real():
     state = init_state(ds, TINY_ARCH, cfg)
     order = np.argsort(ds.labels, kind="stable")
     state.synthetic.images = Tensor(ds.images[order].copy())
-    bd = outer_step(state, ds, TINY_ARCH, cfg)
+    bd = outer_step(state, ds, cfg)
     assert bd.l_f.item() == pytest.approx(0.0, abs=1e-18)
 
 
@@ -112,7 +114,7 @@ def test_outer_steps_reduce_alignment_on_blobs():
     state = init_state(ds, TINY_ARCH, cfg)
     losses = []
     for _ in range(50):
-        losses.append(outer_step(state, ds, TINY_ARCH, cfg).l_f.item())
+        losses.append(outer_step(state, ds, cfg).l_f.item())
     drops = sum(1 for a, b in zip(losses, losses[1:]) if b < a)
     assert drops >= 0.9 * (len(losses) - 1)
 
@@ -151,6 +153,24 @@ def test_inner_step_loss_is_plain_cross_entropy():
     pyr = forward(state.theta, state.synthetic.images)
     expected = T.softmax_cross_entropy_mean(pyr.logits, state.synthetic.labels).item()
     assert inner_step(state, cfg) == pytest.approx(expected)
+
+
+def test_steps_leave_no_cyclic_garbage():
+    # Tapes hold no reference cycles, so refcounting frees each step's graph
+    # and the cyclic collector finds nothing once the steps are done.
+    ds = tiny_data()
+    cfg = tiny_cfg()
+    state = init_state(ds, TINY_ARCH, cfg)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            outer_step(state, ds, cfg)
+            inner_step(state, cfg)
+            query_accuracy(state.theta, ds, cfg, state.rng)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_query_accuracy_random_theta_near_chance():

@@ -50,6 +50,13 @@ def test_condense_missing_dataset_path(tmp_path, capsys):
     assert "train_labels" in err or "train_images" in err
 
 
+def test_condense_single_class_blobs_rejected(tmp_path, capsys):
+    path, _ = blob_config(tmp_path)
+    assert cli.main(["condense", "--config", str(path), "--set", "dataset.num_classes=1"]) == 2
+    assert "at least 2 classes" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "synthetic.cnd").exists()
+
+
 def test_set_override_precedence(tmp_path):
     path, _ = blob_config(tmp_path)
     cfg = cli.load_config(str(path), ["condense.lambda1=0.05"])
@@ -161,8 +168,8 @@ def test_gradcheck_detects_injected_sign_flip(monkeypatch, capsys):
         out = real_conv(x, kernel, bias, stride, pad)
         orig_bw = out._backward
 
-        def bw():
-            orig_bw()
+        def bw(g):
+            orig_bw(g)
             kernel.grad *= -1.0   # injected fault
         out._backward = bw
         return out

@@ -21,14 +21,13 @@ def pyramid_from(feats):
 def test_cwfa_two_sample_mean():
     pyr = pyramid_from([[1.0, 3.0], [3.0, 5.0]])
     means = cwfa(pyr, [0, 0], 1)
-    np.testing.assert_array_equal(means.per_layer_per_class[0][0].values, [[2.0, 4.0]])
+    np.testing.assert_array_equal(means.per_layer[0].values, [[2.0, 4.0]])
 
 
 def test_cwfa_singleton_classes_identity():
     feats = np.random.default_rng(0).standard_normal((3, 4))
     means = cwfa(pyramid_from(feats), [0, 1, 2], 3)
-    for k in range(3):
-        np.testing.assert_array_equal(means.per_layer_per_class[0][k].values, feats[k:k + 1])
+    np.testing.assert_array_equal(means.per_layer[0].values, feats)
 
 
 def test_cwfa_missing_class_raises():
@@ -39,16 +38,17 @@ def test_cwfa_missing_class_raises():
 def test_cwfa_permutation_invariance():
     rng = np.random.default_rng(1)
     feats = rng.standard_normal((12, 5))
-    labels = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2])
-    base = cwfa(pyramid_from(feats), labels, 3)
     perm = rng.permutation(12)
-    permuted = cwfa(pyramid_from(feats[perm]), labels[perm], 3)
-    # oracle: sorted-order summation per class
-    for k in range(3):
-        oracle = feats[labels == k].mean(axis=0)
-        np.testing.assert_allclose(base.per_layer_per_class[0][k].values[0], oracle, rtol=1e-12)
-        np.testing.assert_allclose(permuted.per_layer_per_class[0][k].values[0], oracle,
-                                   rtol=1e-12)
+    equal = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2])
+    unequal = np.array([0, 1, 2, 0, 1, 2, 1, 2, 2, 1, 0, 2])   # class sizes 3/4/5
+    for labels in (equal, unequal):
+        base = cwfa(pyramid_from(feats), labels, 3)
+        permuted = cwfa(pyramid_from(feats[perm]), labels[perm], 3)
+        # oracle: sorted-order summation per class
+        for k in range(3):
+            oracle = feats[labels == k].mean(axis=0)
+            np.testing.assert_allclose(base.per_layer[0].values[k], oracle, rtol=1e-12)
+            np.testing.assert_allclose(permuted.per_layer[0].values[k], oracle, rtol=1e-12)
 
 
 def test_alignment_zero_for_identical_means():
@@ -184,7 +184,7 @@ def test_total_loss_gradient_through_tiny_model():
         mr = cwfa(pr, real_labels, 2)
         ms = cwfa(ps, synth_labels, 2)
         lf = feature_alignment_loss(ms, mr)
-        logits = discrimination_logits(pr.per_layer[-1], ms.centers_matrix(-1))
+        logits = discrimination_logits(pr.per_layer[-1], ms.per_layer[-1])
         ld = discrimination_loss(logits, real_labels)
         return total_loss(lf, ld, 1.0).total
 
