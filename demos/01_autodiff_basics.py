@@ -8,18 +8,20 @@ import numpy as np
 import condensery.tensor as T
 from condensery.tensor import Tensor
 
-# A tensor wraps a float64 array plus a gradient buffer. Building ops
-# records a graph; backward() walks it in reverse topological order.
+# A tensor wraps a float64 array. Building ops records a graph;
+# backward(root, wrt) walks it in reverse topological order and sets
+# .grad on the tensors listed in wrt, and on nothing else.
 x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
 y = Tensor(np.array([[0.5, 0.5], [0.5, 0.5]]))
 z = T.sum_all(T.mul(x, y))
-T.backward(z)
+T.backward(z, [x])
 print("d sum(x*y)/dx =\n", x.grad)   # equals y
+print("y.grad not asked for:", y.grad)
 
 # Fan-out accumulates: using a tensor twice adds both contributions.
 a = Tensor(np.array(3.0))
 out = T.add(T.mul(a, a), a)          # a^2 + a, derivative 2a + 1 = 7
-T.backward(out)
+T.backward(out, [a])
 print("d(a^2 + a)/da =", a.grad)
 
 # A one-layer network end to end: conv -> relu -> pool -> linear -> CE.
@@ -36,7 +38,7 @@ h = T.avg_pool2d(h, 2, 2)
 h = T.reshape(h, (2, 4 * 4 * 4))
 logits = T.linear(h, w, b)
 loss = T.softmax_cross_entropy_mean(logits, np.array([0, 2]))
-T.backward(loss)
+T.backward(loss, [kernel, kbias, w, b])
 print("loss =", loss.item())
 print("kernel grad norm =", np.linalg.norm(kernel.grad))
 

@@ -161,10 +161,9 @@ def outer_step(state: CondenseState, real: LabeledDataset, cfg: CondenseConfig) 
     l_d = discrimination_loss(logits, real_labels)
     breakdown = total_loss(l_f, l_d, cfg.beta)
 
-    T.backward(breakdown.total)
+    T.backward(breakdown.total, [state.synthetic.images])
     state.outer_lr = outer_lr_at(cfg, state.outer_iter)
     T.sgd_step([state.synthetic.images], state.outer_lr)
-    state.theta.zero_grads()
 
     state.lc_out += 1
     state.outer_iter += 1
@@ -179,9 +178,8 @@ def inner_step(state: CondenseState, cfg: CondenseConfig) -> float:
     synth_batch, synth_labels = _synthetic_batch(state, cfg)
     pyr = forward(state.theta, synth_batch)
     loss = T.softmax_cross_entropy_mean(pyr.logits, synth_labels)
-    T.backward(loss)
+    T.backward(loss, state.theta.tensors)
     T.sgd_step(state.theta.tensors, cfg.inner_lr)
-    state.synthetic.images.zero_grad()
     state.lc_in += 1
     state.total_inner_steps += 1
     return loss.item()

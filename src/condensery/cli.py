@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,14 @@ def load_config(path: str, overrides: list[str]) -> dict:
     return cfg
 
 
+def _as(kind, key: str, raw):
+    """``kind(raw)``; a value ``kind`` rejects is a ConfigError naming ``key``."""
+    try:
+        return kind(raw)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"config key {key!r} has a bad value {raw!r}: {e}") from None
+
+
 def build_datasets(cfg: dict) -> tuple[LabeledDataset, LabeledDataset]:
     d = cfg.get("dataset")
     if not d or "kind" not in d:
@@ -123,21 +132,22 @@ def build_datasets(cfg: dict) -> tuple[LabeledDataset, LabeledDataset]:
     kind = d["kind"]
     if kind == "blobs":
         return make_blob_split(
-            num_classes=int(d.get("num_classes", 3)),
-            n_train=int(d.get("n_train_per_class", 200)),
-            n_test=int(d.get("n_test_per_class", 100)),
-            shape=tuple(d.get("shape", [1, 8, 8])),
-            spread=float(d.get("spread", 0.1)),
-            separation=float(d.get("separation", 5.0)),
-            seed=int(cfg.get("seed", 0)))
+            num_classes=_as(int, "dataset.num_classes", d.get("num_classes", 3)),
+            n_train=_as(int, "dataset.n_train_per_class", d.get("n_train_per_class", 200)),
+            n_test=_as(int, "dataset.n_test_per_class", d.get("n_test_per_class", 100)),
+            shape=_as(tuple, "dataset.shape", d.get("shape", [1, 8, 8])),
+            spread=_as(float, "dataset.spread", d.get("spread", 0.1)),
+            separation=_as(float, "dataset.separation", d.get("separation", 5.0)),
+            seed=_as(int, "seed", cfg.get("seed", 0)))
     if kind == "idx":
         for key in ("train_images", "train_labels", "test_images", "test_labels"):
             if key not in d:
                 raise ConfigError(f"config key 'dataset.{key}' is required for idx datasets")
             if not os.path.exists(d[key]):
                 raise ConfigError(f"dataset.{key}: file not found: {d[key]}")
+        k = d.get("num_classes")
         train = load_idx(d["train_images"], d["train_labels"],
-                         num_classes=d.get("num_classes"))
+                         num_classes=None if k is None else _as(int, "dataset.num_classes", k))
         test = load_idx(d["test_images"], d["test_labels"],
                         num_classes=train.num_classes, stats=train.norm_stats)
         return train, test
@@ -148,23 +158,23 @@ def build_arch(cfg: dict, image_shape: tuple, num_classes: int):
     a = cfg.get("arch", {})
     kind = a.get("type", "convnet")
     if kind == "convnet":
-        return ConvNetSpec(blocks=int(a.get("blocks", 3)),
-                           channels=int(a.get("channels", 32)),
+        return ConvNetSpec(blocks=_as(int, "arch.blocks", a.get("blocks", 3)),
+                           channels=_as(int, "arch.channels", a.get("channels", 32)),
                            input_shape=tuple(image_shape), num_classes=num_classes)
     if kind == "mlp":
         return MLPSpec(input_shape=tuple(image_shape),
-                       hidden=tuple(a.get("hidden", [128, 128])),
+                       hidden=_as(tuple, "arch.hidden", a.get("hidden", [128, 128])),
                        num_classes=num_classes)
     raise ConfigError(f"unknown arch.type {kind!r} (expected convnet or mlp)")
 
 
-def build_condense_config(cfg: dict, ipc_override=None) -> CondenseConfig:
-    c = dict(cfg.get("condense", {}))
-    if ipc_override is not None:
-        c["ipc"] = ipc_override
-    if "outer_lr_milestones" in c:
-        c["outer_lr_milestones"] = tuple(c["outer_lr_milestones"])
-    return CondenseConfig(seed=int(cfg.get("seed", 0)), **c)
+def build_condense_config(cfg: dict) -> CondenseConfig:
+    # each value takes the type of its field's default; m_per_class may stay None
+    kinds = {f.name: int if f.default is None else type(f.default)
+             for f in fields(CondenseConfig)}
+    c = {k: v if k == "m_per_class" and v is None else _as(kinds[k], "condense." + k, v)
+         for k, v in cfg.get("condense", {}).items()}
+    return CondenseConfig(seed=_as(int, "seed", cfg.get("seed", 0)), **c)
 
 
 def _prepare_run_dir(cfg: dict) -> Path:
@@ -218,12 +228,12 @@ def _eval_protocol_params(cfg: dict) -> tuple[int, int, EvalConfig]:
     proto = DESK_PROTOCOL if e.get("protocol", "desk") == "desk" else PAPER_PROTOCOL
     if e.get("protocol", "desk") not in ("desk", "paper"):
         raise ConfigError(f"unknown eval.protocol {e['protocol']!r}")
-    n_exp = int(e.get("n_experiments", proto["n_experiments"]))
-    n_nets = int(e.get("n_nets_per", proto["n_nets_per"]))
-    ecfg = EvalConfig(epochs=int(e.get("epochs", proto["epochs"])),
-                      lr=float(e.get("lr", 0.01)),
-                      batch_size=int(e.get("batch_size", 256)),
-                      seed=int(cfg.get("seed", 0)))
+    n_exp = _as(int, "eval.n_experiments", e.get("n_experiments", proto["n_experiments"]))
+    n_nets = _as(int, "eval.n_nets_per", e.get("n_nets_per", proto["n_nets_per"]))
+    ecfg = EvalConfig(epochs=_as(int, "eval.epochs", e.get("epochs", proto["epochs"])),
+                      lr=_as(float, "eval.lr", e.get("lr", 0.01)),
+                      batch_size=_as(int, "eval.batch_size", e.get("batch_size", 256)),
+                      seed=_as(int, "seed", cfg.get("seed", 0)))
     return n_exp, n_nets, ecfg
 
 
@@ -262,7 +272,7 @@ def cmd_coreset(args) -> int:
     cfg = load_config(args.config, args.set or [])
     train, _ = build_datasets(cfg)
     ccfg = build_condense_config(cfg)
-    seed = int(cfg.get("seed", 0))
+    seed = _as(int, "seed", cfg.get("seed", 0))
     if args.method == "random":
         sel = select_random(train, ccfg.ipc, seed)
     elif args.method == "herding":
@@ -272,8 +282,9 @@ def cmd_coreset(args) -> int:
     else:
         co = cfg.get("coreset", {})
         arch = build_arch(cfg, train.image_shape, train.num_classes)
-        trace = record_training_trace(train, arch, int(co.get("trace_epochs", 10)),
-                                      float(co.get("trace_lr", 0.01)), seed)
+        trace = record_training_trace(
+            train, arch, _as(int, "coreset.trace_epochs", co.get("trace_epochs", 10)),
+            _as(float, "coreset.trace_lr", co.get("trace_lr", 0.01)), seed)
         sel = select_forgetting(train, ccfg.ipc, trace)
     out = _prepare_run_dir(cfg)
     synth = materialize(train, sel)
@@ -292,8 +303,8 @@ def cmd_export_proj(args) -> int:
         print(f"error: cannot load container {args.synthetic!r}: {e}", file=sys.stderr)
         return EXIT_CONTAINER
     train, _ = build_datasets(cfg)
-    n_real = int(cfg.get("projection", {}).get("n_real", 500))
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    n_real = _as(int, "projection.n_real", cfg.get("projection", {}).get("n_real", 500))
+    rng = np.random.default_rng(_as(int, "seed", cfg.get("seed", 0)))
     idx = rng.choice(len(train), size=min(n_real, len(train)), replace=False)
     real_feats = train.images[idx].reshape(len(idx), -1)
     synth_feats = synth.images.values.reshape(len(synth.labels), -1)

@@ -248,7 +248,10 @@ def _read_container(path) -> tuple[dict, dict]:
     for _ in range(nsec):
         if off + 16 > len(data):
             raise ParseError("truncated section header", off)
-        tag = data[off:off + 8].decode("ascii").strip()
+        try:
+            tag = data[off:off + 8].decode("ascii").strip()
+        except UnicodeDecodeError:
+            raise ParseError("section tag is not ASCII", off) from None
         length = struct.unpack("<Q", data[off + 8:off + 16])[0]
         off += 16
         if off + length > len(data):
@@ -264,7 +267,21 @@ def _stats_sections(stats: Optional[NormStats]) -> list[tuple[str, bytes]]:
     return [("normstat", np.concatenate([stats.mean, stats.std]).astype("<f8").tobytes())]
 
 
+def _class_major(num_classes: int, ipc: int) -> np.ndarray:
+    return np.repeat(np.arange(num_classes), ipc)
+
+
+def _section_array(sections: dict, tag: str, dtype: str, count: int) -> np.ndarray:
+    buf = sections[tag]
+    if len(buf) != count * np.dtype(dtype).itemsize:
+        raise ParseError(f"{tag} section holds {len(buf)} bytes, expected {count} {dtype} values")
+    return np.frombuffer(buf, dtype=dtype)
+
+
 def save_synthetic(synth: SyntheticSet, path) -> None:
+    if not np.array_equal(synth.labels, _class_major(synth.num_classes, synth.ipc)):
+        raise InputError(f"labels must be class-major: {synth.ipc} of each class "
+                         f"0..{synth.num_classes - 1}")
     sections = [
         ("images", synth.images.values.astype("<f8").tobytes()),
         ("labels", synth.labels.astype("<u4").tobytes()),
@@ -277,20 +294,18 @@ def load_synthetic(path) -> SyntheticSet:
     header, sections = _read_container(path)
     K, ipc = header["num_classes"], header["ipc"]
     C, H, W = header["shape"]
+    if K < 1 or ipc < 1:
+        raise ParseError(f"container declares {K} classes of {ipc} images", 8)
     n = K * ipc
     if "images" not in sections or "labels" not in sections:
         raise ParseError("container missing images/labels sections")
-    img = np.frombuffer(sections["images"], dtype="<f8")
-    if img.size != n * C * H * W:
-        raise ParseError(f"images section holds {img.size} values, expected {n * C * H * W}")
-    labels = np.frombuffer(sections["labels"], dtype="<u4").astype(np.int64)
-    if labels.size != n:
-        raise ParseError(f"labels section holds {labels.size} values, expected {n}")
+    img = _section_array(sections, "images", "<f8", n * C * H * W)
+    labels = _section_array(sections, "labels", "<u4", n).astype(np.int64)
+    if not np.array_equal(labels, _class_major(K, ipc)):
+        raise ParseError(f"labels are not class-major: {ipc} of each class 0..{K - 1}")
     stats = None
     if "normstat" in sections:
-        arr = np.frombuffer(sections["normstat"], dtype="<f8")
-        if arr.size != 2 * C:
-            raise ParseError(f"normstat section holds {arr.size} values, expected {2 * C}")
+        arr = _section_array(sections, "normstat", "<f8", 2 * C)
         stats = NormStats(arr[:C].copy(), arr[C:].copy())
     images = Tensor(img.reshape(n, C, H, W).copy())
     return SyntheticSet(images, labels, ipc, K, stats)
@@ -329,19 +344,24 @@ def load_params(path) -> ModelParams:
     if "params" not in sections:
         raise ParseError("container has no params section")
     payload = sections["params"]
-    (hlen,) = struct.unpack("<I", payload[:4])
-    meta = json.loads(payload[4:4 + hlen].decode("utf-8"))
-    spec = spec_from_json(meta)
-    data = np.frombuffer(payload[4 + hlen:], dtype="<f8")
-    tensors = []
-    off = 0
-    for shape in meta["shapes"]:
-        size = int(np.prod(shape))
-        if off + size > data.size:
-            raise ParseError("params section shorter than declared tensor shapes")
-        tensors.append(Tensor(data[off:off + size].reshape(shape).copy()))
-        off += size
-    return ModelParams(meta["arch"], spec, tensors)
+    try:
+        (hlen,) = struct.unpack("<I", payload[:4])
+        meta = json.loads(payload[4:4 + hlen].decode("utf-8"))
+        spec = spec_from_json(meta)
+        data = np.frombuffer(payload[4 + hlen:], dtype="<f8")
+        tensors = []
+        off = 0
+        for shape in meta["shapes"]:
+            size = int(np.prod(shape))
+            if off + size > data.size:
+                raise ParseError("params section shorter than declared tensor shapes")
+            tensors.append(Tensor(data[off:off + size].reshape(shape).copy()))
+            off += size
+        return ModelParams(meta["arch"], spec, tensors)
+    except ParseError:
+        raise
+    except (struct.error, ValueError, KeyError, TypeError) as e:
+        raise ParseError(f"malformed params section: {e!r}") from None
 
 
 # ---------------------------------------------------------------------------

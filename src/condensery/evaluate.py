@@ -19,6 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import LabeledDataset, SyntheticSet
+from .errors import ConfigError
 from .models import ArchSpec, ModelParams, forward, init_params
 from .tensor import Tensor
 
@@ -52,7 +53,10 @@ class EvalReport:
 def _worker_count() -> int:
     env = os.environ.get("CONDENSERY_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"CONDENSERY_THREADS must be an integer, got {env!r}") from None
     return min(4, os.cpu_count() or 1)
 
 
@@ -72,7 +76,7 @@ def _sgd_fit(arch_spec: ArchSpec, images: np.ndarray, labels: np.ndarray, epochs
             logits = forward(params, Tensor(images[idx])).logits
             if trace is not None:
                 trace[e, idx] = np.argmax(logits.values, axis=1) == labels[idx]
-            T.backward(T.softmax_cross_entropy_mean(logits, labels[idx]))
+            T.backward(T.softmax_cross_entropy_mean(logits, labels[idx]), params.tensors)
             T.sgd_step(params.tensors, lr)
     return params
 

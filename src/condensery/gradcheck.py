@@ -84,7 +84,7 @@ def check_op(name: str, build: Callable[[Sequence[T.Tensor]], T.Tensor], leaves:
     ts = [T.Tensor(x.copy()) for x in leaves]
     out = build(ts)
     root = out if out.values.size == 1 else T.sum_all(out)
-    T.backward(root)
+    T.backward(root, ts)
     results = []
     arrs = [l.values for l in ts]
     for i, (leaf, arr) in enumerate(zip(ts, leaves)):
@@ -165,7 +165,7 @@ def _check_composed(rng: np.random.Generator, n_coords: int = 20) -> CheckResult
         return T.softmax_cross_entropy_mean(logits, labels), t
 
     root, ts = run(leaves)
-    T.backward(root)
+    T.backward(root, ts)
 
     analytic = np.concatenate([t.grad.reshape(-1) for t in ts])
     numeric = np.zeros_like(analytic)

@@ -86,10 +86,6 @@ class ModelParams:
     spec: ArchSpec
     tensors: list = field(default_factory=list)   # ordered parameter tensors
 
-    def zero_grads(self) -> None:
-        for t in self.tensors:
-            t.grad = None
-
     def copy_values(self) -> list[np.ndarray]:
         return [t.values.copy() for t in self.tensors]
 

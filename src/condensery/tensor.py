@@ -1,20 +1,20 @@
 """Reverse-mode autodiff on dense float64 numpy arrays.
 
-Every operation records its inputs and a backward closure on the produced
-tensor; ``backward()`` on a scalar root walks the graph in reverse
-topological order, hands each node's closure that node's accumulated
-gradient, and accumulates gradients additively into the parents, so
-fan-out is handled correctly. A closure receives the upstream gradient as
-its argument and never references the tensor it belongs to, so a tape
-holds no reference cycle and is freed by refcounting as soon as its last
-tensor goes out of scope. Only the primitives needed by the condensation
-networks and losses are provided; there is no broadcasting beyond what
-they need.
+Every operation records its inputs (``_parents``) and a backward closure
+that maps the output's gradient to a tuple with one gradient per parent.
+A closure never writes a ``grad`` and never references its own output, so
+a tape holds no reference cycle and refcounting frees it as soon as its
+last tensor goes out of scope. ``backward(root, wrt)`` walks, in reverse
+topological order, only the nodes that depend on a leaf in ``wrt``, keeps
+each intermediate gradient until its node is walked, and assigns ``grad``
+on the tensors in ``wrt`` alone. Only the primitives needed by the
+condensation networks and losses are provided; there is no broadcasting
+beyond what they need.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -22,16 +22,16 @@ from .errors import DimensionError, InputError, UsageError
 
 
 class Tensor:
-    """Dense float64 array plus an optional gradient accumulator.
+    """Dense float64 array plus the gradient ``backward`` last assigned.
 
     Tensors produced by ops carry references to their parents and a
-    backward closure that maps this tensor's gradient into the parents'
-    ``grad``; leaf tensors (parameters, inputs) carry neither.
+    backward closure that maps this tensor's gradient to a tuple of the
+    parents' gradients; leaf tensors (parameters, inputs) carry neither.
     """
 
     __slots__ = ("values", "grad", "_parents", "_backward", "_op")
 
-    def __init__(self, values, _parents: tuple = (), _backward: Optional[Callable[[np.ndarray], None]] = None, _op: str = ""):
+    def __init__(self, values, _parents: tuple = (), _backward: Optional[Callable[[np.ndarray], tuple]] = None, _op: str = ""):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self._parents = _parents
@@ -46,14 +46,6 @@ class Tensor:
         if self.values.size != 1:
             raise UsageError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.values.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def _accum(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op!r})"
@@ -77,20 +69,30 @@ def _topo_order(root: Tensor) -> list:
     return order
 
 
-def backward(root: Tensor) -> None:
-    """Populate ``grad`` for every tensor reachable from a scalar root."""
+def backward(root: Tensor, wrt: Sequence[Tensor]) -> None:
+    """Assign ``t.grad`` = d root / d t for each leaf ``t`` in ``wrt``;
+    ``None`` where the scalar root does not depend on ``t``. Gradients are
+    read-only: ``add`` hands one array to both of its parents."""
     if root.values.size != 1:
         raise UsageError(f"backward root must be scalar, got shape {root.shape}")
+    for t in wrt:
+        if t._parents:
+            raise UsageError(f"backward wrt must hold leaf tensors, got a {t._op!r} output")
     order = _topo_order(root)
-    root.grad = np.ones_like(root.values)
+    live = {id(t) for t in wrt}
+    for node in order:
+        if any(id(p) in live for p in node._parents):
+            live.add(id(node))
+    grads = {id(root): np.ones_like(root.values)}
     for node in reversed(order):
-        if node._backward is not None:
-            node._backward(node.grad)
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None
+        if node._backward is None or id(node) not in live:
+            continue
+        for p, gp in zip(node._parents, node._backward(grads.pop(id(node)))):
+            if id(p) in live:
+                prev = grads.get(id(p))
+                grads[id(p)] = gp if prev is None else prev + gp
+    for t in wrt:
+        t.grad = grads.get(id(t))
 
 
 def sgd_step(params: Sequence[Tensor], lr: float) -> None:
@@ -112,8 +114,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"add: {a.shape} vs {b.shape}")
 
     def _bw(g):
-        a._accum(g)
-        b._accum(g)
+        return g, g
 
     return Tensor(a.values + b.values, (a, b), _bw, "add")
 
@@ -123,8 +124,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"sub: {a.shape} vs {b.shape}")
 
     def _bw(g):
-        a._accum(g)
-        b._accum(-g)
+        return g, -g
 
     return Tensor(a.values - b.values, (a, b), _bw, "sub")
 
@@ -134,8 +134,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"mul: {a.shape} vs {b.shape}")
 
     def _bw(g):
-        a._accum(g * b.values)
-        b._accum(g * a.values)
+        return g * b.values, g * a.values
 
     return Tensor(a.values * b.values, (a, b), _bw, "mul")
 
@@ -144,7 +143,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
     def _bw(g):
-        a._accum(g * c)
+        return (g * c,)
 
     return Tensor(a.values * c, (a,), _bw, "scale")
 
@@ -152,7 +151,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 def sum_all(a: Tensor) -> Tensor:
 
     def _bw(g):
-        a._accum(np.full_like(a.values, g))
+        return (np.full_like(a.values, g),)
 
     return Tensor(a.values.sum(), (a,), _bw, "sum_all")
 
@@ -160,7 +159,7 @@ def sum_all(a: Tensor) -> Tensor:
 def reshape(a: Tensor, shape: tuple) -> Tensor:
 
     def _bw(g):
-        a._accum(g.reshape(a.values.shape))
+        return (g.reshape(a.values.shape),)
 
     return Tensor(a.values.reshape(shape), (a,), _bw, "reshape")
 
@@ -170,9 +169,9 @@ def take_rows(a: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
 
     def _bw(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.values)
-        np.add.at(a.grad, idx, g)
+        ga = np.zeros_like(a.values)
+        np.add.at(ga, idx, g)
+        return (ga,)
 
     return Tensor(a.values[idx], (a,), _bw, "take_rows")
 
@@ -182,7 +181,7 @@ def transpose2d(a: Tensor) -> Tensor:
         raise DimensionError(f"transpose2d needs a matrix, got {a.shape}")
 
     def _bw(g):
-        a._accum(g.T)
+        return (g.T,)
 
     return Tensor(a.values.T.copy(), (a,), _bw, "transpose2d")
 
@@ -192,8 +191,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul: {a.shape} @ {b.shape}")
 
     def _bw(g):
-        a._accum(g @ b.values.T)
-        b._accum(a.values.T @ g)
+        return g @ b.values.T, a.values.T @ g
 
     return Tensor(a.values @ b.values, (a, b), _bw, "matmul")
 
@@ -206,7 +204,7 @@ def relu(a: Tensor) -> Tensor:
     mask = a.values > 0.0
 
     def _bw(g):
-        a._accum(g * mask)
+        return (g * mask,)
 
     return Tensor(np.where(mask, a.values, 0.0), (a,), _bw, "relu")
 
@@ -219,9 +217,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(f"linear: bias {bias.shape} vs K={weight.shape[1]}")
 
     def _bw(g):
-        x._accum(g @ weight.values.T)
-        weight._accum(x.values.T @ g)
-        bias._accum(g.sum(axis=0))
+        return g @ weight.values.T, x.values.T @ g, g.sum(axis=0)
 
     return Tensor(x.values @ weight.values + bias.values, (x, weight, bias), _bw, "linear")
 
@@ -259,17 +255,15 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
             out_v += np.einsum("bchw,oc->bohw", sl, kv[:, :, i, j], optimize=True)
 
     def _bw(g):
-        bias._accum(g.sum(axis=(0, 2, 3)))
         gxp = np.zeros_like(xp)
-        if kernel.grad is None:
-            kernel.grad = np.zeros_like(kv)
+        gk = np.zeros_like(kv)
         for i in range(kh):
             for j in range(kw):
                 sl = xp[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride]
-                kernel.grad[:, :, i, j] += np.einsum("bohw,bchw->oc", g, sl, optimize=True)
+                gk[:, :, i, j] += np.einsum("bohw,bchw->oc", g, sl, optimize=True)
                 gxp[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride] += np.einsum(
                     "bohw,oc->bchw", g, kv[:, :, i, j], optimize=True)
-        x._accum(gxp[:, :, pad:pad + H, pad:pad + W] if pad else gxp)
+        return gxp[:, :, pad:pad + H, pad:pad + W] if pad else gxp, gk, g.sum(axis=(0, 2, 3))
 
     return Tensor(out_v, (x, kernel, bias), _bw, "conv2d")
 
@@ -289,7 +283,7 @@ def instance_norm2d(x: Tensor, eps: float = 1e-5) -> Tensor:
     def _bw(g):
         gm = g.mean(axis=(2, 3), keepdims=True)
         gym = (g * y).mean(axis=(2, 3), keepdims=True)
-        x._accum((g - gm - y * gym) * inv)
+        return ((g - gm - y * gym) * inv,)
 
     return Tensor(y, (x,), _bw, "instance_norm2d")
 
@@ -316,11 +310,11 @@ def avg_pool2d(x: Tensor, k: int, stride: Optional[int] = None) -> Tensor:
 
     def _bw(g):
         g = g / (k * k)
-        if x.grad is None:
-            x.grad = np.zeros_like(x.values)
+        gx = np.zeros_like(x.values)
         for i in range(k):
             for j in range(k):
-                x.grad[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride] += g
+                gx[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride] += g
+        return (gx,)
 
     return Tensor(v, (x,), _bw, "avg_pool2d")
 
@@ -347,6 +341,6 @@ def softmax_cross_entropy_mean(logits: Tensor, labels) -> Tensor:
     def _bw(g):
         p = ez / ez.sum(axis=1, keepdims=True)
         p[np.arange(B), labels] -= 1.0
-        logits._accum(p * (float(g) / B))
+        return (p * (float(g) / B),)
 
     return Tensor(loss, (logits,), _bw, "softmax_cross_entropy_mean")

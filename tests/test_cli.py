@@ -8,7 +8,7 @@ import yaml
 
 import condensery.tensor as T
 from condensery import cli
-from condensery.data import load_synthetic
+from condensery.data import load_synthetic, new_synthetic, save_synthetic
 from condensery.errors import ConfigError
 
 
@@ -55,6 +55,31 @@ def test_condense_single_class_blobs_rejected(tmp_path, capsys):
     assert cli.main(["condense", "--config", str(path), "--set", "dataset.num_classes=1"]) == 2
     assert "at least 2 classes" in capsys.readouterr().err
     assert not (tmp_path / "run" / "synthetic.cnd").exists()
+
+
+@pytest.mark.parametrize("command, override, env", [
+    ("condense", "condense.ipc=abc", None),
+    ("condense", "condense.ipc=null", None),
+    ("condense", "dataset.shape=5", None),
+    ("eval", "eval.lr=null", None),
+    ("eval", "eval.epochs=abc", None),
+    ("eval", None, "abc"),
+])
+def test_wrong_typed_config_value_exits_2(tmp_path, monkeypatch, capsys, command, override,
+                                          env):
+    path, _ = blob_config(tmp_path)
+    argv = [command, "--config", str(path)]
+    if command == "eval":
+        container = tmp_path / "s.cnd"
+        save_synthetic(new_synthetic(3, 1, (1, 8, 8), np.random.default_rng(0)), container)
+        argv.insert(1, str(container))
+    if override is not None:
+        argv += ["--set", override]
+    if env is not None:
+        monkeypatch.setenv("CONDENSERY_THREADS", env)
+    assert cli.main(argv) == 2
+    named = "CONDENSERY_THREADS" if override is None else override.split("=")[0]
+    assert named in capsys.readouterr().err
 
 
 def test_set_override_precedence(tmp_path):
@@ -169,8 +194,8 @@ def test_gradcheck_detects_injected_sign_flip(monkeypatch, capsys):
         orig_bw = out._backward
 
         def bw(g):
-            orig_bw(g)
-            kernel.grad *= -1.0   # injected fault
+            gx, gk, gb = orig_bw(g)
+            return gx, -gk, gb   # injected fault
         out._backward = bw
         return out
 

@@ -5,10 +5,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condensery.data import NormStats, denormalize, export_projection_csv, load_idx, \
     load_params, load_synthetic, make_blob_split, make_blobs, make_dataset, new_synthetic, \
-    normalize, save_idx, save_params, save_synthetic, pca_fit
+    normalize, save_idx, save_params, save_synthetic, pca_fit, SyntheticSet
 from condensery.errors import InputError, ParseError
 from condensery.models import ConvNetSpec, init_params
 from condensery.tensor import Tensor
@@ -176,6 +178,84 @@ def test_container_truncation(tmp_path):
     path.write_bytes(path.read_bytes()[:-7])
     with pytest.raises(ParseError):
         load_synthetic(path)
+
+
+def cnd_bytes(sections, num_classes=2, ipc=1, shape=(1, 2, 2)):
+    """A CND v1 container built from the documented layout, not the writer."""
+    out = b"CND1" + struct.pack("<7I", 1, num_classes, ipc, *shape, len(sections))
+    for tag, payload in sections:
+        out += tag.ljust(8) + struct.pack("<Q", len(payload)) + payload
+    return out
+
+
+def synthetic_container(labels, num_classes=3):
+    images = np.zeros((len(labels), 1, 2, 2)).astype("<f8").tobytes()
+    return cnd_bytes([(b"images", images), (b"labels", np.asarray(labels, "<u4").tobytes())],
+                     num_classes=num_classes, ipc=len(labels) // num_classes)
+
+
+def test_container_non_ascii_section_tag(tmp_path):
+    path = tmp_path / "tag.cnd"
+    path.write_bytes(cnd_bytes([(b"imag\xe9s", b"")]))
+    with pytest.raises(ParseError, match="ASCII") as e:
+        load_synthetic(path)
+    assert e.value.offset == 32
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 99], [2, 1, 0]])
+def test_container_labels_must_be_class_major(tmp_path, labels):
+    path = tmp_path / "labels.cnd"
+    path.write_bytes(synthetic_container(labels))
+    with pytest.raises(ParseError, match="class-major"):
+        load_synthetic(path)
+    path.write_bytes(synthetic_container([0, 1, 2]))
+    np.testing.assert_array_equal(load_synthetic(path).labels, [0, 1, 2])
+
+
+def test_save_synthetic_refuses_non_class_major_labels(tmp_path):
+    synth = SyntheticSet(Tensor(np.zeros((3, 1, 2, 2))), np.array([2, 1, 0]), 1, 3)
+    with pytest.raises(InputError, match="class-major"):
+        save_synthetic(synth, tmp_path / "s.cnd")
+    assert not (tmp_path / "s.cnd").exists()
+
+
+@pytest.mark.parametrize("payload", [
+    b"\x01\x00",                                           # struct.error: no length word
+    struct.pack("<I", 5) + b"{nope",                       # JSONDecodeError
+    struct.pack("<I", 2) + b"{}",                          # KeyError: no "arch"
+    struct.pack("<I", 19) + b'{"arch": "convnet"}',        # KeyError: no "blocks"
+], ids=["short", "json", "no-arch", "no-blocks"])
+def test_params_malformed_section(tmp_path, payload):
+    path = tmp_path / "p.cnd"
+    path.write_bytes(cnd_bytes([(b"params", payload)], ipc=0))
+    with pytest.raises(ParseError, match="params"):
+        load_params(path)
+
+
+@pytest.fixture(scope="module")
+def valid_container(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "fuzzed.cnd"
+    stats = NormStats(np.array([0.5]), np.array([0.2]))
+    save_synthetic(new_synthetic(3, 2, (1, 2, 2), np.random.default_rng(14), stats), path)
+    return path, path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_load_synthetic_mutated_bytes_load_or_raise_parse_error(valid_container, data):
+    path, valid = valid_container
+    raw = bytearray(valid)
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        edits = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255))
+        for i, b in data.draw(st.lists(edits, min_size=1, max_size=8), label="edits"):
+            raw[i] = b
+    path.write_bytes(bytes(raw))
+    try:
+        load_synthetic(path)
+    except ParseError:
+        pass
 
 
 def test_params_checkpoint_round_trip(tmp_path):

@@ -189,8 +189,7 @@ def test_total_loss_gradient_through_tiny_model():
         return total_loss(lf, ld, 1.0).total
 
     s = Tensor(synth.copy())
-    T.backward(objective(s))
-    params.zero_grads()
+    T.backward(objective(s), [s])
     num = numeric_grad(lambda: objective(Tensor(synth)).item(), synth)
     r = compare(s.grad, num, "total_loss_pixels")
     assert r.passed, r.detail
@@ -209,6 +208,6 @@ def test_lf_minimizer_is_real_class_pixel_mean():
     for _ in range(200):
         ms = cwfa(FeaturePyramid([synth], Tensor(np.zeros((K, 1)))), np.arange(K), K)
         mr = cwfa(FeaturePyramid([Tensor(real)], Tensor(np.zeros((K * 5, 1)))), labels, K)
-        T.backward(feature_alignment_loss(ms, mr))
+        T.backward(feature_alignment_loss(ms, mr), [synth])
         T.sgd_step([synth], 0.5)
     assert np.linalg.norm(synth.values - target) <= 1e-2

@@ -94,12 +94,11 @@ def test_mlp_gradcheck():
         return T.softmax_cross_entropy_mean(pyr.logits, labels).item()
 
     pyr = mlp_forward(params, Tensor(x))
-    T.backward(T.softmax_cross_entropy_mean(pyr.logits, labels))
+    T.backward(T.softmax_cross_entropy_mean(pyr.logits, labels), params.tensors)
     for i, t in enumerate(params.tensors):
         num = numeric_grad(loss_value, t.values)
         r = compare(t.grad, num, f"mlp_param{i}")
         assert r.passed, r.detail
-    params.zero_grads()
 
 
 def test_init_params_deterministic_per_seed():

@@ -70,7 +70,7 @@ def test_relu_values():
 def test_relu_all_negative_zero_gradient():
     x = Tensor(np.array([-1.0, -2.0, -0.5]))
     out = T.sum_all(T.relu(x))
-    T.backward(out)
+    T.backward(out, [x])
     np.testing.assert_array_equal(x.grad, np.zeros(3))
 
 
@@ -178,7 +178,7 @@ def test_cross_entropy_backward():
 def test_backward_identity_chain():
     x = Tensor(np.array(2.0))
     y = T.scale(x, 1.0)
-    T.backward(y)
+    T.backward(y, [x])
     np.testing.assert_array_equal(x.grad, 1.0)
 
 
@@ -186,14 +186,18 @@ def test_backward_product_rule():
     rng = np.random.default_rng(8)
     a = Tensor(rng.standard_normal(5))
     b = Tensor(rng.standard_normal(5))
-    T.backward(T.sum_all(T.mul(a, b)))
+    T.backward(T.sum_all(T.mul(a, b)), [a, b])
     np.testing.assert_array_equal(a.grad, b.values)
     np.testing.assert_array_equal(b.grad, a.values)
 
 
 def test_backward_rejects_nonscalar_root():
+    x = Tensor(np.zeros(3))
     with pytest.raises(UsageError):
-        T.backward(Tensor(np.zeros(3)))
+        T.backward(x, [x])
+    y = T.scale(x, 2.0)
+    with pytest.raises(UsageError):
+        T.backward(T.sum_all(y), [y])
 
 
 def test_backward_accumulates_over_fanout():
@@ -201,8 +205,33 @@ def test_backward_accumulates_over_fanout():
     x = Tensor(np.array([1.0, 2.0]))
     f = T.sum_all(T.mul(x, x))          # grad 2x
     g = T.sum_all(T.scale(x, 3.0))      # grad 3
-    T.backward(T.add(f, g))
+    T.backward(T.add(f, g), [x])
     np.testing.assert_allclose(x.grad, 2 * x.values + 3.0)
+
+
+def test_backward_walks_and_fills_only_what_wrt_needs():
+    # root = sum(x @ w) + sum(p * p): asking for p alone must not walk the
+    # x @ w branch, fill w, or leave a gradient on any interior tensor.
+    rng = np.random.default_rng(10)
+    w = Tensor(rng.standard_normal((3, 2)))
+    p = Tensor(rng.standard_normal(4))
+    unused = Tensor(rng.standard_normal(2))
+    xw = T.matmul(Tensor(rng.standard_normal((5, 3))), w)
+    calls = []
+    orig_bw = xw._backward
+
+    def spy(g):
+        calls.append(g)
+        return orig_bw(g)
+    xw._backward = spy
+    pp = T.mul(p, p)
+    left, right = T.sum_all(xw), T.sum_all(pp)
+    root = T.add(left, right)
+    T.backward(root, [p, unused])
+    assert calls == []
+    assert w.grad is None and unused.grad is None
+    assert all(t.grad is None for t in (xw, pp, left, right, root))
+    np.testing.assert_array_equal(p.grad, 2 * p.values)
 
 
 def test_sgd_step_basic():
