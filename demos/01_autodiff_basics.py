@@ -32,9 +32,9 @@ kbias = Tensor(np.zeros(4))
 w = Tensor(rng.standard_normal((4 * 4 * 4, 3)) * 0.1)
 b = Tensor(np.zeros(3))
 
-h = T.conv2d(img, kernel, kbias, stride=1, pad=1)
+h = T.conv2d(img, kernel, kbias, pad=1)
 h = T.relu(h)
-h = T.avg_pool2d(h, 2, 2)
+h = T.avg_pool2d(h, 2)
 h = T.reshape(h, (2, 4 * 4 * 4))
 logits = T.linear(h, w, b)
 loss = T.softmax_cross_entropy_mean(logits, np.array([0, 2]))

@@ -136,11 +136,10 @@ def _synthetic_batch(state: CondenseState, cfg: CondenseConfig) -> tuple[Tensor,
     synth = state.synthetic
     m = cfg.m_per_class
     if m == synth.ipc:
-        idx = np.arange(len(synth.labels))
-    else:
-        idx = np.concatenate([
-            state.rng.choice(synth.class_indices(k), size=m, replace=False)
-            for k in range(synth.num_classes)])
+        return synth.images, synth.labels
+    idx = np.concatenate([
+        state.rng.choice(synth.class_indices(k), size=m, replace=False)
+        for k in range(synth.num_classes)])
     return T.take_rows(synth.images, idx), synth.labels[idx]
 
 

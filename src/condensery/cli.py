@@ -239,8 +239,6 @@ def _eval_protocol_params(cfg: dict) -> tuple[int, int, EvalConfig]:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config, args.set or [])
-    if args.protocol:
-        cfg.setdefault("eval", {})["protocol"] = args.protocol
     try:
         synth = load_synthetic(args.synthetic)
     except (OSError, ParseError) as e:
@@ -350,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eval", help="train-on-synthetic evaluation")
     sp.add_argument("synthetic", help="CND container to evaluate")
-    sp.add_argument("--protocol", choices=["desk", "paper"])
     add_common(sp)
     sp.set_defaults(fn=cmd_eval)
 

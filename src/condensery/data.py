@@ -139,6 +139,8 @@ def load_idx(images_path, labels_path, num_classes: Optional[int] = None,
         if magic != IDX_IMAGES_MAGIC:
             raise ParseError(f"bad IDX image magic 0x{magic:08x} in {images_path}", 0)
         n, rows, cols = struct.unpack(">III", _read_exact(f, 12, "image header", 4))
+        if not (n and rows and cols):
+            raise ParseError(f"IDX images hold {n} records of {rows}x{cols}", 4)
         payload = f.read()
         if len(payload) != n * rows * cols:
             raise ParseError(

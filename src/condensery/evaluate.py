@@ -10,7 +10,6 @@ threads (capped by CONDENSERY_THREADS).
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -41,13 +40,12 @@ class EvalReport:
     mean: float
     std: float
     config: dict = field(default_factory=dict)
-    wall_clock: float = 0.0
 
     @staticmethod
-    def from_runs(accs: list, config: dict, wall_clock: float) -> "EvalReport":
+    def from_runs(accs: list, config: dict) -> "EvalReport":
         arr = np.asarray(accs, dtype=np.float64)
         return EvalReport(list(map(float, accs)), float(arr.mean()),
-                          float(arr.std()), config, wall_clock)
+                          float(arr.std()), config)
 
 
 def _worker_count() -> int:
@@ -103,7 +101,6 @@ def test_accuracy(params: ModelParams, test_ds: LabeledDataset, chunk: int = 200
 def evaluate_protocol(synth: SyntheticSet, arch_spec: ArchSpec, test_ds: LabeledDataset,
                       n_experiments: int, n_nets_per: int, cfg: EvalConfig) -> EvalReport:
     """Train n_experiments x n_nets_per fresh networks, aggregate mean/std."""
-    t0 = time.monotonic()
     seeds = [cfg.seed * 1_000_000 + e * 1000 + j
              for e in range(n_experiments) for j in range(n_nets_per)]
 
@@ -112,16 +109,14 @@ def evaluate_protocol(synth: SyntheticSet, arch_spec: ArchSpec, test_ds: Labeled
                                     cfg.batch_size)
         return test_accuracy(params, test_ds)
 
-    workers = _worker_count()
-    if workers > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            accs = list(pool.map(one, seeds))
-    else:
-        accs = [one(s) for s in seeds]
+    # the pool starts a thread only when a task finds none idle, so one
+    # seed or CONDENSERY_THREADS=1 runs on a single worker
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+        accs = list(pool.map(one, seeds))
     snapshot = {"arch": arch_spec.arch, "n_experiments": n_experiments,
                 "n_nets_per": n_nets_per, "epochs": cfg.epochs, "lr": cfg.lr,
                 "seed": cfg.seed}
-    return EvalReport.from_runs(accs, snapshot, time.monotonic() - t0)
+    return EvalReport.from_runs(accs, snapshot)
 
 
 def cross_architecture_eval(synth: SyntheticSet, train_arch: ArchSpec,

@@ -1,11 +1,12 @@
 """ConvNet and MLP forward passes with per-layer feature taps.
 
 The ConvNet is a stack of Conv(3x3, stride 1, pad 1) -> InstanceNorm ->
-ReLU -> AvgPool(2,2) blocks followed by one linear output layer. A
-flattened feature tap is recorded after each block's pool; the last tap is
-exactly the input to the output layer, and the tap list excludes the
-output layer itself. The MLP mirrors this with taps after each hidden
-ReLU.
+ReLU -> AvgPool(2x2, non-overlapping) blocks followed by one linear output
+layer; these are the only forms ``tensor.conv2d`` and ``tensor.avg_pool2d``
+provide. A flattened feature tap is recorded after each block's pool; the
+last tap is exactly the input to the output layer, and the tap list
+excludes the output layer itself. The MLP mirrors this with taps after
+each hidden ReLU.
 """
 
 from __future__ import annotations
@@ -44,16 +45,6 @@ class ConvNetSpec:
         f = 2 ** self.blocks
         return self.channels * (H // f) * (W // f)
 
-    def tap_widths(self) -> list[int]:
-        C, H, W = self.input_shape
-        widths = []
-        h, w = H, W
-        for _ in range(self.blocks):
-            h //= 2
-            w //= 2
-            widths.append(self.channels * h * w)
-        return widths
-
 
 @dataclass
 class MLPSpec:
@@ -68,13 +59,6 @@ class MLPSpec:
     @property
     def input_dim(self) -> int:
         return int(np.prod(self.input_shape))
-
-    @property
-    def embed_dim(self) -> int:
-        return self.hidden[-1]
-
-    def tap_widths(self) -> list[int]:
-        return list(self.hidden)
 
 
 ArchSpec = Union[ConvNetSpec, MLPSpec]
@@ -134,10 +118,10 @@ def convnet_forward(params: ModelParams, batch: Tensor) -> FeaturePyramid:
     taps = []
     for b in range(spec.blocks):
         k, bias = params.tensors[2 * b], params.tensors[2 * b + 1]
-        h = T.conv2d(h, k, bias, stride=1, pad=1)
+        h = T.conv2d(h, k, bias, pad=1)
         h = T.instance_norm2d(h)
         h = T.relu(h)
-        h = T.avg_pool2d(h, 2, 2)
+        h = T.avg_pool2d(h, 2)
         taps.append(T.reshape(h, (B, int(np.prod(h.shape[1:])))))
     w, wb = params.tensors[-2], params.tensors[-1]
     logits = T.linear(taps[-1], w, wb)

@@ -8,8 +8,10 @@ last tensor goes out of scope. ``backward(root, wrt)`` walks, in reverse
 topological order, only the nodes that depend on a leaf in ``wrt``, keeps
 each intermediate gradient until its node is walked, and assigns ``grad``
 on the tensors in ``wrt`` alone. Only the primitives needed by the
-condensation networks and losses are provided; there is no broadcasting
-beyond what they need.
+condensation networks and losses are provided, in the forms those use:
+``conv2d`` moves its kernel one pixel at a time, ``avg_pool2d`` pools
+non-overlapping windows, and there is no broadcasting beyond what they
+need.
 """
 
 from __future__ import annotations
@@ -222,11 +224,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return Tensor(x.values @ weight.values + bias.values, (x, weight, bias), _bw, "linear")
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D cross-correlation with zero padding.
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
+    """2-D cross-correlation with zero padding; the kernel moves one pixel
+    at a time.
 
     x[B,C,H,W], kernel[O,C,kh,kw], bias[O] -> [B,O,H',W'] with
-    H' = (H + 2*pad - kh)//stride + 1.
+    H' = H + 2*pad - kh + 1.
     """
     if x.values.ndim != 4 or kernel.values.ndim != 4:
         raise DimensionError(f"conv2d: input {x.shape}, kernel {kernel.shape}")
@@ -236,13 +239,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
         raise DimensionError(f"conv2d: kernel expects {Ck} channels, input has {C}")
     if bias.shape != (O,):
         raise DimensionError(f"conv2d: bias {bias.shape} vs {O} output channels")
-    if stride < 1:
-        raise DimensionError(f"conv2d: stride must be >= 1, got {stride}")
     if H + 2 * pad < kh or W + 2 * pad < kw:
         raise DimensionError(f"conv2d: kernel {kh}x{kw} larger than padded input {H + 2 * pad}x{W + 2 * pad}")
 
-    Ho = (H + 2 * pad - kh) // stride + 1
-    Wo = (W + 2 * pad - kw) // stride + 1
+    Ho = H + 2 * pad - kh + 1
+    Wo = W + 2 * pad - kw + 1
     xp = np.pad(x.values, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.values
     kv = kernel.values
 
@@ -251,7 +252,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     # One GEMM per kernel offset keeps memory flat (no full im2col buffer).
     for i in range(kh):
         for j in range(kw):
-            sl = xp[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride]
+            sl = xp[:, :, i:i + Ho, j:j + Wo]
             out_v += np.einsum("bchw,oc->bohw", sl, kv[:, :, i, j], optimize=True)
 
     def _bw(g):
@@ -259,9 +260,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
         gk = np.zeros_like(kv)
         for i in range(kh):
             for j in range(kw):
-                sl = xp[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride]
+                sl = xp[:, :, i:i + Ho, j:j + Wo]
                 gk[:, :, i, j] += np.einsum("bohw,bchw->oc", g, sl, optimize=True)
-                gxp[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride] += np.einsum(
+                gxp[:, :, i:i + Ho, j:j + Wo] += np.einsum(
                     "bohw,oc->bchw", g, kv[:, :, i, j], optimize=True)
         return gxp[:, :, pad:pad + H, pad:pad + W] if pad else gxp, gk, g.sum(axis=(0, 2, 3))
 
@@ -288,33 +289,19 @@ def instance_norm2d(x: Tensor, eps: float = 1e-5) -> Tensor:
     return Tensor(y, (x,), _bw, "instance_norm2d")
 
 
-def avg_pool2d(x: Tensor, k: int, stride: Optional[int] = None) -> Tensor:
-    """Mean over k x k windows; ragged pooling is rejected."""
+def avg_pool2d(x: Tensor, k: int) -> Tensor:
+    """Mean over non-overlapping k x k windows; ragged pooling is rejected."""
     if x.values.ndim != 4:
         raise DimensionError(f"avg_pool2d: expected [B,C,H,W], got {x.shape}")
-    if stride is None:
-        stride = k
     B, C, H, W = x.shape
-    if H < k or W < k or (H - k) % stride or (W - k) % stride:
-        raise DimensionError(f"avg_pool2d: window {k}/stride {stride} does not tile {H}x{W}")
-    Ho = (H - k) // stride + 1
-    Wo = (W - k) // stride + 1
-    if k == stride:
-        v = x.values.reshape(B, C, Ho, k, Wo, k).mean(axis=(3, 5))
-    else:
-        v = np.zeros((B, C, Ho, Wo))
-        for i in range(k):
-            for j in range(k):
-                v += x.values[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride]
-        v /= k * k
+    if k < 1 or H < k or W < k or H % k or W % k:
+        raise DimensionError(f"avg_pool2d: window {k} does not tile {H}x{W}")
+    Ho, Wo = H // k, W // k
+    v = x.values.reshape(B, C, Ho, k, Wo, k).mean(axis=(3, 5))
 
     def _bw(g):
-        g = g / (k * k)
-        gx = np.zeros_like(x.values)
-        for i in range(k):
-            for j in range(k):
-                gx[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride] += g
-        return (gx,)
+        gw = np.broadcast_to((g / (k * k))[:, :, :, None, :, None], (B, C, Ho, k, Wo, k))
+        return (gw.reshape(B, C, H, W),)
 
     return Tensor(v, (x,), _bw, "avg_pool2d")
 

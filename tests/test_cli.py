@@ -8,7 +8,7 @@ import yaml
 
 import condensery.tensor as T
 from condensery import cli
-from condensery.data import load_synthetic, new_synthetic, save_synthetic
+from condensery.data import load_synthetic, new_synthetic, save_idx, save_synthetic
 from condensery.errors import ConfigError
 
 
@@ -136,6 +136,30 @@ def test_eval_protocol_flags(tmp_path):
     assert ecfg.epochs == 300
 
 
+def test_eval_protocol_set_override(tmp_path):
+    path, _ = blob_config(tmp_path, eval={})
+    n_exp, n_nets, ecfg = cli._eval_protocol_params(
+        cli.load_config(str(path), ["eval.protocol=paper"]))
+    assert (n_exp, n_nets, ecfg.epochs) == (5, 20, 300)
+    container = tmp_path / "s.cnd"
+    save_synthetic(new_synthetic(3, 1, (1, 8, 8), np.random.default_rng(0)), container)
+    assert cli.main(["eval", str(container), "--config", str(path),
+                     "--set", "eval.protocol=bogus"]) == 2
+
+
+def test_eval_empty_idx_test_split_exits_3(tmp_path, capsys):
+    pixels = np.zeros((3, 1, 8, 8), np.uint8)
+    paths = {k: str(tmp_path / f"{k}.idx") for k in
+             ("train_images", "train_labels", "test_images", "test_labels")}
+    save_idx(pixels, [0, 1, 2], paths["train_images"], paths["train_labels"])
+    save_idx(pixels[:0], [], paths["test_images"], paths["test_labels"])
+    path, _ = blob_config(tmp_path, dataset={"kind": "idx", "num_classes": 3, **paths})
+    container = tmp_path / "s.cnd"
+    save_synthetic(new_synthetic(3, 1, (1, 8, 8), np.random.default_rng(0)), container)
+    assert cli.main(["eval", str(container), "--config", str(path)]) == 3
+    assert "0 records" in capsys.readouterr().err
+
+
 def test_coreset_random_stable(tmp_path):
     path, _ = blob_config(tmp_path)
     assert cli.main(["coreset", "random", "--config", str(path)]) == 0
@@ -189,8 +213,8 @@ def test_gradcheck_detects_injected_sign_flip(monkeypatch, capsys):
     real_conv = T.conv2d
 
     @functools.wraps(real_conv)
-    def broken_conv(x, kernel, bias, stride=1, pad=0):
-        out = real_conv(x, kernel, bias, stride, pad)
+    def broken_conv(x, kernel, bias, *, pad=0):
+        out = real_conv(x, kernel, bias, pad=pad)
         orig_bw = out._backward
 
         def bw(g):

@@ -62,6 +62,49 @@ def test_idx_count_mismatch(tmp_path):
         load_idx(ip, lp)
 
 
+@pytest.mark.parametrize("shape, num_classes", [
+    ((0, 1, 2, 2), None),   # labels.max() has nothing to reduce
+    ((0, 1, 2, 2), 10),     # an empty split that eval's accuracy divides by
+    ((2, 1, 0, 2), 10),
+    ((2, 1, 2, 0), None),
+])
+def test_idx_empty_pair_rejected(tmp_path, shape, num_classes):
+    ip, lp = write_idx_fixture(tmp_path, np.zeros(shape, np.uint8), [0] * shape[0])
+    with pytest.raises(ParseError):
+        load_idx(ip, lp, num_classes=num_classes)
+
+
+@pytest.fixture(scope="module")
+def valid_idx_pair(tmp_path_factory):
+    d = tmp_path_factory.mktemp("idxfuzz")
+    ip, lp = write_idx_fixture(d, np.arange(3 * 2 * 2, dtype=np.uint8).reshape(3, 1, 2, 2),
+                               [0, 2, 1])
+    return ip, lp, ip.read_bytes(), lp.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_load_idx_mutated_bytes_load_or_raise(valid_idx_pair, data):
+    ip, lp, *valid = valid_idx_pair
+    which = data.draw(st.integers(0, 1), label="file")
+    raw = bytearray(valid[which])
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        edits = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255))
+        for i, b in data.draw(st.lists(edits, min_size=1, max_size=8), label="edits"):
+            raw[i] = b
+    ip.write_bytes(bytes(raw) if which == 0 else valid[0])
+    lp.write_bytes(bytes(raw) if which == 1 else valid[1])
+    num_classes = data.draw(st.sampled_from([None, 3]), label="num_classes")
+    try:
+        load_idx(ip, lp, num_classes=num_classes)
+    except ParseError:
+        pass
+    except InputError:
+        assert num_classes is not None   # a label >= num_classes
+
+
 def test_normalize_constant_channel():
     raw = np.full((5, 1, 2, 2), 0.7)
     out, stats = normalize(raw)

@@ -1,5 +1,7 @@
 """Autodiff core: forward values, trivial cases, finite-difference checks."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 import condensery.tensor as T
 from condensery.errors import DimensionError, InputError, UsageError
-from condensery.gradcheck import check_op, numeric_grad
+from condensery.gradcheck import check_op, numeric_grad, run_suite
 from condensery.tensor import Tensor
 
 
@@ -15,7 +17,7 @@ def test_conv2d_identity_kernel():
     x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
     k = Tensor(np.ones((1, 1, 1, 1)))
     b = Tensor(np.zeros(1))
-    out = T.conv2d(x, k, b, stride=1, pad=0)
+    out = T.conv2d(x, k, b, pad=0)
     np.testing.assert_array_equal(out.values, x.values)
 
 
@@ -23,7 +25,7 @@ def test_conv2d_bias_only():
     x = Tensor(np.random.default_rng(0).standard_normal((2, 3, 4, 4)))
     k = Tensor(np.zeros((2, 3, 3, 3)))
     b = Tensor(np.array([5.0, 5.0]))
-    out = T.conv2d(x, k, b, stride=1, pad=1)
+    out = T.conv2d(x, k, b, pad=1)
     np.testing.assert_array_equal(out.values, np.full((2, 2, 4, 4), 5.0))
 
 
@@ -31,7 +33,13 @@ def test_conv2d_channel_mismatch():
     x = Tensor(np.zeros((1, 2, 4, 4)))
     k = Tensor(np.zeros((1, 3, 3, 3)))
     with pytest.raises(DimensionError):
-        T.conv2d(x, k, Tensor(np.zeros(1)), 1, 1)
+        T.conv2d(x, k, Tensor(np.zeros(1)), pad=1)
+
+
+def test_conv2d_pad_is_keyword_only():
+    x = Tensor(np.zeros((1, 1, 4, 4)))
+    with pytest.raises(TypeError):
+        T.conv2d(x, Tensor(np.zeros((1, 1, 3, 3))), Tensor(np.zeros(1)), 1, 1)
 
 
 def test_conv2d_gradients_match_finite_differences():
@@ -39,7 +47,7 @@ def test_conv2d_gradients_match_finite_differences():
     x = rng.standard_normal((2, 3, 5, 5))
     k = rng.standard_normal((4, 3, 3, 3))
     b = rng.standard_normal(4)
-    for r in check_op("conv2d", lambda t: T.conv2d(t[0], t[1], t[2], 1, 0), [x, k, b]):
+    for r in check_op("conv2d", lambda t: T.conv2d(t[0], t[1], t[2], pad=0), [x, k, b]):
         assert r.passed, r.detail
         assert r.worst_rel <= 1e-3
 
@@ -89,24 +97,39 @@ def test_relu_backward_away_from_kink():
 
 
 def test_avg_pool_mean():
-    out = T.avg_pool2d(Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]])), 2, 2)
+    out = T.avg_pool2d(Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]])), 2)
     np.testing.assert_array_equal(out.values, [[[[2.5]]]])
 
 
 def test_avg_pool_constant_preserved():
-    out = T.avg_pool2d(Tensor(np.full((1, 2, 4, 4), 7.0)), 2, 2)
+    out = T.avg_pool2d(Tensor(np.full((1, 2, 4, 4), 7.0)), 2)
     np.testing.assert_array_equal(out.values, np.full((1, 2, 2, 2), 7.0))
 
 
 def test_avg_pool_rejects_ragged():
     with pytest.raises(DimensionError):
-        T.avg_pool2d(Tensor(np.zeros((1, 1, 5, 5))), 2, 2)
+        T.avg_pool2d(Tensor(np.zeros((1, 1, 5, 5))), 2)
 
 
 def test_avg_pool_backward():
     x = np.random.default_rng(4).standard_normal((2, 3, 4, 4))
-    for r in check_op("pool", lambda t: T.avg_pool2d(t[0], 2, 2), [x]):
+    for r in check_op("pool", lambda t: T.avg_pool2d(t[0], 2), [x]):
         assert r.passed, r.detail
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_avg_pool_backward_matches_window_loop(k):
+    # a weighted sum gives every window its own upstream gradient; the
+    # reference adds g / k^2 into each window position one offset at a time
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.standard_normal((2, 3, 2 * k, 3 * k)))
+    w = rng.standard_normal((2, 3, 2, 3))
+    T.backward(T.sum_all(T.mul(T.avg_pool2d(x, k), Tensor(w))), [x])
+    ref = np.zeros_like(x.values)
+    for i in range(k):
+        for j in range(k):
+            ref[:, :, i::k, j::k] += w / (k * k)
+    np.testing.assert_array_equal(x.grad, ref)
 
 
 def test_linear_identity():
@@ -271,8 +294,8 @@ def test_ops_deterministic():
     x = rng.standard_normal((2, 3, 4, 4))
     k = rng.standard_normal((2, 3, 3, 3))
     b = rng.standard_normal(2)
-    o1 = T.conv2d(Tensor(x), Tensor(k), Tensor(b), 1, 1).values
-    o2 = T.conv2d(Tensor(x), Tensor(k), Tensor(b), 1, 1).values
+    o1 = T.conv2d(Tensor(x), Tensor(k), Tensor(b), pad=1).values
+    o2 = T.conv2d(Tensor(x), Tensor(k), Tensor(b), pad=1).values
     assert np.array_equal(o1, o2)
 
 
@@ -281,3 +304,11 @@ def test_numeric_grad_on_quadratic():
     x = np.array([1.0, -2.0, 0.5])
     g = numeric_grad(lambda: float((x ** 2).sum()), x)
     np.testing.assert_allclose(g, 2 * x, atol=1e-6)
+
+
+def test_gradcheck_suite_covers_every_public_op():
+    ops = {name for name, fn in vars(T).items()
+           if inspect.isfunction(fn) and fn.__module__ == T.__name__
+           and not name.startswith("_") and name not in ("backward", "sgd_step")}
+    checked = {r.name.split("[")[0] for r in run_suite(seed=0)}
+    assert ops <= checked, sorted(ops - checked)
