@@ -11,12 +11,14 @@ above lambda2). Unconditional loop caps guarantee termination.
 from __future__ import annotations
 
 import csv
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import tensor as T
+from . import evaluate
 from .data import LabeledDataset, SyntheticSet, new_synthetic
 from .errors import ConfigError, InputError, UsageError
 from .losses import LossBreakdown, cwfa, discrimination_logits, discrimination_loss, \
@@ -58,35 +60,24 @@ class CondenseConfig:
             raise ConfigError("beta must be positive")
 
 
-class AccQueue:
-    """Bounded FIFO of query-set accuracies."""
+class AccQueue(deque):
+    """Bounded FIFO of query-set accuracies; a push on a full queue drops the
+    oldest entry."""
 
     def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.entries: list[float] = []
-
-    def __len__(self) -> int:
-        return len(self.entries)
+        super().__init__(maxlen=capacity)
 
     @property
     def full(self) -> bool:
-        return len(self.entries) == self.capacity
+        return len(self) == self.maxlen
 
     def push(self, acc: float) -> None:
-        if len(self.entries) >= self.capacity:
-            raise UsageError("push on a full queue without a prior pop")
-        self.entries.append(float(acc))
-
-    def pop_oldest(self) -> float:
-        return self.entries.pop(0)
-
-    def clear(self) -> None:
-        self.entries = []
+        self.append(float(acc))
 
     def div(self) -> float:
-        if not self.entries:
+        if not self:
             raise UsageError("div() on empty queue")
-        return max(self.entries) - min(self.entries)
+        return max(self) - min(self)
 
 
 @dataclass
@@ -115,13 +106,8 @@ def outer_lr_at(cfg: CondenseConfig, outer_iter: int) -> float:
 
 def sample_class_balanced(ds: LabeledDataset, per_class: int, rng: np.random.Generator) -> np.ndarray:
     """per_class indices from each class, without replacement when possible."""
-    picks = []
-    for k, idx in enumerate(ds.class_indices()):
-        if idx.size >= per_class:
-            picks.append(rng.choice(idx, size=per_class, replace=False))
-        else:
-            picks.append(rng.choice(idx, size=per_class, replace=True))
-    return np.concatenate(picks)
+    return np.concatenate([rng.choice(idx, size=per_class, replace=idx.size < per_class)
+                           for idx in ds.class_indices()])
 
 
 def init_state(real: LabeledDataset, arch: ArchSpec, cfg: CondenseConfig) -> CondenseState:
@@ -171,28 +157,22 @@ def outer_step(state: CondenseState, real: LabeledDataset, cfg: CondenseConfig) 
 
 
 def inner_step(state: CondenseState, cfg: CondenseConfig) -> float:
-    """One SGD step fitting the network to the synthetic set."""
+    """One SGD step fitting the network to a synthetic batch (``evaluate.
+    train_step`` at ``inner_lr``); returns the loss before the step."""
     if len(state.synthetic.labels) == 0:
         raise InputError("synthetic set is empty")
-    synth_batch, synth_labels = _synthetic_batch(state, cfg)
-    pyr = forward(state.theta, synth_batch)
-    loss = T.softmax_cross_entropy_mean(pyr.logits, synth_labels)
-    T.backward(loss, state.theta.tensors)
-    T.sgd_step(state.theta.tensors, cfg.inner_lr)
+    loss, _ = evaluate.train_step(state.theta, *_synthetic_batch(state, cfg), cfg.inner_lr)
     state.lc_in += 1
     state.total_inner_steps += 1
-    return loss.item()
+    return loss
 
 
 def query_accuracy(theta: ModelParams, real: LabeledDataset, cfg: CondenseConfig,
                    rng: np.random.Generator) -> float:
-    """Accuracy on a class-balanced random query set; argmax ties go to the
-    lowest class index."""
-    per_class = max(1, cfg.query_size // real.num_classes)
-    idx = sample_class_balanced(real, per_class, rng)
-    logits = forward(theta, Tensor(real.images[idx])).logits.values
-    pred = np.argmax(logits, axis=1)
-    return float(np.mean(pred == real.labels[idx]))
+    """Accuracy on a class-balanced random query set, read in batches by
+    ``evaluate.predict``; argmax ties go to the lowest class index."""
+    idx = sample_class_balanced(real, max(1, cfg.query_size // real.num_classes), rng)
+    return float(np.mean(evaluate.predict(theta, real.images[idx]) == real.labels[idx]))
 
 
 MetricsHook = Callable[[CondenseState, LossBreakdown, float], None]
@@ -239,8 +219,6 @@ def run_condense(real: LabeledDataset, arch: ArchSpec, cfg: CondenseConfig,
                     state.lc_out = 0
                     state.q_out.clear()
                     break
-                if state.q_out.full:
-                    state.q_out.pop_oldest()
                 # inner loop: fit the network until its accuracy moves
                 while True:
                     inner_step(state, cfg)
@@ -252,8 +230,6 @@ def run_condense(real: LabeledDataset, arch: ArchSpec, cfg: CondenseConfig,
                         state.lc_in = 0
                         state.q_in.clear()
                         break
-                    if state.q_in.full:
-                        state.q_in.pop_oldest()
     finally:
         if fh is not None:
             fh.close()

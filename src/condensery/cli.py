@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 gradient-check failure, 2 config/input error,
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import sys
@@ -84,7 +85,9 @@ def _validate(cfg: dict, schema: dict = SCHEMA, prefix: str = "") -> None:
 
 
 def _deep_merge(base: dict, extra: dict) -> dict:
-    out = dict(base)
+    """A new mapping; ``--set`` later writes into its sections, so none may
+    be shared with ``base`` (the module's DEFAULTS)."""
+    out = copy.deepcopy(base)
     for k, v in extra.items():
         if isinstance(v, dict) and isinstance(out.get(k), dict):
             out[k] = _deep_merge(out[k], v)
@@ -117,12 +120,40 @@ def load_config(path: str, overrides: list[str]) -> dict:
     return cfg
 
 
-def _as(kind, key: str, raw):
-    """``kind(raw)``; a value ``kind`` rejects is a ConfigError naming ``key``."""
+def _integer(raw) -> int:
+    if isinstance(raw, float) and not raw.is_integer():
+        raise ValueError("not a whole number")
+    return int(raw)
+
+
+def _integers(raw) -> tuple:
+    if not isinstance(raw, (list, tuple)):
+        raise TypeError("expected a list of integers")
+    return tuple(map(_integer, raw))
+
+
+def _string(raw) -> str:
+    if not isinstance(raw, str):
+        raise TypeError("expected a string")
+    return raw
+
+
+# kinds whose constructor takes values a config must not hold: int(2.7)
+# truncates, tuple("abc") splits a string into characters, str(5) accepts
+# a number
+READERS = {int: _integer, tuple: _integers, str: _string}
+
+
+def _as(kind, key: str, raw, least=None):
+    """``raw`` read as a ``kind`` of at least ``least``; a value the reader
+    rejects is a ConfigError naming ``key``."""
     try:
-        return kind(raw)
-    except (TypeError, ValueError) as e:
+        val = READERS.get(kind, kind)(raw)
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"config key {key!r} has a bad value {raw!r}: {e}") from None
+    if least is not None and val < least:
+        raise ConfigError(f"config key {key!r} must be >= {least}, got {raw!r}")
+    return val
 
 
 def build_datasets(cfg: dict) -> tuple[LabeledDataset, LabeledDataset]:
@@ -178,7 +209,7 @@ def build_condense_config(cfg: dict) -> CondenseConfig:
 
 
 def _prepare_run_dir(cfg: dict) -> Path:
-    out = Path(cfg.get("output_dir", "runs/out"))
+    out = Path(_as(str, "output_dir", cfg["output_dir"]))
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "config.yaml", "w", encoding="utf-8") as f:
         yaml.safe_dump(cfg, f, sort_keys=False)
@@ -228,11 +259,11 @@ def _eval_protocol_params(cfg: dict) -> tuple[int, int, EvalConfig]:
     proto = DESK_PROTOCOL if e.get("protocol", "desk") == "desk" else PAPER_PROTOCOL
     if e.get("protocol", "desk") not in ("desk", "paper"):
         raise ConfigError(f"unknown eval.protocol {e['protocol']!r}")
-    n_exp = _as(int, "eval.n_experiments", e.get("n_experiments", proto["n_experiments"]))
-    n_nets = _as(int, "eval.n_nets_per", e.get("n_nets_per", proto["n_nets_per"]))
+    n_exp = _as(int, "eval.n_experiments", e.get("n_experiments", proto["n_experiments"]), 1)
+    n_nets = _as(int, "eval.n_nets_per", e.get("n_nets_per", proto["n_nets_per"]), 1)
     ecfg = EvalConfig(epochs=_as(int, "eval.epochs", e.get("epochs", proto["epochs"])),
                       lr=_as(float, "eval.lr", e.get("lr", 0.01)),
-                      batch_size=_as(int, "eval.batch_size", e.get("batch_size", 256)),
+                      batch_size=_as(int, "eval.batch_size", e.get("batch_size", 256), 1),
                       seed=_as(int, "seed", cfg.get("seed", 0)))
     return n_exp, n_nets, ecfg
 
@@ -301,12 +332,13 @@ def cmd_export_proj(args) -> int:
         print(f"error: cannot load container {args.synthetic!r}: {e}", file=sys.stderr)
         return EXIT_CONTAINER
     train, _ = build_datasets(cfg)
-    n_real = _as(int, "projection.n_real", cfg.get("projection", {}).get("n_real", 500))
+    n_real = _as(int, "projection.n_real", cfg.get("projection", {}).get("n_real", 500), 2)
     rng = np.random.default_rng(_as(int, "seed", cfg.get("seed", 0)))
     idx = rng.choice(len(train), size=min(n_real, len(train)), replace=False)
     real_feats = train.images[idx].reshape(len(idx), -1)
     synth_feats = synth.images.values.reshape(len(synth.labels), -1)
-    out_path = args.output or str(Path(cfg.get("output_dir", "runs/out")) / "projection.csv")
+    out_path = args.output or str(Path(_as(str, "output_dir", cfg["output_dir"]))
+                                  / "projection.csv")
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     export_projection_csv(real_feats, synth_feats, train.labels[idx], synth.labels, out_path)
     print(f"wrote {out_path}")

@@ -1,10 +1,17 @@
-"""Train-on-synthetic / test-on-real evaluation protocol.
+"""Train-on-synthetic / test-on-real evaluation protocol, plus the SGD step
+and the accuracy read the whole library shares.
 
-Each run trains a freshly initialized network on the synthetic images with
-plain SGD on cross-entropy and reports held-out accuracy. The protocol
-repeats over experiments x networks with derived seeds and aggregates
-mean and standard deviation; independent runs may execute on worker
-threads (capped by CONDENSERY_THREADS).
+``train_step`` is every SGD step on cross-entropy (the bi-level inner
+step, evaluation training, the forgetting trace). ``predict`` is every
+accuracy read (bi-level queries, the test split); it forwards READ_BATCH
+images at a time, so no read holds a larger tape than a training step at
+the default batch.
+
+Each evaluation run trains a freshly initialized network on the synthetic
+images and reports held-out accuracy. The protocol repeats over
+experiments x networks with derived seeds and aggregates mean and
+standard deviation; independent runs may execute on worker threads
+(capped by CONDENSERY_THREADS).
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .tensor import Tensor
 
 DESK_PROTOCOL = {"n_experiments": 3, "n_nets_per": 5, "epochs": 100}
 PAPER_PROTOCOL = {"n_experiments": 5, "n_nets_per": 20, "epochs": 300}
+READ_BATCH = 256   # images per forward in predict; the default training batch
 
 
 @dataclass
@@ -58,6 +66,26 @@ def _worker_count() -> int:
     return min(4, os.cpu_count() or 1)
 
 
+def train_step(params: ModelParams, batch: Tensor, labels: np.ndarray,
+               lr: float) -> tuple[float, np.ndarray]:
+    """One SGD step on the mean cross-entropy of ``batch``; returns the loss
+    and the logits, both computed before the update. Only values leave, so
+    the step's tape is freed on return, before the caller's next step."""
+    logits = forward(params, batch).logits
+    loss = T.softmax_cross_entropy_mean(logits, labels)
+    T.backward(loss, params.tensors)
+    T.sgd_step(params.tensors, lr)
+    return loss.item(), logits.values
+
+
+def predict(params: ModelParams, images: np.ndarray) -> np.ndarray:
+    """Argmax class of each image, READ_BATCH images per forward; ties go to
+    the lowest class."""
+    return np.concatenate([
+        np.argmax(forward(params, Tensor(images[s:s + READ_BATCH])).logits.values, axis=1)
+        for s in range(0, len(images), READ_BATCH)])
+
+
 def _sgd_fit(arch_spec: ArchSpec, images: np.ndarray, labels: np.ndarray, epochs: int,
              lr: float, seed: int, batch_size: int,
              trace: Optional[np.ndarray] = None) -> ModelParams:
@@ -71,11 +99,9 @@ def _sgd_fit(arch_spec: ArchSpec, images: np.ndarray, labels: np.ndarray, epochs
         order = rng.permutation(n) if n > batch_size else np.arange(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            logits = forward(params, Tensor(images[idx])).logits
+            _, logits = train_step(params, Tensor(images[idx]), labels[idx], lr)
             if trace is not None:
-                trace[e, idx] = np.argmax(logits.values, axis=1) == labels[idx]
-            T.backward(T.softmax_cross_entropy_mean(logits, labels[idx]), params.tensors)
-            T.sgd_step(params.tensors, lr)
+                trace[e, idx] = np.argmax(logits, axis=1) == labels[idx]
     return params
 
 
@@ -87,15 +113,9 @@ def train_on_synthetic(synth: SyntheticSet, arch_spec: ArchSpec, epochs: int,
                     batch_size)
 
 
-def test_accuracy(params: ModelParams, test_ds: LabeledDataset, chunk: int = 2000) -> float:
+def test_accuracy(params: ModelParams, test_ds: LabeledDataset) -> float:
     """Argmax accuracy on the held-out split; ties go to the lowest class."""
-    correct = 0
-    n = len(test_ds)
-    for start in range(0, n, chunk):
-        batch = Tensor(test_ds.images[start:start + chunk])
-        logits = forward(params, batch).logits.values
-        correct += int((np.argmax(logits, axis=1) == test_ds.labels[start:start + chunk]).sum())
-    return correct / n
+    return float(np.mean(predict(params, test_ds.images) == test_ds.labels))
 
 
 def evaluate_protocol(synth: SyntheticSet, arch_spec: ArchSpec, test_ds: LabeledDataset,

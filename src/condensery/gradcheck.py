@@ -1,8 +1,10 @@
 """Central finite-difference verification of the autodiff primitives.
 
 Shared by the test suite and the ``gradcheck`` CLI subcommand. Each check
-builds a scalar ``sum(op(...))`` graph, runs backward, and compares every
-analytic gradient entry against a central difference with step h = 1e-5.
+builds a scalar ``sum(op(...) * W)`` graph, with W a fixed standard normal
+array of the output's shape, so every op sees a non-uniform upstream
+gradient. It runs backward and compares every analytic gradient entry
+against a central difference with step h = 1e-5.
 Entries whose analytic value is below 1e-8 in magnitude are compared
 absolutely (tolerance 1e-6), the rest relatively (tolerance 1e-3). The
 suite checks every public op of ``tensor`` and a composed ConvNet, each on
@@ -75,23 +77,21 @@ def compare(analytic: np.ndarray, numeric: np.ndarray, name: str, mask: np.ndarr
 
 def check_op(name: str, build: Callable[[Sequence[T.Tensor]], T.Tensor], leaves: Sequence[np.ndarray],
              mask_fns: Sequence[Callable[[np.ndarray], np.ndarray] | None] | None = None) -> list[CheckResult]:
-    """Check d sum(build(leaves)) / d leaf for every leaf array.
+    """Check d sum(build(leaves) * W) / d leaf for every leaf array.
 
     ``build`` receives freshly wrapped leaf tensors and returns the graph
-    output (any shape; it is reduced with sum_all here).
+    output of any shape. W is drawn from its own generator, so the
+    caller's draws do not depend on the output shapes.
     """
     ts = [T.Tensor(x.copy()) for x in leaves]
     out = build(ts)
-    root = out if out.values.size == 1 else T.sum_all(out)
-    T.backward(root, ts)
+    weights = T.Tensor(np.random.default_rng(0).standard_normal(out.shape))
+    T.backward(T.sum_all(T.mul(out, weights)), ts)
     results = []
     arrs = [l.values for l in ts]
     for i, (leaf, arr) in enumerate(zip(ts, leaves)):
         def f():
-            ts2 = [T.Tensor(x) for x in arrs]
-            o = build(ts2)
-            r = o if o.values.size == 1 else T.sum_all(o)
-            return r.item()
+            return T.sum_all(T.mul(build([T.Tensor(x) for x in arrs]), weights)).item()
         num = numeric_grad(f, ts[i].values)
         mask = None
         if mask_fns is not None and mask_fns[i] is not None:
@@ -139,21 +139,17 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
     # composed conv -> norm -> relu -> pool -> linear -> CE network
     out += _check_composed(rng)
 
-    # the tape's plumbing ops; a plain sum gives the index-mapping ops a
-    # constant gradient whatever their map, so their output is weighted
+    # the tape's plumbing ops
     p, q = rng.standard_normal((2, 3, 4))
     out += check_op("add", lambda t: T.add(t[0], t[1]), [p, q])
     out += check_op("sub", lambda t: T.sub(t[0], t[1]), [p, q])
     out += check_op("mul", lambda t: T.mul(t[0], t[1]), [p, q])
     out += check_op("scale", lambda t: T.scale(t[0], -1.5), [p])
     out += check_op("sum_all", lambda t: T.sum_all(t[0]), [p])
-    wr = T.Tensor(rng.standard_normal((2, 6)))
-    out += check_op("reshape", lambda t: T.mul(T.reshape(t[0], (2, 6)), wr), [p])
+    out += check_op("reshape", lambda t: T.reshape(t[0], (2, 6)), [p])
     rows = np.array([2, 0, 2, 1])   # row 2 twice: its gradient is a scatter-add
-    wk = T.Tensor(rng.standard_normal((4, 4)))
-    out += check_op("take_rows", lambda t: T.mul(T.take_rows(t[0], rows), wk), [p])
-    wt = T.Tensor(rng.standard_normal((4, 3)))
-    out += check_op("transpose2d", lambda t: T.mul(T.transpose2d(t[0]), wt), [p])
+    out += check_op("take_rows", lambda t: T.take_rows(t[0], rows), [p])
+    out += check_op("transpose2d", lambda t: T.transpose2d(t[0]), [p])
     out += check_op("matmul", lambda t: T.matmul(t[0], t[1]), [p, rng.standard_normal((4, 2))])
     return out
 

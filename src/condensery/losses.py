@@ -39,7 +39,6 @@ class LossBreakdown:
     l_f: Tensor
     l_d: Tensor
     total: Tensor
-    beta: float
 
     def as_floats(self) -> tuple[float, float, float]:
         return self.l_f.item(), self.l_d.item(), self.total.item()
@@ -92,4 +91,4 @@ def total_loss(l_f: Tensor, l_d: Tensor, beta: float) -> LossBreakdown:
     if beta <= 0:
         raise ConfigError(f"beta must be positive, got {beta}")
     total = T.add(l_f, T.scale(l_d, beta))
-    return LossBreakdown(l_f, l_d, total, float(beta))
+    return LossBreakdown(l_f, l_d, total)

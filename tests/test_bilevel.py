@@ -5,8 +5,9 @@ import gc
 import numpy as np
 import pytest
 
+from condensery import evaluate
 from condensery.bilevel import AccQueue, CondenseConfig, init_state, inner_step, \
-    outer_lr_at, outer_step, query_accuracy, run_condense
+    outer_lr_at, outer_step, query_accuracy, run_condense, sample_class_balanced
 from condensery.data import make_blobs
 from condensery.errors import ConfigError, UsageError
 from condensery.models import ConvNetSpec, forward, init_params
@@ -79,13 +80,11 @@ def test_div_matches_sort_oracle():
 
 def test_queue_capacity_enforced():
     q = AccQueue(2)
-    q.push(0.1)
-    q.push(0.2)
-    with pytest.raises(UsageError):
-        q.push(0.3)
-    q.pop_oldest()
-    q.push(0.3)
-    assert q.entries == [0.2, 0.3]
+    for v in (0.1, 0.2, 0.3):
+        q.push(v)
+    # a push on a full queue drops the oldest entry
+    assert list(q) == [0.2, 0.3]
+    assert q.full
 
 
 def test_outer_lr_schedule():
@@ -191,6 +190,25 @@ def test_query_accuracy_memorizer_and_determinism():
     a1 = query_accuracy(state.theta, ds, cfg, np.random.default_rng(5))
     a2 = query_accuracy(state.theta, ds, cfg, np.random.default_rng(5))
     assert a1 == a2
+
+
+def test_query_accuracy_reads_in_bounded_batches(monkeypatch):
+    ds = make_blobs(3, 200, (1, 4, 4), spread=0.2, seed=4)
+    theta = init_params(TINY_ARCH, seed=4)
+    cfg = tiny_cfg(query_size=600)
+    sizes = []
+    real_forward = evaluate.forward
+
+    def recording(params, x):
+        sizes.append(x.shape[0])
+        return real_forward(params, x)
+    monkeypatch.setattr(evaluate, "forward", recording)
+    acc = query_accuracy(theta, ds, cfg, np.random.default_rng(6))
+    assert sum(sizes) == 600 and max(sizes) <= 256
+    # the same query drawn again, read in one whole-batch forward
+    idx = sample_class_balanced(ds, 200, np.random.default_rng(6))
+    whole = np.argmax(forward(theta, Tensor(ds.images[idx])).logits.values, axis=1)
+    assert acc == np.mean(whole == ds.labels[idx])
 
 
 def test_run_condense_huge_lambda1_breaks_at_first_full_queue():

@@ -64,21 +64,34 @@ def test_condense_single_class_blobs_rejected(tmp_path, capsys):
     ("eval", "eval.lr=null", None),
     ("eval", "eval.epochs=abc", None),
     ("eval", None, "abc"),
+    ("condense", "dataset.shape=abc", None),
+    pytest.param("condense", ("arch.type=mlp", "arch.hidden=abc"), None,
+                 id="condense-arch.hidden=abc-None"),
+    ("condense", "condense.outer_lr_milestones=abc", None),
+    ("condense", "condense.ipc=2.7", None),
+    ("condense", "output_dir=5", None),
+    ("eval", "eval.batch_size=0", None),
+    ("eval", "eval.n_experiments=0", None),
+    ("eval", "eval.n_nets_per=0", None),
+    ("export-proj", "projection.n_real=0", None),
+    ("export-proj", "projection.n_real=-5", None),
+    ("export-proj", "output_dir=5", None),
 ])
 def test_wrong_typed_config_value_exits_2(tmp_path, monkeypatch, capsys, command, override,
                                           env):
     path, _ = blob_config(tmp_path)
     argv = [command, "--config", str(path)]
-    if command == "eval":
+    if command in ("eval", "export-proj"):
         container = tmp_path / "s.cnd"
         save_synthetic(new_synthetic(3, 1, (1, 8, 8), np.random.default_rng(0)), container)
         argv.insert(1, str(container))
-    if override is not None:
-        argv += ["--set", override]
+    overrides = (override,) if isinstance(override, str) else override or ()
+    for ov in overrides:
+        argv += ["--set", ov]
     if env is not None:
         monkeypatch.setenv("CONDENSERY_THREADS", env)
     assert cli.main(argv) == 2
-    named = "CONDENSERY_THREADS" if override is None else override.split("=")[0]
+    named = overrides[-1].split("=")[0] if overrides else "CONDENSERY_THREADS"
     assert named in capsys.readouterr().err
 
 
@@ -89,6 +102,12 @@ def test_set_override_precedence(tmp_path):
     cfg = cli.load_config(str(path), ["condense.lambda1=0.2", "seed=9"])
     assert cfg["condense"]["lambda1"] == 0.2
     assert cfg["seed"] == 9
+
+
+def test_set_override_leaves_defaults_alone(tmp_path):
+    path, _ = blob_config(tmp_path)
+    assert cli.load_config(str(path), ["projection.n_real=7"])["projection"]["n_real"] == 7
+    assert cli.load_config(str(path), [])["projection"]["n_real"] == 500
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -227,3 +246,29 @@ def test_gradcheck_detects_injected_sign_flip(monkeypatch, capsys):
     assert cli.main(["gradcheck"]) == 1
     err = capsys.readouterr().err
     assert "conv2d" in err
+
+
+def test_gradcheck_standalone_checks_catch_pool_and_norm_faults(monkeypatch, capsys):
+    real_pool, real_norm = T.avg_pool2d, T.instance_norm2d
+
+    @functools.wraps(real_pool)
+    def broken_pool(x, k):
+        out = real_pool(x, k)
+        orig_bw = out._backward
+        out._backward = lambda g: orig_bw(g.swapaxes(2, 3))   # transposed window map
+        return out
+
+    @functools.wraps(real_norm)
+    def broken_norm(x, eps=1e-5):
+        out = real_norm(x, eps)
+        orig_bw = out._backward
+        out._backward = lambda g: (orig_bw(g)[0] * 1.01,)   # 1% too large
+        return out
+
+    monkeypatch.setattr(T, "avg_pool2d", broken_pool)
+    monkeypatch.setattr(T, "instance_norm2d", broken_norm)
+    assert cli.main(["gradcheck"]) == 1
+    err = capsys.readouterr().err
+    # each fault fails its own op's check, not only the composed network's
+    assert "FAIL avg_pool2d[arg0]" in err
+    assert "FAIL instance_norm2d[arg0]" in err

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from condensery import evaluate
 from condensery.coreset import materialize, select_random
 from condensery.data import make_blob_split
 from condensery.evaluate import EvalConfig, cross_architecture_eval, evaluate_protocol, \
     record_training_trace, train_on_synthetic
 from condensery.evaluate import test_accuracy as accuracy_on  # avoid pytest collection
-from condensery.models import ConvNetSpec, MLPSpec, init_params
+from condensery.models import ConvNetSpec, MLPSpec, forward, init_params
+from condensery.tensor import Tensor
 
 ARCH = ConvNetSpec(blocks=2, channels=4, input_shape=(1, 8, 8), num_classes=3)
 
@@ -57,8 +59,6 @@ def test_accuracy_matches_recount_oracle(blob_sets):
     _, test, synth = blob_sets
     params = train_on_synthetic(synth, ARCH, epochs=30, lr=0.05, seed=7)
     acc = accuracy_on(params, test)
-    from condensery.models import forward
-    from condensery.tensor import Tensor
     correct = 0
     for i in range(len(test)):
         logits = forward(params, Tensor(test.images[i:i + 1])).logits.values[0]
@@ -116,3 +116,22 @@ def test_record_training_trace_shape(blob_sets):
     trace = record_training_trace(train, ARCH, epochs=3, lr=0.05, seed=13)
     assert trace.shape == (3, len(train))
     assert set(np.unique(trace)).issubset({0, 1})
+
+
+def test_accuracy_reads_in_bounded_batches(monkeypatch):
+    _, test = make_blob_split(3, 10, 200, (1, 8, 8), spread=0.15, seed=1)
+    params = train_on_synthetic(materialize(test, select_random(test, 2, seed=1)), ARCH,
+                                epochs=10, lr=0.05, seed=14)
+    sizes = []
+    real_forward = evaluate.forward
+
+    def recording(params, x):
+        sizes.append(x.shape[0])
+        return real_forward(params, x)
+    monkeypatch.setattr(evaluate, "forward", recording)
+    acc = accuracy_on(params, test)
+    assert sum(sizes) == 600 and max(sizes) <= 256
+    monkeypatch.undo()
+    whole = np.argmax(forward(params, Tensor(test.images)).logits.values, axis=1)
+    assert np.array_equal(evaluate.predict(params, test.images), whole)
+    assert acc == np.mean(whole == test.labels)
