@@ -2,7 +2,7 @@
 
 Subcommands: condense, eval, coreset, export-proj, gradcheck. Runs are
 driven by a YAML config file plus ``--set key=value`` dotted overrides;
-every command echoes its merged config and a manifest into the run
+every command echoes its resolved config and a manifest into the run
 directory so results are reproducible from the artifacts alone.
 
 Exit codes: 0 success, 1 gradient-check failure, 2 config/input error,
@@ -12,8 +12,8 @@ Exit codes: 0 success, 1 gradient-check failure, 2 config/input error,
 from __future__ import annotations
 
 import argparse
-import copy
 import json
+import math
 import os
 import sys
 import time
@@ -40,71 +40,116 @@ EXIT_CONFIG = 2
 EXIT_CONTAINER = 3
 
 CORESET_METHODS = ("random", "herding", "kcenter", "forgetting")
+IDX_PATHS = ("train_images", "train_labels", "test_images", "test_labels")
 
-# allowed keys per config section; None means scalar leaf
-SCHEMA = {
-    "output_dir": None,
-    "seed": None,
-    "dataset": {
-        "kind": None, "num_classes": None, "n_train_per_class": None,
-        "n_test_per_class": None, "shape": None, "spread": None, "separation": None,
-        "train_images": None, "train_labels": None, "test_images": None,
-        "test_labels": None,
-    },
-    "arch": {"type": None, "blocks": None, "channels": None, "hidden": None},
-    "condense": {
-        "ipc": None, "n_per_class": None, "m_per_class": None, "beta": None,
-        "lambda1": None, "lambda2": None, "gamma": None, "l_out": None, "l_in": None,
-        "outer_lr": None, "outer_lr_milestones": None, "max_outer_iters": None,
-        "inner_lr": None, "query_size": None,
-    },
-    "eval": {"protocol": None, "epochs": None, "lr": None, "batch_size": None,
-             "n_experiments": None, "n_nets_per": None},
-    "coreset": {"trace_epochs": None, "trace_lr": None},
-    "projection": {"n_real": None},
+
+# Readers reject what Python's constructors take: int(2.7) truncates,
+# int(True) is 1, tuple("abc") splits a string and str(5) takes a number.
+def _integer(raw) -> int:
+    if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
+        raise ValueError("not an integer")
+    return int(raw)
+
+
+def _real(raw) -> float:
+    val = float(raw)
+    if isinstance(raw, bool) or not math.isfinite(val):
+        raise ValueError("not a finite number")
+    return val
+
+
+def _integers(raw) -> tuple:
+    if not isinstance(raw, (list, tuple)):
+        raise TypeError("expected a list of integers")
+    return tuple(map(_integer, raw))
+
+
+def _image_shape(raw) -> tuple:
+    val = _integers(raw)
+    if len(val) != 3:
+        raise ValueError("expected [channels, height, width]")
+    return val
+
+
+def _string(raw) -> str:
+    if not isinstance(raw, str):
+        raise TypeError("expected a string")
+    return raw
+
+
+def _one_of(*names):
+    def read(raw) -> str:
+        if raw not in names:
+            raise ValueError(f"expected one of {', '.join(names)}")
+        return raw
+    return read
+
+
+# condense.* minimums; every other CondenseConfig field has none
+CONDENSE_LEAST = {"ipc": 1, "n_per_class": 1, "m_per_class": 1, "gamma": 2, "l_out": 0,
+                  "l_in": 0, "max_outer_iters": 0, "query_size": 1}
+
+# dotted key -> (reader, default, least). A key with a None default may be
+# unset or null; a list with a least is non-empty, each entry >= least.
+# Unset, dataset.num_classes is 3 for blobs or the IDX labels' count, and
+# eval.epochs, n_experiments and n_nets_per take the protocol's preset.
+KEYS = {
+    "output_dir": (_string, "runs/out", None),
+    "seed": (_integer, 0, 0),
+    "dataset.kind": (_one_of("blobs", "idx"), None, None),
+    "dataset.num_classes": (_integer, None, None),
+    "dataset.n_train_per_class": (_integer, 200, 1),
+    "dataset.n_test_per_class": (_integer, 100, 1),
+    "dataset.shape": (_image_shape, (1, 8, 8), 1),
+    "dataset.spread": (_real, 0.1, None),
+    "dataset.separation": (_real, 5.0, None),
+    **{"dataset." + k: (_string, None, None) for k in IDX_PATHS},
+    "arch.type": (_one_of("convnet", "mlp"), "convnet", None),
+    "arch.blocks": (_integer, ConvNetSpec.blocks, 1),
+    "arch.channels": (_integer, ConvNetSpec.channels, 1),
+    "arch.hidden": (_integers, MLPSpec.hidden, 1),
+    **{"condense." + f.name: ({float: _real, tuple: _integers}.get(type(f.default), _integer),
+                              f.default, CONDENSE_LEAST.get(f.name))
+       for f in fields(CondenseConfig) if f.name != "seed"},
+    "eval.protocol": (_one_of("desk", "paper"), "desk", None),
+    "eval.epochs": (_integer, None, 0),
+    "eval.lr": (_real, EvalConfig.lr, None),
+    "eval.batch_size": (_integer, EvalConfig.batch_size, 1),
+    "eval.n_experiments": (_integer, None, 1),
+    "eval.n_nets_per": (_integer, None, 1),
+    "coreset.trace_epochs": (_integer, 10, 2),
+    "coreset.trace_lr": (_real, 0.01, None),
+    "projection.n_real": (_integer, 500, 2),
 }
-
-DEFAULTS = {
-    "seed": 0,
-    "output_dir": "runs/out",
-    "eval": {"protocol": "desk", "lr": 0.01, "batch_size": 256},
-    "coreset": {"trace_epochs": 10, "trace_lr": 0.01},
-    "projection": {"n_real": 500},
-}
+SECTIONS = {key.partition(".")[0] for key in KEYS if "." in key}
 
 
-def _validate(cfg: dict, schema: dict = SCHEMA, prefix: str = "") -> None:
-    for key, val in cfg.items():
-        if key not in schema:
-            raise ConfigError(f"unknown config key {prefix + key!r}")
-        sub = schema[key]
-        if isinstance(sub, dict):
-            if not isinstance(val, dict):
-                raise ConfigError(f"config key {prefix + key!r} must be a mapping")
-            _validate(val, sub, prefix + key + ".")
-
-
-def _deep_merge(base: dict, extra: dict) -> dict:
-    """A new mapping; ``--set`` later writes into its sections, so none may
-    be shared with ``base`` (the module's DEFAULTS)."""
-    out = copy.deepcopy(base)
-    for k, v in extra.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _deep_merge(out[k], v)
-        else:
-            out[k] = v
-    return out
+def _resolve(key: str, given: dict):
+    """``key``'s value in ``given``, or its default, read and range-checked."""
+    read, default, least = KEYS[key]
+    raw = given.get(key, default)
+    if raw is None and default is None:
+        return None
+    try:
+        val = read(raw)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"config key {key!r} has a bad value {raw!r}: {e}") from None
+    vals = val if isinstance(val, tuple) else (val,)
+    if least is not None and (not vals or min(vals) < least):
+        raise ConfigError(f"config key {key!r} must be >= {least}, got {raw!r}")
+    return val
 
 
 def load_config(path: str, overrides: list[str]) -> dict:
+    """The config file with ``--set`` overrides applied, every key of KEYS
+    read, filled and range-checked, as a nested mapping."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             cfg = yaml.safe_load(f) or {}
-    except OSError as e:
+    except (OSError, yaml.YAMLError) as e:
         raise ConfigError(f"cannot read config {path!r}: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path!r} must be a mapping at top level")
-    cfg = _deep_merge(DEFAULTS, cfg)
     for ov in overrides:
         if "=" not in ov:
             raise ConfigError(f"--set expects key=value, got {ov!r}")
@@ -115,101 +160,62 @@ def load_config(path: str, overrides: list[str]) -> dict:
             node = node.setdefault(p, {})
             if not isinstance(node, dict):
                 raise ConfigError(f"--set path {key!r} crosses a scalar")
-        node[parts[-1]] = yaml.safe_load(raw)
-    _validate(cfg)
-    return cfg
-
-
-def _integer(raw) -> int:
-    if isinstance(raw, float) and not raw.is_integer():
-        raise ValueError("not a whole number")
-    return int(raw)
-
-
-def _integers(raw) -> tuple:
-    if not isinstance(raw, (list, tuple)):
-        raise TypeError("expected a list of integers")
-    return tuple(map(_integer, raw))
-
-
-def _string(raw) -> str:
-    if not isinstance(raw, str):
-        raise TypeError("expected a string")
-    return raw
-
-
-# kinds whose constructor takes values a config must not hold: int(2.7)
-# truncates, tuple("abc") splits a string into characters, str(5) accepts
-# a number
-READERS = {int: _integer, tuple: _integers, str: _string}
-
-
-def _as(kind, key: str, raw, least=None):
-    """``raw`` read as a ``kind`` of at least ``least``; a value the reader
-    rejects is a ConfigError naming ``key``."""
-    try:
-        val = READERS.get(kind, kind)(raw)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"config key {key!r} has a bad value {raw!r}: {e}") from None
-    if least is not None and val < least:
-        raise ConfigError(f"config key {key!r} must be >= {least}, got {raw!r}")
-    return val
+        try:
+            node[parts[-1]] = yaml.safe_load(raw)
+        except yaml.YAMLError as e:
+            raise ConfigError(f"--set {key!r} value is not YAML: {e}") from None
+    given = {}
+    for k, v in cfg.items():
+        if k not in SECTIONS:
+            given[str(k)] = v
+        elif not isinstance(v, dict):
+            raise ConfigError(f"config key {k!r} must be a mapping")
+        else:
+            given.update((f"{k}.{leaf}", val) for leaf, val in v.items())
+    if unknown := sorted(given.keys() - KEYS.keys()):
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
+    out: dict = {}
+    for key in KEYS:
+        section, _, leaf = key.rpartition(".")
+        (out.setdefault(section, {}) if section else out)[leaf] = _resolve(key, given)
+    return out
 
 
 def build_datasets(cfg: dict) -> tuple[LabeledDataset, LabeledDataset]:
-    d = cfg.get("dataset")
-    if not d or "kind" not in d:
+    d = cfg["dataset"]
+    if d["kind"] is None:
         raise ConfigError("config key 'dataset.kind' is required")
-    kind = d["kind"]
-    if kind == "blobs":
+    if d["kind"] == "blobs":
         return make_blob_split(
-            num_classes=_as(int, "dataset.num_classes", d.get("num_classes", 3)),
-            n_train=_as(int, "dataset.n_train_per_class", d.get("n_train_per_class", 200)),
-            n_test=_as(int, "dataset.n_test_per_class", d.get("n_test_per_class", 100)),
-            shape=_as(tuple, "dataset.shape", d.get("shape", [1, 8, 8])),
-            spread=_as(float, "dataset.spread", d.get("spread", 0.1)),
-            separation=_as(float, "dataset.separation", d.get("separation", 5.0)),
-            seed=_as(int, "seed", cfg.get("seed", 0)))
-    if kind == "idx":
-        for key in ("train_images", "train_labels", "test_images", "test_labels"):
-            if key not in d:
-                raise ConfigError(f"config key 'dataset.{key}' is required for idx datasets")
-            if not os.path.exists(d[key]):
-                raise ConfigError(f"dataset.{key}: file not found: {d[key]}")
-        k = d.get("num_classes")
-        train = load_idx(d["train_images"], d["train_labels"],
-                         num_classes=None if k is None else _as(int, "dataset.num_classes", k))
-        test = load_idx(d["test_images"], d["test_labels"],
-                        num_classes=train.num_classes, stats=train.norm_stats)
-        return train, test
-    raise ConfigError(f"unknown dataset.kind {kind!r} (expected blobs or idx)")
+            num_classes=3 if d["num_classes"] is None else d["num_classes"],
+            n_train=d["n_train_per_class"], n_test=d["n_test_per_class"], shape=d["shape"],
+            spread=d["spread"], separation=d["separation"], seed=cfg["seed"])
+    for key in IDX_PATHS:
+        if d[key] is None:
+            raise ConfigError(f"config key 'dataset.{key}' is required for idx datasets")
+        if not os.path.exists(d[key]):
+            raise ConfigError(f"dataset.{key}: file not found: {d[key]}")
+    train = load_idx(d["train_images"], d["train_labels"], num_classes=d["num_classes"])
+    test = load_idx(d["test_images"], d["test_labels"],
+                    num_classes=train.num_classes, stats=train.norm_stats)
+    return train, test
 
 
 def build_arch(cfg: dict, image_shape: tuple, num_classes: int):
-    a = cfg.get("arch", {})
-    kind = a.get("type", "convnet")
-    if kind == "convnet":
-        return ConvNetSpec(blocks=_as(int, "arch.blocks", a.get("blocks", 3)),
-                           channels=_as(int, "arch.channels", a.get("channels", 32)),
-                           input_shape=tuple(image_shape), num_classes=num_classes)
-    if kind == "mlp":
-        return MLPSpec(input_shape=tuple(image_shape),
-                       hidden=_as(tuple, "arch.hidden", a.get("hidden", [128, 128])),
+    a = cfg["arch"]
+    if a["type"] == "mlp":
+        return MLPSpec(input_shape=tuple(image_shape), hidden=a["hidden"],
                        num_classes=num_classes)
-    raise ConfigError(f"unknown arch.type {kind!r} (expected convnet or mlp)")
+    return ConvNetSpec(blocks=a["blocks"], channels=a["channels"],
+                       input_shape=tuple(image_shape), num_classes=num_classes)
 
 
 def build_condense_config(cfg: dict) -> CondenseConfig:
-    # each value takes the type of its field's default; m_per_class may stay None
-    kinds = {f.name: int if f.default is None else type(f.default)
-             for f in fields(CondenseConfig)}
-    c = {k: v if k == "m_per_class" and v is None else _as(kinds[k], "condense." + k, v)
-         for k, v in cfg.get("condense", {}).items()}
-    return CondenseConfig(seed=_as(int, "seed", cfg.get("seed", 0)), **c)
+    return CondenseConfig(seed=cfg["seed"], **cfg["condense"])
 
 
 def _prepare_run_dir(cfg: dict) -> Path:
-    out = Path(_as(str, "output_dir", cfg["output_dir"]))
+    out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "config.yaml", "w", encoding="utf-8") as f:
         yaml.safe_dump(cfg, f, sort_keys=False)
@@ -219,7 +225,7 @@ def _prepare_run_dir(cfg: dict) -> Path:
 def _write_manifest(out: Path, command: str, cfg: dict, artifacts: list[str]) -> None:
     manifest = {
         "command": command,
-        "seed": cfg.get("seed", 0),
+        "seed": cfg["seed"],
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "artifacts": artifacts + ["config.yaml"],
     }
@@ -255,17 +261,12 @@ def cmd_condense(args) -> int:
 
 
 def _eval_protocol_params(cfg: dict) -> tuple[int, int, EvalConfig]:
-    e = cfg.get("eval", {})
-    proto = DESK_PROTOCOL if e.get("protocol", "desk") == "desk" else PAPER_PROTOCOL
-    if e.get("protocol", "desk") not in ("desk", "paper"):
-        raise ConfigError(f"unknown eval.protocol {e['protocol']!r}")
-    n_exp = _as(int, "eval.n_experiments", e.get("n_experiments", proto["n_experiments"]), 1)
-    n_nets = _as(int, "eval.n_nets_per", e.get("n_nets_per", proto["n_nets_per"]), 1)
-    ecfg = EvalConfig(epochs=_as(int, "eval.epochs", e.get("epochs", proto["epochs"])),
-                      lr=_as(float, "eval.lr", e.get("lr", 0.01)),
-                      batch_size=_as(int, "eval.batch_size", e.get("batch_size", 256), 1),
-                      seed=_as(int, "seed", cfg.get("seed", 0)))
-    return n_exp, n_nets, ecfg
+    e = cfg["eval"]
+    preset = DESK_PROTOCOL if e["protocol"] == "desk" else PAPER_PROTOCOL
+    n_exp, n_nets, epochs = (preset[k] if e.get(k) is None else e[k]
+                             for k in ("n_experiments", "n_nets_per", "epochs"))
+    return n_exp, n_nets, EvalConfig(epochs=epochs, lr=e["lr"], batch_size=e["batch_size"],
+                                     seed=cfg["seed"])
 
 
 def cmd_eval(args) -> int:
@@ -301,19 +302,17 @@ def cmd_coreset(args) -> int:
     cfg = load_config(args.config, args.set or [])
     train, _ = build_datasets(cfg)
     ccfg = build_condense_config(cfg)
-    seed = _as(int, "seed", cfg.get("seed", 0))
     if args.method == "random":
-        sel = select_random(train, ccfg.ipc, seed)
+        sel = select_random(train, ccfg.ipc, cfg["seed"])
     elif args.method == "herding":
         sel = select_herding(train, ccfg.ipc)
     elif args.method == "kcenter":
         sel = select_kcenter(train, ccfg.ipc)
     else:
-        co = cfg.get("coreset", {})
+        co = cfg["coreset"]
         arch = build_arch(cfg, train.image_shape, train.num_classes)
-        trace = record_training_trace(
-            train, arch, _as(int, "coreset.trace_epochs", co.get("trace_epochs", 10)),
-            _as(float, "coreset.trace_lr", co.get("trace_lr", 0.01)), seed)
+        trace = record_training_trace(train, arch, co["trace_epochs"], co["trace_lr"],
+                                      cfg["seed"])
         sel = select_forgetting(train, ccfg.ipc, trace)
     out = _prepare_run_dir(cfg)
     synth = materialize(train, sel)
@@ -332,13 +331,12 @@ def cmd_export_proj(args) -> int:
         print(f"error: cannot load container {args.synthetic!r}: {e}", file=sys.stderr)
         return EXIT_CONTAINER
     train, _ = build_datasets(cfg)
-    n_real = _as(int, "projection.n_real", cfg.get("projection", {}).get("n_real", 500), 2)
-    rng = np.random.default_rng(_as(int, "seed", cfg.get("seed", 0)))
+    n_real = cfg["projection"]["n_real"]
+    rng = np.random.default_rng(cfg["seed"])
     idx = rng.choice(len(train), size=min(n_real, len(train)), replace=False)
     real_feats = train.images[idx].reshape(len(idx), -1)
     synth_feats = synth.images.values.reshape(len(synth.labels), -1)
-    out_path = args.output or str(Path(_as(str, "output_dir", cfg["output_dir"]))
-                                  / "projection.csv")
+    out_path = args.output or str(Path(cfg["output_dir"]) / "projection.csv")
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     export_projection_csv(real_feats, synth_feats, train.labels[idx], synth.labels, out_path)
     print(f"wrote {out_path}")

@@ -52,6 +52,10 @@ class MLPSpec:
     hidden: tuple = (128, 128)
     num_classes: int = 10
 
+    def __post_init__(self):
+        if not self.hidden or min(self.hidden) < 1:
+            raise ConfigError("hidden must hold at least one width, each >= 1")
+
     @property
     def arch(self) -> str:
         return "mlp"

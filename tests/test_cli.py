@@ -1,6 +1,8 @@
 """CLI subcommands: exit codes, overrides, artifacts."""
 
 import functools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ import yaml
 
 import condensery.tensor as T
 from condensery import cli
+from condensery.bilevel import CondenseConfig
 from condensery.data import load_synthetic, new_synthetic, save_idx, save_synthetic
 from condensery.errors import ConfigError
+from condensery.models import ConvNetSpec
 
 
 def blob_config(tmp_path, **extra):
@@ -76,6 +80,22 @@ def test_condense_single_class_blobs_rejected(tmp_path, capsys):
     ("export-proj", "projection.n_real=0", None),
     ("export-proj", "projection.n_real=-5", None),
     ("export-proj", "output_dir=5", None),
+    ("condense", "coreset.trace_epochs=-1", None),
+    ("condense", "dataset.n_train_per_class=-1", None),
+    ("eval", "dataset.n_test_per_class=0", None),
+    ("condense", "dataset.shape=[-1,8,8]", None),
+    ("condense", "dataset.shape=[8,8]", None),
+    ("condense", "condense.n_per_class=-1", None),
+    ("condense", "seed=-1", None),
+    ("condense", "dataset.train_images=0", None),
+    ("condense", "dataset.train_images=[a]", None),
+    ("condense", "seed=true", None),
+    ("condense", "dataset.spread=.nan", None),
+    ("condense", "condense.outer_lr=.inf", None),
+    pytest.param("condense", ("arch.type=mlp", "arch.hidden=[]"), None,
+                 id="condense-arch.hidden=[]-None"),
+    ("condense", "eval.lr=null", None),
+    ("condense", "seed=[", None),
 ])
 def test_wrong_typed_config_value_exits_2(tmp_path, monkeypatch, capsys, command, override,
                                           env):
@@ -114,6 +134,35 @@ def test_unknown_config_key_rejected(tmp_path):
     path, _ = blob_config(tmp_path, typo_section={"a": 1})
     with pytest.raises(ConfigError, match="typo_section"):
         cli.load_config(str(path), [])
+
+
+def test_readme_example_loads_and_its_echo_round_trips(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = tmp_path / "blob.yaml"
+    example.write_text(re.search(r"```yaml\n(.*?)```", readme, re.DOTALL).group(1))
+    overrides = [f"output_dir={tmp_path / 'run'}"]
+    cfg = cli.load_config(str(example), overrides)
+    assert cfg["arch"]["channels"] == 4 and cfg["condense"]["ipc"] == 1
+    assert cli.main(["coreset", "random", "--config", str(example), "--set", *overrides]) == 0
+    assert cli.load_config(str(tmp_path / "run" / "config.yaml"), []) == cfg
+
+
+def test_resolved_config_fills_every_default(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("dataset: {kind: blobs}\n")
+    cfg = cli.load_config(str(path), [])
+    assert cfg["seed"] == 0 and cfg["output_dir"] == "runs/out"
+    assert cfg["arch"]["channels"] == ConvNetSpec.channels == 128
+    assert cfg["dataset"]["num_classes"] is None and cfg["eval"]["epochs"] is None
+    assert cfg["condense"]["outer_lr_milestones"] == CondenseConfig.outer_lr_milestones
+    assert cfg["projection"]["n_real"] == 500
+
+
+def test_malformed_config_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("seed: [\n")
+    assert cli.main(["condense", "--config", str(path)]) == 2
+    assert "cannot read config" in capsys.readouterr().err
 
 
 def test_eval_round_trip_matches_memory(tmp_path, capsys):

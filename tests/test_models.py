@@ -65,6 +65,12 @@ def test_convnet_spec_rejects_indivisible_input():
         ConvNetSpec(blocks=3, channels=4, input_shape=(1, 28, 28), num_classes=10)
 
 
+@pytest.mark.parametrize("hidden", [(), (0,), (16, -1)])
+def test_mlp_spec_rejects_empty_or_nonpositive_hidden(hidden):
+    with pytest.raises(ConfigError, match="hidden"):
+        MLPSpec(input_shape=(1, 8, 8), hidden=hidden, num_classes=3)
+
+
 def test_mlp_tap_shapes():
     spec = MLPSpec(input_shape=(1, 4, 4), hidden=(128, 128), num_classes=5)
     params = init_params(spec, seed=0)
