@@ -12,12 +12,12 @@ from .bilevel import AccQueue, CondenseConfig, CondenseState, inner_step, outer_
 from .coreset import SelectionResult, forgetting_events, materialize, select_forgetting, \
     select_herding, select_kcenter, select_random
 from .data import LabeledDataset, NormStats, SyntheticSet, denormalize, \
-    export_projection_csv, load_idx, load_params, load_synthetic, make_blob_split, \
-    make_blobs, new_synthetic, normalize, save_params, save_synthetic
+    export_projection_csv, load_idx, load_synthetic, make_blob_split, make_blobs, \
+    new_synthetic, normalize, save_synthetic
 from .errors import CondenseryError, ConfigError, DimensionError, InputError, \
     ParseError, UsageError
-from .evaluate import EvalConfig, EvalReport, cross_architecture_eval, \
-    evaluate_protocol, record_training_trace, test_accuracy, train_on_synthetic
+from .evaluate import EvalConfig, EvalReport, evaluate_protocol, record_training_trace, \
+    test_accuracy, train_on_synthetic
 from .losses import ClassMeans, LossBreakdown, cwfa, discrimination_logits, \
     discrimination_loss, feature_alignment_loss, total_loss
 from .models import ConvNetSpec, FeaturePyramid, MLPSpec, ModelParams, convnet_forward, \

@@ -46,8 +46,11 @@ class CondenseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lambda1 <= 0 or self.lambda2 <= 0:
-            raise ConfigError("lambda1 and lambda2 must be positive")
+        # each message starts with the field's name; cli.load_config
+        # prefixes it with "condense."
+        for name in ("lambda1", "lambda2", "beta"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
         if self.gamma < 2:
             raise ConfigError("gamma must be >= 2")
         if self.ipc < 1:
@@ -56,8 +59,6 @@ class CondenseConfig:
             self.m_per_class = min(self.ipc, 256)
         if self.m_per_class > self.ipc:
             raise ConfigError("m_per_class cannot exceed ipc")
-        if self.beta <= 0:
-            raise ConfigError("beta must be positive")
 
 
 class AccQueue(deque):
@@ -216,9 +217,7 @@ def run_condense(real: LabeledDataset, arch: ArchSpec, cfg: CondenseConfig,
                 del breakdown   # frees the step's tape before the inner loop runs
                 if (state.q_out.full and state.q_out.div() < cfg.lambda1) \
                         or state.lc_out >= cfg.l_out:
-                    state.lc_out = 0
-                    state.q_out.clear()
-                    break
+                    break   # the next restart resets lc_out and q_out
                 # inner loop: fit the network until its accuracy moves
                 while True:
                     inner_step(state, cfg)

@@ -87,7 +87,8 @@ def _one_of(*names):
 
 # condense.* minimums; every other CondenseConfig field has none
 CONDENSE_LEAST = {"ipc": 1, "n_per_class": 1, "m_per_class": 1, "gamma": 2, "l_out": 0,
-                  "l_in": 0, "max_outer_iters": 0, "query_size": 1}
+                  "l_in": 0, "outer_lr": 0, "max_outer_iters": 0, "inner_lr": 0,
+                  "query_size": 1}
 
 # dotted key -> (reader, default, least). A key with a None default may be
 # unset or null; a list with a least is non-empty, each entry >= least.
@@ -113,12 +114,12 @@ KEYS = {
        for f in fields(CondenseConfig) if f.name != "seed"},
     "eval.protocol": (_one_of("desk", "paper"), "desk", None),
     "eval.epochs": (_integer, None, 0),
-    "eval.lr": (_real, EvalConfig.lr, None),
+    "eval.lr": (_real, EvalConfig.lr, 0),
     "eval.batch_size": (_integer, EvalConfig.batch_size, 1),
     "eval.n_experiments": (_integer, None, 1),
     "eval.n_nets_per": (_integer, None, 1),
     "coreset.trace_epochs": (_integer, 10, 2),
-    "coreset.trace_lr": (_real, 0.01, None),
+    "coreset.trace_lr": (_real, 0.01, 0),
     "projection.n_real": (_integer, 500, 2),
 }
 SECTIONS = {key.partition(".")[0] for key in KEYS if "." in key}
@@ -142,7 +143,8 @@ def _resolve(key: str, given: dict):
 
 def load_config(path: str, overrides: list[str]) -> dict:
     """The config file with ``--set`` overrides applied, every key of KEYS
-    read, filled and range-checked, as a nested mapping."""
+    read, filled and range-checked and the condense section held to
+    CondenseConfig's rules, as a nested mapping."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             cfg = yaml.safe_load(f) or {}
@@ -178,6 +180,10 @@ def load_config(path: str, overrides: list[str]) -> dict:
     for key in KEYS:
         section, _, leaf = key.rpartition(".")
         (out.setdefault(section, {}) if section else out)[leaf] = _resolve(key, given)
+    try:
+        build_condense_config(out)
+    except ConfigError as e:
+        raise ConfigError(f"condense.{e}") from None
     return out
 
 

@@ -2,23 +2,19 @@
 
 All selectors return exactly ipc indices per class, unique, with ties
 broken deterministically by lowest dataset index. Herding and k-center
-work in an embedding space; the default embedding is the raw flattened
-pixels.
+measure distances between flattened pixel vectors.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from .data import LabeledDataset, SyntheticSet
 from .errors import InputError
 from .tensor import Tensor
-
-Embed = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -40,10 +36,6 @@ class SelectionResult:
                     w.writerow([k, rank, int(di)])
 
 
-def _flatten_embed(images: np.ndarray) -> np.ndarray:
-    return images.reshape(images.shape[0], -1)
-
-
 def _check_class_sizes(ds: LabeledDataset, ipc: int) -> list:
     groups = ds.class_indices()
     for k, idx in enumerate(groups):
@@ -59,13 +51,12 @@ def select_random(ds: LabeledDataset, ipc: int, seed: int) -> SelectionResult:
     return SelectionResult(np.concatenate(picks), "random", ipc, ds.num_classes)
 
 
-def select_herding(ds: LabeledDataset, ipc: int, embed: Optional[Embed] = None) -> SelectionResult:
+def select_herding(ds: LabeledDataset, ipc: int) -> SelectionResult:
     """Greedy herding: grow the subset whose mean best tracks the class mean."""
-    embed = embed or _flatten_embed
     groups = _check_class_sizes(ds, ipc)
     picks = []
     for idx in groups:
-        feats = embed(ds.images[idx])
+        feats = ds.images[idx].reshape(len(idx), -1)
         mu = feats.mean(axis=0)
         chosen: list[int] = []
         running = np.zeros_like(mu)
@@ -82,13 +73,12 @@ def select_herding(ds: LabeledDataset, ipc: int, embed: Optional[Embed] = None) 
     return SelectionResult(np.concatenate(picks), "herding", ipc, ds.num_classes)
 
 
-def select_kcenter(ds: LabeledDataset, ipc: int, embed: Optional[Embed] = None) -> SelectionResult:
+def select_kcenter(ds: LabeledDataset, ipc: int) -> SelectionResult:
     """Greedy k-center: start nearest the class mean, then farthest-point."""
-    embed = embed or _flatten_embed
     groups = _check_class_sizes(ds, ipc)
     picks = []
     for idx in groups:
-        feats = embed(ds.images[idx])
+        feats = ds.images[idx].reshape(len(idx), -1)
         mu = feats.mean(axis=0)
         first = int(np.argmin(np.linalg.norm(feats - mu, axis=1)))
         chosen = [first]

@@ -10,7 +10,6 @@ split.
 from __future__ import annotations
 
 import csv
-import json
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
@@ -18,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, InputError, ParseError
-from .models import ArchSpec, ConvNetSpec, MLPSpec, ModelParams
 from .tensor import Tensor
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -196,11 +194,10 @@ def _blob_draws(num_classes: int, sizes: tuple, shape: tuple, spread: float,
 
 
 def make_blobs(num_classes: int, n_per_class: int, shape: tuple, spread: float = 0.1,
-               separation: float = 5.0, seed: int = 0,
-               stats: Optional[NormStats] = None) -> LabeledDataset:
+               separation: float = 5.0, seed: int = 0) -> LabeledDataset:
     """Isotropic Gaussian clusters around well-separated random means."""
     [(raw, labels)] = _blob_draws(num_classes, (n_per_class,), shape, spread, separation, seed)
-    return make_dataset(raw, labels, num_classes, stats)
+    return make_dataset(raw, labels, num_classes)
 
 
 def make_blob_split(num_classes: int, n_train: int, n_test: int, shape: tuple,
@@ -216,22 +213,6 @@ def make_blob_split(num_classes: int, n_train: int, n_test: int, shape: tuple,
 
 # ---------------------------------------------------------------------------
 # CND container
-
-
-def _pack_sections(sections: list[tuple[str, bytes]]) -> bytes:
-    out = b""
-    for tag, payload in sections:
-        out += tag.encode("ascii").ljust(8) + struct.pack("<Q", len(payload)) + payload
-    return out
-
-
-def _write_container(path, num_classes: int, ipc: int, shape: tuple,
-                     sections: list[tuple[str, bytes]]) -> None:
-    C, H, W = shape
-    header = CND_MAGIC + struct.pack("<7I", CND_VERSION, num_classes, ipc, C, H, W, len(sections))
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(_pack_sections(sections))
 
 
 def _read_container(path) -> tuple[dict, dict]:
@@ -263,12 +244,6 @@ def _read_container(path) -> tuple[dict, dict]:
     return header, sections
 
 
-def _stats_sections(stats: Optional[NormStats]) -> list[tuple[str, bytes]]:
-    if stats is None:
-        return []
-    return [("normstat", np.concatenate([stats.mean, stats.std]).astype("<f8").tobytes())]
-
-
 def _class_major(num_classes: int, ipc: int) -> np.ndarray:
     return np.repeat(np.arange(num_classes), ipc)
 
@@ -281,15 +256,26 @@ def _section_array(sections: dict, tag: str, dtype: str, count: int) -> np.ndarr
 
 
 def save_synthetic(synth: SyntheticSet, path) -> None:
+    """Write a CND container: magic, a header of seven little-endian u32
+    (version, classes, ipc, C, H, W, section count), then sections of an
+    8-byte ASCII tag, a u64 length and the payload."""
     if not np.array_equal(synth.labels, _class_major(synth.num_classes, synth.ipc)):
         raise InputError(f"labels must be class-major: {synth.ipc} of each class "
                          f"0..{synth.num_classes - 1}")
-    sections = [
-        ("images", synth.images.values.astype("<f8").tobytes()),
-        ("labels", synth.labels.astype("<u4").tobytes()),
-    ]
-    sections += _stats_sections(synth.norm_stats)
-    _write_container(path, synth.num_classes, synth.ipc, synth.image_shape, sections)
+    images = synth.images.values
+    if bad := np.count_nonzero(~np.isfinite(images)):
+        raise InputError(f"synthetic images hold {bad} non-finite values")
+    sections = [(b"images", images.astype("<f8").tobytes()),
+                (b"labels", synth.labels.astype("<u4").tobytes())]
+    if (stats := synth.norm_stats) is not None:
+        sections.append((b"normstat",
+                         np.concatenate([stats.mean, stats.std]).astype("<f8").tobytes()))
+    C, H, W = synth.image_shape
+    with open(path, "wb") as f:
+        f.write(CND_MAGIC + struct.pack("<7I", CND_VERSION, synth.num_classes, synth.ipc,
+                                        C, H, W, len(sections)))
+        for tag, payload in sections:
+            f.write(tag.ljust(8) + struct.pack("<Q", len(payload)) + payload)
 
 
 def load_synthetic(path) -> SyntheticSet:
@@ -302,6 +288,8 @@ def load_synthetic(path) -> SyntheticSet:
     if "images" not in sections or "labels" not in sections:
         raise ParseError("container missing images/labels sections")
     img = _section_array(sections, "images", "<f8", n * C * H * W)
+    if bad := np.count_nonzero(~np.isfinite(img)):
+        raise ParseError(f"images section holds {bad} non-finite values")
     labels = _section_array(sections, "labels", "<u4", n).astype(np.int64)
     if not np.array_equal(labels, _class_major(K, ipc)):
         raise ParseError(f"labels are not class-major: {ipc} of each class 0..{K - 1}")
@@ -311,59 +299,6 @@ def load_synthetic(path) -> SyntheticSet:
         stats = NormStats(arr[:C].copy(), arr[C:].copy())
     images = Tensor(img.reshape(n, C, H, W).copy())
     return SyntheticSet(images, labels, ipc, K, stats)
-
-
-def _spec_to_json(spec: ArchSpec) -> dict:
-    if isinstance(spec, ConvNetSpec):
-        return {"arch": "convnet", "blocks": spec.blocks, "channels": spec.channels,
-                "input_shape": list(spec.input_shape), "num_classes": spec.num_classes}
-    return {"arch": "mlp", "hidden": list(spec.hidden),
-            "input_shape": list(spec.input_shape), "num_classes": spec.num_classes}
-
-
-def spec_from_json(d: dict) -> ArchSpec:
-    if d["arch"] == "convnet":
-        return ConvNetSpec(d["blocks"], d["channels"], tuple(d["input_shape"]), d["num_classes"])
-    if d["arch"] == "mlp":
-        return MLPSpec(tuple(d["input_shape"]), tuple(d["hidden"]), d["num_classes"])
-    raise ParseError(f"unknown architecture {d['arch']!r} in params section")
-
-
-def save_params(params: ModelParams, path) -> None:
-    """Parameter checkpoint: a CND container with a params section."""
-    spec = params.spec
-    meta = _spec_to_json(spec)
-    meta["shapes"] = [list(t.shape) for t in params.tensors]
-    head = json.dumps(meta).encode("utf-8")
-    payload = struct.pack("<I", len(head)) + head
-    payload += b"".join(t.values.astype("<f8").tobytes() for t in params.tensors)
-    shape = tuple(spec.input_shape) if len(spec.input_shape) == 3 else (1, 1, spec.input_shape[0])
-    _write_container(path, spec.num_classes, 0, shape, [("params", payload)])
-
-
-def load_params(path) -> ModelParams:
-    _, sections = _read_container(path)
-    if "params" not in sections:
-        raise ParseError("container has no params section")
-    payload = sections["params"]
-    try:
-        (hlen,) = struct.unpack("<I", payload[:4])
-        meta = json.loads(payload[4:4 + hlen].decode("utf-8"))
-        spec = spec_from_json(meta)
-        data = np.frombuffer(payload[4 + hlen:], dtype="<f8")
-        tensors = []
-        off = 0
-        for shape in meta["shapes"]:
-            size = int(np.prod(shape))
-            if off + size > data.size:
-                raise ParseError("params section shorter than declared tensor shapes")
-            tensors.append(Tensor(data[off:off + size].reshape(shape).copy()))
-            off += size
-        return ModelParams(meta["arch"], spec, tensors)
-    except ParseError:
-        raise
-    except (struct.error, ValueError, KeyError, TypeError) as e:
-        raise ParseError(f"malformed params section: {e!r}") from None
 
 
 # ---------------------------------------------------------------------------

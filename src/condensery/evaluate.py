@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -47,13 +47,11 @@ class EvalReport:
     accuracies: list
     mean: float
     std: float
-    config: dict = field(default_factory=dict)
 
     @staticmethod
-    def from_runs(accs: list, config: dict) -> "EvalReport":
+    def from_runs(accs: list) -> "EvalReport":
         arr = np.asarray(accs, dtype=np.float64)
-        return EvalReport(list(map(float, accs)), float(arr.mean()),
-                          float(arr.std()), config)
+        return EvalReport(list(map(float, accs)), float(arr.mean()), float(arr.std()))
 
 
 def _worker_count() -> int:
@@ -133,31 +131,16 @@ def evaluate_protocol(synth: SyntheticSet, arch_spec: ArchSpec, test_ds: Labeled
     # seed or CONDENSERY_THREADS=1 runs on a single worker
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         accs = list(pool.map(one, seeds))
-    snapshot = {"arch": arch_spec.arch, "n_experiments": n_experiments,
-                "n_nets_per": n_nets_per, "epochs": cfg.epochs, "lr": cfg.lr,
-                "seed": cfg.seed}
-    return EvalReport.from_runs(accs, snapshot)
-
-
-def cross_architecture_eval(synth: SyntheticSet, train_arch: ArchSpec,
-                            test_archs: list, test_ds: LabeledDataset,
-                            n_experiments: int, n_nets_per: int,
-                            cfg: EvalConfig) -> list:
-    """Evaluate one condensed set on several network architectures."""
-    reports = []
-    for arch in test_archs:
-        rep = evaluate_protocol(synth, arch, test_ds, n_experiments, n_nets_per, cfg)
-        rep.config["train_arch"] = train_arch.arch
-        reports.append(rep)
-    return reports
+    return EvalReport.from_runs(accs)
 
 
 def record_training_trace(ds: LabeledDataset, arch_spec: ArchSpec, epochs: int,
-                          lr: float, seed: int, batch_size: int = 256) -> np.ndarray:
-    """Per-sample correctness over one real-data training run ([epochs, n]).
+                          lr: float, seed: int) -> np.ndarray:
+    """Per-sample correctness over one real-data training run ([epochs, n])
+    in batches of 256.
 
     Feeds the forgetting-events selector.
     """
     trace = np.zeros((epochs, len(ds)), dtype=np.uint8)
-    _sgd_fit(arch_spec, ds.images, ds.labels, epochs, lr, seed, batch_size, trace)
+    _sgd_fit(arch_spec, ds.images, ds.labels, epochs, lr, seed, 256, trace)
     return trace

@@ -36,10 +36,6 @@ class ConvNetSpec:
             raise ConfigError(f"input {H}x{W} not divisible by 2^{self.blocks}")
 
     @property
-    def arch(self) -> str:
-        return "convnet"
-
-    @property
     def embed_dim(self) -> int:
         C, H, W = self.input_shape
         f = 2 ** self.blocks
@@ -57,10 +53,6 @@ class MLPSpec:
             raise ConfigError("hidden must hold at least one width, each >= 1")
 
     @property
-    def arch(self) -> str:
-        return "mlp"
-
-    @property
     def input_dim(self) -> int:
         return int(np.prod(self.input_shape))
 
@@ -70,12 +62,8 @@ ArchSpec = Union[ConvNetSpec, MLPSpec]
 
 @dataclass
 class ModelParams:
-    arch: str
     spec: ArchSpec
     tensors: list = field(default_factory=list)   # ordered parameter tensors
-
-    def copy_values(self) -> list[np.ndarray]:
-        return [t.values.copy() for t in self.tensors]
 
 
 @dataclass
@@ -110,7 +98,7 @@ def init_params(spec: ArchSpec, seed: int) -> ModelParams:
         tensors.append(Tensor(np.zeros(spec.num_classes)))
     else:
         raise ConfigError(f"unknown architecture spec {type(spec).__name__}")
-    return ModelParams(spec.arch, spec, tensors)
+    return ModelParams(spec, tensors)
 
 
 def convnet_forward(params: ModelParams, batch: Tensor) -> FeaturePyramid:
@@ -149,8 +137,8 @@ def mlp_forward(params: ModelParams, batch: Tensor) -> FeaturePyramid:
 
 
 def forward(params: ModelParams, batch: Tensor) -> FeaturePyramid:
-    if params.arch == "convnet":
+    if isinstance(params.spec, ConvNetSpec):
         return convnet_forward(params, batch)
-    if params.arch == "mlp":
+    if isinstance(params.spec, MLPSpec):
         return mlp_forward(params, batch)
-    raise ConfigError(f"unknown architecture {params.arch!r}")
+    raise ConfigError(f"unknown architecture spec {type(params.spec).__name__}")

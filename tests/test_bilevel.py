@@ -122,10 +122,10 @@ def test_inner_step_zero_lr_keeps_theta():
     ds = tiny_data()
     cfg = tiny_cfg(inner_lr=0.0)
     state = init_state(ds, TINY_ARCH, cfg)
-    before = state.theta.copy_values()
+    before = [t.values.copy() for t in state.theta.tensors]
     inner_step(state, cfg)
-    for a, b in zip(before, state.theta.copy_values()):
-        assert np.array_equal(a, b)
+    for a, b in zip(before, state.theta.tensors):
+        assert np.array_equal(a, b.values)
 
 
 def test_inner_steps_fit_separable_synthetic():

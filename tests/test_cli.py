@@ -61,6 +61,23 @@ def test_condense_single_class_blobs_rejected(tmp_path, capsys):
     assert not (tmp_path / "run" / "synthetic.cnd").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflow on the way to NaN
+def test_diverged_condense_exits_2_and_eval_of_nan_container_exits_3(tmp_path, capsys):
+    path, _ = blob_config(tmp_path)
+    argv = ["condense", "--config", str(path), "--set", "condense.inner_lr=1e308"]
+    assert cli.main(argv) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "synthetic.cnd").exists()
+    assert not (tmp_path / "run" / "metrics.csv").exists()
+    container = tmp_path / "nan.cnd"
+    save_synthetic(new_synthetic(3, 1, (1, 8, 8), np.random.default_rng(0)), container)
+    raw = bytearray(container.read_bytes())
+    raw[48:56] = np.array([np.nan], "<f8").tobytes()   # first pixel: 32-byte header + tag, length
+    container.write_bytes(bytes(raw))
+    assert cli.main(["eval", str(container), "--config", str(path)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, override, env", [
     ("condense", "condense.ipc=abc", None),
     ("condense", "condense.ipc=null", None),
@@ -96,6 +113,13 @@ def test_condense_single_class_blobs_rejected(tmp_path, capsys):
                  id="condense-arch.hidden=[]-None"),
     ("condense", "eval.lr=null", None),
     ("condense", "seed=[", None),
+    ("eval", "eval.lr=-1", None),
+    ("condense", "condense.outer_lr=-1", None),
+    ("condense", "condense.inner_lr=-1", None),
+    ("condense", "coreset.trace_lr=-1", None),
+    ("eval", "condense.beta=-1", None),
+    ("eval", "condense.lambda1=0", None),
+    ("eval", "condense.m_per_class=2", None),
 ])
 def test_wrong_typed_config_value_exits_2(tmp_path, monkeypatch, capsys, command, override,
                                           env):

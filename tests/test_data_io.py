@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condensery.data import NormStats, denormalize, export_projection_csv, load_idx, \
-    load_params, load_synthetic, make_blob_split, make_blobs, make_dataset, new_synthetic, \
-    normalize, save_idx, save_params, save_synthetic, pca_fit, SyntheticSet
+    load_synthetic, make_blob_split, make_blobs, make_dataset, new_synthetic, \
+    normalize, save_idx, save_synthetic, pca_fit, SyntheticSet
 from condensery.errors import InputError, ParseError
-from condensery.models import ConvNetSpec, init_params
 from condensery.tensor import Tensor
 
 
@@ -262,17 +261,25 @@ def test_save_synthetic_refuses_non_class_major_labels(tmp_path):
     assert not (tmp_path / "s.cnd").exists()
 
 
-@pytest.mark.parametrize("payload", [
-    b"\x01\x00",                                           # struct.error: no length word
-    struct.pack("<I", 5) + b"{nope",                       # JSONDecodeError
-    struct.pack("<I", 2) + b"{}",                          # KeyError: no "arch"
-    struct.pack("<I", 19) + b'{"arch": "convnet"}',        # KeyError: no "blocks"
-], ids=["short", "json", "no-arch", "no-blocks"])
-def test_params_malformed_section(tmp_path, payload):
-    path = tmp_path / "p.cnd"
-    path.write_bytes(cnd_bytes([(b"params", payload)], ipc=0))
-    with pytest.raises(ParseError, match="params"):
-        load_params(path)
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_save_synthetic_refuses_non_finite_pixels(tmp_path, value):
+    synth = new_synthetic(3, 1, (1, 2, 2), np.random.default_rng(15))
+    synth.images.values[2, 0, 1, 1] = value
+    with pytest.raises(InputError, match="1 non-finite"):
+        save_synthetic(synth, tmp_path / "s.cnd")
+    assert not (tmp_path / "s.cnd").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_load_synthetic_refuses_non_finite_pixels(tmp_path, value):
+    images = np.zeros((3, 1, 2, 2))
+    images[2, 0, 1, 1] = value
+    path = tmp_path / "nan.cnd"
+    path.write_bytes(cnd_bytes([(b"images", images.astype("<f8").tobytes()),
+                                (b"labels", np.arange(3, dtype="<u4").tobytes())],
+                               num_classes=3))
+    with pytest.raises(ParseError, match="1 non-finite"):
+        load_synthetic(path)
 
 
 @pytest.fixture(scope="module")
@@ -299,18 +306,6 @@ def test_load_synthetic_mutated_bytes_load_or_raise_parse_error(valid_container,
         load_synthetic(path)
     except ParseError:
         pass
-
-
-def test_params_checkpoint_round_trip(tmp_path):
-    spec = ConvNetSpec(blocks=2, channels=3, input_shape=(1, 8, 8), num_classes=4)
-    params = init_params(spec, seed=9)
-    path = tmp_path / "p.cnd"
-    save_params(params, path)
-    back = load_params(path)
-    assert back.arch == "convnet"
-    assert back.spec == spec
-    for a, b in zip(params.tensors, back.tensors):
-        assert np.array_equal(a.values, b.values)
 
 
 def test_projection_recovers_axis_aligned_2d(tmp_path):

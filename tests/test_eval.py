@@ -6,10 +6,10 @@ import pytest
 from condensery import evaluate
 from condensery.coreset import materialize, select_random
 from condensery.data import make_blob_split
-from condensery.evaluate import EvalConfig, cross_architecture_eval, evaluate_protocol, \
+from condensery.evaluate import EvalConfig, evaluate_protocol, \
     record_training_trace, train_on_synthetic
 from condensery.evaluate import test_accuracy as accuracy_on  # avoid pytest collection
-from condensery.models import ConvNetSpec, MLPSpec, forward, init_params
+from condensery.models import ConvNetSpec, forward, init_params
 from condensery.tensor import Tensor
 
 ARCH = ConvNetSpec(blocks=2, channels=4, input_shape=(1, 8, 8), num_classes=3)
@@ -98,17 +98,6 @@ def test_protocol_seed_determinism(blob_sets):
     r1 = evaluate_protocol(synth, ARCH, test, 1, 2, cfg)
     r2 = evaluate_protocol(synth, ARCH, test, 1, 2, cfg)
     assert r1.accuracies == r2.accuracies
-
-
-def test_cross_architecture_report_list(blob_sets):
-    _, test, synth = blob_sets
-    mlp = MLPSpec(input_shape=(1, 8, 8), hidden=(32, 32), num_classes=3)
-    cfg = EvalConfig(epochs=20, lr=0.05, seed=12)
-    reports = cross_architecture_eval(synth, ARCH, [ARCH, mlp], test, 1, 2, cfg)
-    assert len(reports) == 2
-    # same-arch entry reproduces evaluate_protocol bit-exactly under same seeds
-    direct = evaluate_protocol(synth, ARCH, test, 1, 2, cfg)
-    assert reports[0].accuracies == direct.accuracies
 
 
 def test_record_training_trace_shape(blob_sets):
