@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from . import evaluate
 from .data import LabeledDataset, SyntheticSet, new_synthetic
-from .errors import ConfigError, InputError, UsageError
+from .errors import ConfigError, DivergenceError, InputError, UsageError
 from .losses import LossBreakdown, cwfa, discrimination_logits, discrimination_loss, \
     feature_alignment_loss, total_loss
 from .models import ArchSpec, ModelParams, forward, init_params
@@ -179,12 +179,22 @@ def query_accuracy(theta: ModelParams, real: LabeledDataset, cfg: CondenseConfig
 MetricsHook = Callable[[CondenseState, LossBreakdown, float], None]
 
 
+def _require_finite(loop: str, step: int, **quantities) -> None:
+    """Raise DivergenceError naming the first quantity that holds a NaN or
+    Inf; each value is a float, an array or a list of arrays."""
+    for name, value in quantities.items():
+        if not all(np.isfinite(a).all() for a in (value if isinstance(value, list) else [value])):
+            raise DivergenceError(f"{loop} step {step}: {name} is non-finite")
+
+
 def run_condense(real: LabeledDataset, arch: ArchSpec, cfg: CondenseConfig,
                  metrics_path=None, hook: Optional[MetricsHook] = None) -> SyntheticSet:
     """Full dynamic bi-level loop; returns the learned synthetic set.
 
     The metrics CSV stream gets one row per outer iteration:
-    iter, l_f, l_d, total, query_acc, lc_out, lc_in, lr.
+    iter, l_f, l_d, total, query_acc, lc_out, lc_in, lr. Raises
+    DivergenceError at the first outer step whose losses or pixels, or inner
+    step whose loss or weights, hold a NaN or Inf.
     """
     state = init_state(real, arch, cfg)
     writer = None
@@ -204,11 +214,13 @@ def run_condense(real: LabeledDataset, arch: ArchSpec, cfg: CondenseConfig,
             state.restarts += 1
             while state.outer_iter < cfg.max_outer_iters:
                 breakdown = outer_step(state, real, cfg)
+                lf, ld, tot = breakdown.as_floats()
+                _require_finite("outer", state.total_outer_steps, l_f=lf, l_d=ld, total=tot,
+                                pixels=state.synthetic.images.values)
                 acc = query_accuracy(state.theta, real, cfg, state.rng)
                 state.q_out.push(acc)
                 state.max_queue_len = max(state.max_queue_len, len(state.q_out))
                 if writer is not None:
-                    lf, ld, tot = breakdown.as_floats()
                     writer.writerow([state.outer_iter, repr(lf), repr(ld), repr(tot),
                                      repr(acc), state.lc_out, state.lc_in,
                                      repr(state.outer_lr)])
@@ -220,7 +232,9 @@ def run_condense(real: LabeledDataset, arch: ArchSpec, cfg: CondenseConfig,
                     break   # the next restart resets lc_out and q_out
                 # inner loop: fit the network until its accuracy moves
                 while True:
-                    inner_step(state, cfg)
+                    loss = inner_step(state, cfg)
+                    _require_finite("inner", state.total_inner_steps, loss=loss,
+                                    theta=[p.values for p in state.theta.tensors])
                     acc_in = query_accuracy(state.theta, real, cfg, state.rng)
                     state.q_in.push(acc_in)
                     state.max_queue_len = max(state.max_queue_len, len(state.q_in))

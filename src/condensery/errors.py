@@ -21,6 +21,10 @@ class UsageError(CondenseryError, RuntimeError):
     """API misuse: missing gradients, non-scalar backward root, empty queue."""
 
 
+class DivergenceError(CondenseryError, FloatingPointError):
+    """A loss, the synthetic pixels or the network weights went NaN or Inf."""
+
+
 class ParseError(CondenseryError, ValueError):
     """A binary container or dataset file failed to parse.
 

@@ -5,11 +5,11 @@ import gc
 import numpy as np
 import pytest
 
-from condensery import evaluate
+from condensery import bilevel, evaluate
 from condensery.bilevel import AccQueue, CondenseConfig, init_state, inner_step, \
     outer_lr_at, outer_step, query_accuracy, run_condense, sample_class_balanced
 from condensery.data import make_blobs
-from condensery.errors import ConfigError, UsageError
+from condensery.errors import ConfigError, DivergenceError, UsageError
 from condensery.models import ConvNetSpec, forward, init_params
 from condensery.tensor import Tensor
 
@@ -281,6 +281,23 @@ def test_run_condense_deterministic_per_seed():
     assert np.array_equal(s1.images.values, s2.images.values)
     s3 = run_condense(ds, TINY_ARCH, tiny_cfg(max_outer_iters=4, seed=43))
     assert not np.array_equal(s1.images.values, s3.images.values)
+
+
+def test_run_condense_stops_when_an_outer_step_leaves_nan_pixels(monkeypatch):
+    real_outer_step = bilevel.outer_step
+
+    def nan_outer_step(state, real, cfg):
+        breakdown = real_outer_step(state, real, cfg)
+        if state.total_outer_steps == 2:
+            state.synthetic.images.values[0, 0, 0, 0] = np.nan   # injected divergence
+        return breakdown
+
+    monkeypatch.setattr(bilevel, "outer_step", nan_outer_step)
+    steps = []
+    with pytest.raises(DivergenceError, match=r"^outer step 2: pixels is non-finite$"):
+        run_condense(tiny_data(), TINY_ARCH, tiny_cfg(),
+                     hook=lambda state, breakdown, acc: steps.append(state.total_outer_steps))
+    assert steps == [1]
 
 
 def test_metrics_csv_stream(tmp_path):

@@ -10,9 +10,9 @@ import yaml
 
 import condensery.tensor as T
 from condensery import cli
-from condensery.bilevel import CondenseConfig
+from condensery.bilevel import CondenseConfig, run_condense
 from condensery.data import load_synthetic, new_synthetic, save_idx, save_synthetic
-from condensery.errors import ConfigError
+from condensery.errors import ConfigError, DivergenceError
 from condensery.models import ConvNetSpec
 
 
@@ -76,6 +76,21 @@ def test_diverged_condense_exits_2_and_eval_of_nan_container_exits_3(tmp_path, c
     container.write_bytes(bytes(raw))
     assert cli.main(["eval", str(container), "--config", str(path)]) == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflow on the way to Inf
+def test_diverged_condense_stops_at_first_non_finite_step(tmp_path):
+    # inner_lr=1e308 overflows theta within the first inner steps; without
+    # the per-step check every remaining step ran on NaN
+    path, _ = blob_config(tmp_path)
+    cfg = cli.load_config(str(path), ["condense.inner_lr=1e308"])
+    train, _ = cli.build_datasets(cfg)
+    arch = cli.build_arch(cfg, train.image_shape, train.num_classes)
+    outer_steps = []
+    with pytest.raises(DivergenceError, match=r"^inner step \d+: (loss|theta) is non-finite$"):
+        run_condense(train, arch, cli.build_condense_config(cfg),
+                     hook=lambda state, breakdown, acc: outer_steps.append(state.total_outer_steps))
+    assert len(outer_steps) <= 2
 
 
 @pytest.mark.parametrize("command, override, env", [
@@ -309,8 +324,8 @@ def test_gradcheck_detects_injected_sign_flip(monkeypatch, capsys):
         out = real_conv(x, kernel, bias, pad=pad)
         orig_bw = out._backward
 
-        def bw(g):
-            gx, gk, gb = orig_bw(g)
+        def bw(g, need):
+            gx, gk, gb = orig_bw(g, need)
             return gx, -gk, gb   # injected fault
         out._backward = bw
         return out
@@ -328,14 +343,14 @@ def test_gradcheck_standalone_checks_catch_pool_and_norm_faults(monkeypatch, cap
     def broken_pool(x, k):
         out = real_pool(x, k)
         orig_bw = out._backward
-        out._backward = lambda g: orig_bw(g.swapaxes(2, 3))   # transposed window map
+        out._backward = lambda g, need: orig_bw(g.swapaxes(2, 3), need)   # transposed window map
         return out
 
     @functools.wraps(real_norm)
     def broken_norm(x, eps=1e-5):
         out = real_norm(x, eps)
         orig_bw = out._backward
-        out._backward = lambda g: (orig_bw(g)[0] * 1.01,)   # 1% too large
+        out._backward = lambda g, need: (orig_bw(g, need)[0] * 1.01,)   # 1% too large
         return out
 
     monkeypatch.setattr(T, "avg_pool2d", broken_pool)

@@ -52,6 +52,87 @@ def test_conv2d_gradients_match_finite_differences():
         assert r.worst_rel <= 1e-3
 
 
+def _conv2d_loop_oracle(x, k, b, pad, g):
+    """conv2d's output and its input and kernel gradients under upstream
+    gradient g, by explicit loops over every output pixel."""
+    B, C, H, W = x.shape
+    O, _, kh, kw = k.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    Ho, Wo = H + 2 * pad - kh + 1, W + 2 * pad - kw + 1
+    out = np.zeros((B, O, Ho, Wo))
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(k)
+    for n in range(B):
+        for o in range(O):
+            for h in range(Ho):
+                for w in range(Wo):
+                    patch = xp[n, :, h:h + kh, w:w + kw]
+                    out[n, o, h, w] = (patch * k[o]).sum() + b[o]
+                    gk[o] += g[n, o, h, w] * patch
+                    gxp[n, :, h:h + kh, w:w + kw] += g[n, o, h, w] * k[o]
+    return out, gxp[:, :, pad:pad + H, pad:pad + W], gk
+
+
+@pytest.mark.parametrize("pad", [0, 1, 2])
+@pytest.mark.parametrize("kshape", [(1, 1), (3, 3), (2, 3)])
+def test_conv2d_matches_loop_oracle(pad, kshape):
+    # pad=2 with a 1x1 or 2x3 kernel pads by at least the kernel height
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.standard_normal((2, 2, 4, 5)))
+    k = Tensor(rng.standard_normal((3, 2) + kshape))
+    b = Tensor(rng.standard_normal(3))
+    out = T.conv2d(x, k, b, pad=pad)
+    g = rng.standard_normal(out.shape)
+    T.backward(T.sum_all(T.mul(out, Tensor(g))), [x, k, b])
+    ref_out, ref_gx, ref_gk = _conv2d_loop_oracle(x.values, k.values, b.values, pad, g)
+    # the kernels sum in another order than the loops: float64 round-off only
+    for got, ref in ((out.values, ref_out), (x.grad, ref_gx), (k.grad, ref_gk),
+                     (b.grad, g.sum(axis=(0, 2, 3)))):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+NEED_CASES = {
+    "conv2d": (lambda t: T.conv2d(t[0], t[1], t[2], pad=1), [(2, 2, 4, 4), (3, 2, 3, 3), (3,)]),
+    "linear": (lambda t: T.linear(t[0], t[1], t[2]), [(3, 4), (4, 2), (2,)]),
+    "matmul": (lambda t: T.matmul(t[0], t[1]), [(3, 4), (4, 2)]),
+    "mul": (lambda t: T.mul(t[0], t[1]), [(3, 4), (3, 4)]),
+}
+
+
+@pytest.mark.parametrize("op", sorted(NEED_CASES))
+def test_gradient_asked_alone_matches_full_gradient(op):
+    # backward tells the closure which parents it needs; one parent asked
+    # for alone gets the same bits as with all parents asked for, and the
+    # closure returns None for every parent it was not asked for
+    build, shapes = NEED_CASES[op]
+    rng = np.random.default_rng(12)
+    arrays = [rng.standard_normal(s) for s in shapes]
+    weights = Tensor(rng.standard_normal(build([Tensor(a) for a in arrays]).shape))
+
+    def grads(asked):
+        leaves = [Tensor(a) for a in arrays]
+        out = build(leaves)
+        calls = []
+        orig_bw = out._backward
+
+        def spy(g, need):
+            result = orig_bw(g, need)
+            calls.append((need, [r is not None for r in result]))
+            return result
+        out._backward = spy
+        T.backward(T.sum_all(T.mul(out, weights)), [leaves[i] for i in asked])
+        return [leaves[i].grad for i in asked], calls
+
+    n = len(arrays)
+    full, calls = grads(range(n))
+    assert calls == [((True,) * n, [True] * n)]
+    for i in range(n):
+        (alone,), calls = grads([i])
+        need = tuple(j == i for j in range(n))
+        assert calls == [(need, list(need))]
+        np.testing.assert_array_equal(alone, full[i])
+
+
 def test_instance_norm_constant_plane_is_zero():
     x = Tensor(np.full((1, 1, 3, 3), 3.0))
     out = T.instance_norm2d(x, eps=1e-5)
@@ -243,9 +324,9 @@ def test_backward_walks_and_fills_only_what_wrt_needs():
     calls = []
     orig_bw = xw._backward
 
-    def spy(g):
+    def spy(g, need):
         calls.append(g)
-        return orig_bw(g)
+        return orig_bw(g, need)
     xw._backward = spy
     pp = T.mul(p, p)
     left, right = T.sum_all(xw), T.sum_all(pp)
