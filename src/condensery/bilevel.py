@@ -134,11 +134,13 @@ def outer_step(state: CondenseState, real: LabeledDataset, cfg: CondenseConfig) 
     """One synthetic-pixel update at the scheduled learning rate."""
     K = real.num_classes
     real_idx = sample_class_balanced(real, cfg.n_per_class, state.rng)
-    real_batch = Tensor(real.images[real_idx])
+    # the real branch needs no gradient: forwarded from constants, it
+    # records no tape
+    real_batch = Tensor.constant(real.images[real_idx])
     real_labels = real.labels[real_idx]
     synth_batch, synth_labels = _synthetic_batch(state, cfg)
 
-    real_pyr = forward(state.theta, real_batch)
+    real_pyr = forward(state.theta.constants(), real_batch)
     synth_pyr = forward(state.theta, synth_batch)
     real_means = cwfa(real_pyr, real_labels, K)
     synth_means = cwfa(synth_pyr, synth_labels, K)

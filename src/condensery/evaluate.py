@@ -3,9 +3,10 @@ and the accuracy read the whole library shares.
 
 ``train_step`` is every SGD step on cross-entropy (the bi-level inner
 step, evaluation training, the forgetting trace). ``predict`` is every
-accuracy read (bi-level queries, the test split); it forwards READ_BATCH
-images at a time, so a read's tape and conv2d's window copies stay
-bounded whatever the number of images.
+accuracy read (bi-level queries, the test split); it forwards constants
+(``Tensor.constant``), so a read records no tape, and READ_BATCH images at
+a time, so conv2d's window copies stay bounded whatever the number of
+images.
 
 Each evaluation run trains a freshly initialized network on the synthetic
 images and reports held-out accuracy. The protocol repeats over
@@ -31,7 +32,10 @@ from .tensor import Tensor
 
 DESK_PROTOCOL = {"n_experiments": 3, "n_nets_per": 5, "epochs": 100}
 PAPER_PROTOCOL = {"n_experiments": 5, "n_nets_per": 20, "epochs": 300}
-READ_BATCH = 64   # images per forward in predict; at 256, conv2d's window copies raised peak RSS 15%
+# Images per forward in predict. At 128 or 256, conv2d's im2col copy raised
+# peak RSS (condense 148 -> 165 MB, eval 144 -> 193 or 361 MB) and cpu_s did
+# not fall.
+READ_BATCH = 64
 
 
 @dataclass
@@ -78,9 +82,11 @@ def train_step(params: ModelParams, batch: Tensor, labels: np.ndarray,
 
 def predict(params: ModelParams, images: np.ndarray) -> np.ndarray:
     """Argmax class of each image, READ_BATCH images per forward; ties go to
-    the lowest class."""
+    the lowest class. The weights and images enter as constants, so the
+    forwards record no tape."""
+    consts = params.constants()
     return np.concatenate([
-        np.argmax(forward(params, Tensor(images[s:s + READ_BATCH])).logits.values, axis=1)
+        np.argmax(forward(consts, Tensor.constant(images[s:s + READ_BATCH])).logits.values, axis=1)
         for s in range(0, len(images), READ_BATCH)])
 
 

@@ -47,8 +47,9 @@ class LossBreakdown:
 def cwfa(pyramid: FeaturePyramid, labels, num_classes: int) -> ClassMeans:
     """Per-layer, per-class arithmetic mean of flattened features.
 
-    Every class must be present in the batch; means stay on the tape so
-    gradients flow back into the features.
+    Every class must be present in the batch. The averaging matrix is a
+    constant, so the means are on the tape, and pass gradients back to the
+    features, exactly when the features are.
     """
     labels = np.asarray(labels, dtype=np.intp)
     onehot = labels[None, :] == np.arange(num_classes)[:, None]
@@ -56,7 +57,7 @@ def cwfa(pyramid: FeaturePyramid, labels, num_classes: int) -> ClassMeans:
     missing = np.flatnonzero(counts == 0)
     if missing.size:
         raise InputError(f"class {missing[0]} has no samples in the batch")
-    avg = Tensor(onehot / counts[:, None])
+    avg = Tensor.constant(onehot / counts[:, None])
     return ClassMeans([T.matmul(avg, feats) for feats in pyramid.per_layer])
 
 

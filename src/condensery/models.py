@@ -65,6 +65,12 @@ class ModelParams:
     spec: ArchSpec
     tensors: list = field(default_factory=list)   # ordered parameter tensors
 
+    def constants(self) -> "ModelParams":
+        """This network with each weight wrapped as a constant, so a forward
+        through it records no tape. It wraps the weights' own arrays, so it
+        costs one Tensor per weight and callers build it for each read."""
+        return ModelParams(self.spec, [Tensor.constant(t.values) for t in self.tensors])
+
 
 @dataclass
 class FeaturePyramid:

@@ -10,10 +10,18 @@ refcounting frees it as soon as its last tensor goes out of scope.
 ``backward(root, wrt)`` walks, in reverse topological order, only the
 nodes that depend on a leaf in ``wrt``, asks each for the gradients of
 its parents that do too, keeps each intermediate gradient until its node
-is walked, and assigns ``grad`` on the tensors in ``wrt`` alone. Only the
-primitives needed by the condensation networks and losses are provided,
-in the forms those use: ``conv2d`` moves its kernel one pixel at a time,
-``avg_pool2d`` pools non-overlapping windows, and there is no
+is walked, and assigns ``grad`` on the tensors in ``wrt`` alone.
+
+A constant (``Tensor.constant``) is a tensor no gradient is ever asked of,
+such as an image batch or weights that are only read. Every op returns
+through ``_node``: when all its parents are constants, the output is a
+constant too, with no parents and no closure, so a forward from constants
+records no tape and frees each intermediate as soon as the next op has
+read it. A leaf made with ``Tensor(values)`` is not a constant.
+
+Only the primitives needed by the condensation networks and losses are
+provided, in the forms those use: ``conv2d`` moves its kernel one pixel at
+a time, ``avg_pool2d`` pools non-overlapping windows, and there is no
 broadcasting beyond what they need.
 """
 
@@ -33,7 +41,9 @@ class Tensor:
     Tensors produced by ops carry references to their parents and a
     backward closure ``_bw(g, need)`` that maps this tensor's gradient to a
     tuple of the parents' gradients, computing only those ``need`` marks;
-    leaf tensors (parameters, inputs) carry neither.
+    leaf tensors (parameters, inputs) carry neither. ``Tensor.constant``
+    marks a tensor ``_op == "const"``: ops on constants alone return
+    constants, and ``backward`` refuses one in ``wrt``.
     """
 
     __slots__ = ("values", "grad", "_parents", "_backward", "_op")
@@ -45,6 +55,12 @@ class Tensor:
         self._parents = _parents
         self._backward = _backward
         self._op = _op
+
+    @classmethod
+    def constant(cls, values) -> "Tensor":
+        """A tensor that never needs a gradient; shares ``values`` when they
+        are already a float64 array, so ops must not write into it."""
+        return cls(values, _op="const")
 
     @property
     def shape(self) -> tuple:
@@ -80,10 +96,13 @@ def _topo_order(root: Tensor) -> list:
 def backward(root: Tensor, wrt: Sequence[Tensor]) -> None:
     """Assign ``t.grad`` = d root / d t for each leaf ``t`` in ``wrt``;
     ``None`` where the scalar root does not depend on ``t``. Gradients are
-    read-only: ``add`` hands one array to both of its parents."""
+    read-only: ``add`` hands one array to both of its parents. A constant
+    in ``wrt`` is refused: nothing records the ops that read it."""
     if root.values.size != 1:
         raise UsageError(f"backward root must be scalar, got shape {root.shape}")
-    for t in wrt:
+    for i, t in enumerate(wrt):
+        if t._op == "const":
+            raise UsageError(f"backward wrt[{i}] is a constant {t!r}; it has no gradient")
         if t._parents:
             raise UsageError(f"backward wrt must hold leaf tensors, got a {t._op!r} output")
     order = _topo_order(root)
@@ -114,6 +133,14 @@ def sgd_step(params: Sequence[Tensor], lr: float) -> None:
         p.grad = None
 
 
+def _node(values, parents: tuple, bw: Callable[[np.ndarray, tuple], tuple], op: str) -> Tensor:
+    """An op's output: a constant when every parent is one, and the closure
+    ``bw`` is dropped with whatever it holds; otherwise a tape node."""
+    if all(p._op == "const" for p in parents):
+        return Tensor.constant(values)
+    return Tensor(values, parents, bw, op)
+
+
 # ---------------------------------------------------------------------------
 # elementwise / reduction primitives
 
@@ -125,7 +152,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def _bw(g, need):
         return g, g
 
-    return Tensor(a.values + b.values, (a, b), _bw, "add")
+    return _node(a.values + b.values, (a, b), _bw, "add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -135,7 +162,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def _bw(g, need):
         return g, -g if need[1] else None
 
-    return Tensor(a.values - b.values, (a, b), _bw, "sub")
+    return _node(a.values - b.values, (a, b), _bw, "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -145,7 +172,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def _bw(g, need):
         return g * b.values if need[0] else None, g * a.values if need[1] else None
 
-    return Tensor(a.values * b.values, (a, b), _bw, "mul")
+    return _node(a.values * b.values, (a, b), _bw, "mul")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -154,7 +181,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     def _bw(g, need):
         return (g * c,)
 
-    return Tensor(a.values * c, (a,), _bw, "scale")
+    return _node(a.values * c, (a,), _bw, "scale")
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -162,7 +189,7 @@ def sum_all(a: Tensor) -> Tensor:
     def _bw(g, need):
         return (np.full_like(a.values, g),)
 
-    return Tensor(a.values.sum(), (a,), _bw, "sum_all")
+    return _node(a.values.sum(), (a,), _bw, "sum_all")
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -170,7 +197,7 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
     def _bw(g, need):
         return (g.reshape(a.values.shape),)
 
-    return Tensor(a.values.reshape(shape), (a,), _bw, "reshape")
+    return _node(a.values.reshape(shape), (a,), _bw, "reshape")
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
@@ -182,7 +209,7 @@ def take_rows(a: Tensor, idx) -> Tensor:
         np.add.at(ga, idx, g)
         return (ga,)
 
-    return Tensor(a.values[idx], (a,), _bw, "take_rows")
+    return _node(a.values[idx], (a,), _bw, "take_rows")
 
 
 def transpose2d(a: Tensor) -> Tensor:
@@ -192,7 +219,7 @@ def transpose2d(a: Tensor) -> Tensor:
     def _bw(g, need):
         return (g.T,)
 
-    return Tensor(a.values.T.copy(), (a,), _bw, "transpose2d")
+    return _node(a.values.T.copy(), (a,), _bw, "transpose2d")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -202,7 +229,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def _bw(g, need):
         return g @ b.values.T if need[0] else None, a.values.T @ g if need[1] else None
 
-    return Tensor(a.values @ b.values, (a, b), _bw, "matmul")
+    return _node(a.values @ b.values, (a, b), _bw, "matmul")
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +241,7 @@ def relu(a: Tensor) -> Tensor:
     def _bw(g, need):
         return (g * (a.values > 0.0),)
 
-    return Tensor(np.maximum(a.values, 0.0), (a,), _bw, "relu")
+    return _node(np.maximum(a.values, 0.0), (a,), _bw, "relu")
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -229,7 +256,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
                 x.values.T @ g if need[1] else None,
                 g.sum(axis=0) if need[2] else None)
 
-    return Tensor(x.values @ weight.values + bias.values, (x, weight, bias), _bw, "linear")
+    return _node(x.values @ weight.values + bias.values, (x, weight, bias), _bw, "linear")
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
@@ -252,11 +279,16 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
 
     xp = np.pad(x.values, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.values
     kv = kernel.values
-    # windows[b, c, h, w, i, j] = xp[b, c, h + i, w + j]: a strided view, so
-    # each direction is one GEMM over the (c, i, j) or (b, h, w) axes
+    # windows[b, c, h, w, i, j] = xp[b, c, h + i, w + j], a strided view.
+    # The forward copies it once into cols[b, (c, i, j), (h, w)], and one
+    # GEMM per sample leaves the output in [B, O, H', W'] order with no
+    # transposing copy; the backward keeps the view, which holds less than cols
     windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    out_v = np.add(np.tensordot(kv, windows, axes=((1, 2, 3), (1, 4, 5))).transpose(1, 0, 2, 3),
-                   bias.values[:, None, None], order="C")
+    Ho, Wo = windows.shape[2:4]
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(B, C * kh * kw, Ho * Wo)
+    out_v = np.matmul(kv.reshape(O, -1), cols)
+    out_v += bias.values[:, None]
+    out_v = out_v.reshape(B, O, Ho, Wo)
 
     def _bw(g, need):
         gx = gk = None
@@ -273,7 +305,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
             gk = np.tensordot(g, windows, axes=((0, 2, 3), (0, 2, 3)))
         return gx, gk, g.sum(axis=(0, 2, 3)) if need[2] else None
 
-    return Tensor(out_v, (x, kernel, bias), _bw, "conv2d")
+    return _node(out_v, (x, kernel, bias), _bw, "conv2d")
 
 
 def instance_norm2d(x: Tensor, eps: float = 1e-5) -> Tensor:
@@ -283,17 +315,19 @@ def instance_norm2d(x: Tensor, eps: float = 1e-5) -> Tensor:
     """
     if x.values.ndim != 4:
         raise DimensionError(f"instance_norm2d: expected [B,C,H,W], got {x.shape}")
-    mu = x.values.mean(axis=(2, 3), keepdims=True)
-    var = x.values.var(axis=(2, 3), keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (x.values - mu) * inv
+    H, W = x.shape[2:]
+    # one mean, one centred copy, its sum of squares, then the copy scaled
+    # in place: np.var would take the mean and centre again
+    y = x.values - x.values.mean(axis=(2, 3), keepdims=True)
+    inv = (1.0 / np.sqrt(np.einsum("bchw,bchw->bc", y, y) / (H * W) + eps))[:, :, None, None]
+    y *= inv
 
     def _bw(g, need):
         gm = g.mean(axis=(2, 3), keepdims=True)
         gym = (g * y).mean(axis=(2, 3), keepdims=True)
         return ((g - gm - y * gym) * inv,)
 
-    return Tensor(y, (x,), _bw, "instance_norm2d")
+    return _node(y, (x,), _bw, "instance_norm2d")
 
 
 def avg_pool2d(x: Tensor, k: int) -> Tensor:
@@ -315,7 +349,7 @@ def avg_pool2d(x: Tensor, k: int) -> Tensor:
         gw = np.broadcast_to((g / (k * k))[:, :, :, None, :, None], (B, C, Ho, k, Wo, k))
         return (gw.reshape(B, C, H, W),)
 
-    return Tensor(v, (x,), _bw, "avg_pool2d")
+    return _node(v, (x,), _bw, "avg_pool2d")
 
 
 def softmax_cross_entropy_mean(logits: Tensor, labels) -> Tensor:
@@ -342,4 +376,4 @@ def softmax_cross_entropy_mean(logits: Tensor, labels) -> Tensor:
         p[np.arange(B), labels] -= 1.0
         return (p * (float(g) / B),)
 
-    return Tensor(loss, (logits,), _bw, "softmax_cross_entropy_mean")
+    return _node(loss, (logits,), _bw, "softmax_cross_entropy_mean")

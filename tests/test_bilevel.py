@@ -5,11 +5,14 @@ import gc
 import numpy as np
 import pytest
 
+import condensery.tensor as T
 from condensery import bilevel, evaluate
 from condensery.bilevel import AccQueue, CondenseConfig, init_state, inner_step, \
     outer_lr_at, outer_step, query_accuracy, run_condense, sample_class_balanced
 from condensery.data import make_blobs
 from condensery.errors import ConfigError, DivergenceError, UsageError
+from condensery.losses import cwfa, discrimination_logits, discrimination_loss, \
+    feature_alignment_loss, total_loss
 from condensery.models import ConvNetSpec, forward, init_params
 from condensery.tensor import Tensor
 
@@ -118,6 +121,41 @@ def test_outer_steps_reduce_alignment_on_blobs():
     assert drops >= 0.9 * (len(losses) - 1)
 
 
+def test_outer_step_equals_a_reference_with_a_taped_real_branch(monkeypatch):
+    # outer_step forwards the real batch from constants; its losses and its
+    # pixel update equal the same step's with the real branch on the tape
+    ds = tiny_data(2)
+    cfg = tiny_cfg(ipc=2, n_per_class=8)   # the synthetic batch is the whole set
+    state = init_state(ds, TINY_ARCH, cfg)
+    ref = init_state(ds, TINY_ARCH, cfg)   # the same draws, pixels and weights
+    pyramids = []
+    real_forward = bilevel.forward
+
+    def recording(params, x):
+        pyramids.append(real_forward(params, x))
+        return pyramids[-1]
+    monkeypatch.setattr(bilevel, "forward", recording)
+    breakdown = outer_step(state, ds, cfg)
+    assert pyramids[0].logits._op == "const" and pyramids[1].logits._backward is not None
+
+    real_idx = sample_class_balanced(ds, cfg.n_per_class, ref.rng)
+    real_labels = ds.labels[real_idx]
+    real_pyr = real_forward(ref.theta, Tensor(ds.images[real_idx]))
+    synth_pyr = real_forward(ref.theta, ref.synthetic.images)
+    assert real_pyr.logits._backward is not None
+    real_means = cwfa(real_pyr, real_labels, ds.num_classes)
+    synth_means = cwfa(synth_pyr, ref.synthetic.labels, ds.num_classes)
+    l_f = feature_alignment_loss(synth_means, real_means)
+    l_d = discrimination_loss(discrimination_logits(real_pyr.per_layer[-1],
+                                                    synth_means.per_layer[-1]), real_labels)
+    expected = total_loss(l_f, l_d, cfg.beta)
+    T.backward(expected.total, [ref.synthetic.images])
+    assert breakdown.as_floats() == expected.as_floats()
+    np.testing.assert_array_equal(
+        state.synthetic.images.values,
+        ref.synthetic.images.values - outer_lr_at(cfg, 0) * ref.synthetic.images.grad)
+
+
 def test_inner_step_zero_lr_keeps_theta():
     ds = tiny_data()
     cfg = tiny_cfg(inner_lr=0.0)
@@ -148,7 +186,6 @@ def test_inner_step_loss_is_plain_cross_entropy():
     ds = tiny_data()
     cfg = tiny_cfg(inner_lr=0.0)
     state = init_state(ds, TINY_ARCH, cfg)
-    import condensery.tensor as T
     pyr = forward(state.theta, state.synthetic.images)
     expected = T.softmax_cross_entropy_mean(pyr.logits, state.synthetic.labels).item()
     assert inner_step(state, cfg) == pytest.approx(expected)

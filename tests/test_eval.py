@@ -9,7 +9,7 @@ from condensery.data import make_blob_split
 from condensery.evaluate import EvalConfig, evaluate_protocol, \
     record_training_trace, train_on_synthetic
 from condensery.evaluate import test_accuracy as accuracy_on  # avoid pytest collection
-from condensery.models import ConvNetSpec, forward, init_params
+from condensery.models import ConvNetSpec, MLPSpec, forward, init_params
 from condensery.tensor import Tensor
 
 ARCH = ConvNetSpec(blocks=2, channels=4, input_shape=(1, 8, 8), num_classes=3)
@@ -124,3 +124,28 @@ def test_accuracy_reads_in_bounded_batches(monkeypatch):
     whole = np.argmax(forward(params, Tensor(test.images)).logits.values, axis=1)
     assert np.array_equal(evaluate.predict(params, test.images), whole)
     assert acc == np.mean(whole == test.labels)
+
+
+@pytest.mark.parametrize("arch", [ARCH, MLPSpec(input_shape=(1, 8, 8), hidden=(6, 5), num_classes=3)])
+def test_predict_forwards_constants_equal_to_a_taped_forward(monkeypatch, arch):
+    # predict's forwards record no tape, and their logits equal a taped
+    # forward's bit for bit
+    images = np.random.default_rng(15).standard_normal((600, 1, 8, 8))
+    params = init_params(arch, seed=15)
+    seen = []
+    real_forward = evaluate.forward
+
+    def recording(p, x):
+        pyramid = real_forward(p, x)
+        seen.append(pyramid.logits)
+        return pyramid
+    monkeypatch.setattr(evaluate, "forward", recording)
+    predicted = evaluate.predict(params, images)
+    monkeypatch.undo()
+    assert all((t._op, t._parents, t._backward) == ("const", (), None) for t in seen)
+    taped = [forward(params, Tensor(images[s:s + evaluate.READ_BATCH])).logits
+             for s in range(0, len(images), evaluate.READ_BATCH)]
+    assert all(t._backward is not None for t in taped)
+    taped = np.concatenate([t.values for t in taped])
+    np.testing.assert_array_equal(np.concatenate([t.values for t in seen]), taped)
+    np.testing.assert_array_equal(predicted, np.argmax(taped, axis=1))

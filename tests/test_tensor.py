@@ -145,6 +145,14 @@ def test_instance_norm_unit_variance_preserved():
     np.testing.assert_allclose(out.values, [[[[-1.0, 1.0]]]], atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 3, 4, 4), (3, 2, 5, 7), (2, 16, 28, 28)])
+def test_instance_norm_matches_two_pass_reference(shape):
+    # the forward sums the squares of one centred copy; np.var centres again
+    x = np.random.default_rng(14).standard_normal(shape) * 7.0 + 3.0
+    ref = (x - x.mean(axis=(2, 3), keepdims=True)) / np.sqrt(x.var(axis=(2, 3), keepdims=True) + 1e-5)
+    np.testing.assert_allclose(T.instance_norm2d(Tensor(x)).values, ref, rtol=0, atol=1e-13)
+
+
 def test_instance_norm_backward():
     x = np.random.default_rng(2).standard_normal((2, 2, 4, 4))
     for r in check_op("instnorm", lambda t: T.instance_norm2d(t[0]), [x]):
@@ -311,6 +319,66 @@ def test_backward_accumulates_over_fanout():
     g = T.sum_all(T.scale(x, 3.0))      # grad 3
     T.backward(T.add(f, g), [x])
     np.testing.assert_allclose(x.grad, 2 * x.values + 3.0)
+
+
+def test_backward_rejects_a_constant_in_wrt():
+    x = Tensor(np.arange(3.0))
+    c = Tensor.constant(np.ones(3))
+    with pytest.raises(UsageError, match=r"wrt\[1\] is a constant"):
+        T.backward(T.sum_all(T.mul(x, c)), [x, c])
+
+
+# One build per public op of condensery.tensor, with the shapes of its
+# tensor operands in order.
+OP_CASES = {
+    "add": (lambda t: T.add(t[0], t[1]), [(3, 4), (3, 4)]),
+    "sub": (lambda t: T.sub(t[0], t[1]), [(3, 4), (3, 4)]),
+    "mul": (lambda t: T.mul(t[0], t[1]), [(3, 4), (3, 4)]),
+    "scale": (lambda t: T.scale(t[0], -1.5), [(3, 4)]),
+    "sum_all": (lambda t: T.sum_all(t[0]), [(3, 4)]),
+    "reshape": (lambda t: T.reshape(t[0], (2, 6)), [(3, 4)]),
+    "take_rows": (lambda t: T.take_rows(t[0], np.array([2, 0, 2, 1])), [(3, 4)]),
+    "transpose2d": (lambda t: T.transpose2d(t[0]), [(3, 4)]),
+    "matmul": (lambda t: T.matmul(t[0], t[1]), [(3, 4), (4, 2)]),
+    "relu": (lambda t: T.relu(t[0]), [(3, 4)]),
+    "linear": (lambda t: T.linear(t[0], t[1], t[2]), [(3, 4), (4, 2), (2,)]),
+    "conv2d": (lambda t: T.conv2d(t[0], t[1], t[2], pad=1), [(2, 2, 4, 4), (3, 2, 3, 3), (3,)]),
+    "instance_norm2d": (lambda t: T.instance_norm2d(t[0]), [(2, 2, 4, 4)]),
+    "avg_pool2d": (lambda t: T.avg_pool2d(t[0], 2), [(2, 2, 4, 4)]),
+    "softmax_cross_entropy_mean": (lambda t: T.softmax_cross_entropy_mean(t[0], [0, 2, 1, 2]),
+                                   [(4, 3)]),
+}
+
+
+def test_constant_cases_cover_every_public_op():
+    ops = {name for name, fn in vars(T).items()
+           if inspect.isfunction(fn) and fn.__module__ == T.__name__
+           and not name.startswith("_") and name not in ("backward", "sgd_step")}
+    assert set(OP_CASES) == ops
+
+
+@pytest.mark.parametrize("op", sorted(OP_CASES))
+def test_constant_parents_give_a_constant(op):
+    # all-constant parents: a constant with no parents and no closure, with
+    # the taped output's values; one non-constant parent: a tape node whose
+    # backward gives that parent the taped gradient bit for bit
+    build, shapes = OP_CASES[op]
+    rng = np.random.default_rng(13)
+    arrays = [rng.standard_normal(s) for s in shapes]
+    taped = build([Tensor(a) for a in arrays])
+    weights = Tensor.constant(rng.standard_normal(taped.shape))
+    const = build([Tensor.constant(a) for a in arrays])
+    assert (const._op, const._parents, const._backward) == ("const", (), None)
+    np.testing.assert_array_equal(const.values, taped.values)
+    for i in range(len(arrays)):
+        leaves = [Tensor(a) for a in arrays]
+        T.backward(T.sum_all(T.mul(build(leaves), weights)), [leaves[i]])
+        mixed = [Tensor(a) if j == i else Tensor.constant(a) for j, a in enumerate(arrays)]
+        out = build(mixed)
+        assert out._op == op and out._backward is not None
+        assert all(p is q for p, q in zip(out._parents, mixed))
+        T.backward(T.sum_all(T.mul(out, weights)), [mixed[i]])
+        np.testing.assert_array_equal(mixed[i].grad, leaves[i].grad)
 
 
 def test_backward_walks_and_fills_only_what_wrt_needs():
