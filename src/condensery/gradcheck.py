@@ -152,12 +152,14 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
     out += check_op("transpose2d", lambda t: T.transpose2d(t[0]), [p])
     out += check_op("matmul", lambda t: T.matmul(t[0], t[1]), [p, rng.standard_normal((4, 2))])
 
-    # conv2d kernel shapes the ConvNet does not use, drawn last so the
-    # draws above do not depend on them: a non-square kernel without
-    # padding, and a 1x1 kernel padded by as much as its size
+    # conv2d shapes drawn last so the draws above do not depend on them:
+    # a non-square kernel without padding, a 1x1 kernel padded by as much
+    # as its size, and the ConvNet's 1-channel first layer
     for name, x_shape, k_shape, pad in (("conv2d_2x3_pad0", (2, 2, 4, 5), (3, 2, 2, 3), 0),
-                                        ("conv2d_1x1_pad1", (2, 2, 3, 3), (3, 2, 1, 1), 1)):
-        leaves = [rng.standard_normal(x_shape), rng.standard_normal(k_shape), rng.standard_normal(3)]
+                                        ("conv2d_1x1_pad1", (2, 2, 3, 3), (3, 2, 1, 1), 1),
+                                        ("conv2d_c1_pad1", (2, 1, 5, 5), (4, 1, 3, 3), 1)):
+        leaves = [rng.standard_normal(x_shape), rng.standard_normal(k_shape),
+                  rng.standard_normal(k_shape[0])]
         out += check_op(name, lambda t, pad=pad: T.conv2d(t[0], t[1], t[2], pad=pad), leaves)
     return out
 

@@ -274,6 +274,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
         raise DimensionError(f"conv2d: kernel expects {Ck} channels, input has {C}")
     if bias.shape != (O,):
         raise DimensionError(f"conv2d: bias {bias.shape} vs {O} output channels")
+    if not isinstance(pad, (int, np.integer)) or pad < 0:
+        raise DimensionError(f"conv2d: pad must be a non-negative integer, got {pad!r}")
     if H + 2 * pad < kh or W + 2 * pad < kw:
         raise DimensionError(f"conv2d: kernel {kh}x{kw} larger than padded input {H + 2 * pad}x{W + 2 * pad}")
 
@@ -282,27 +284,45 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
     # windows[b, c, h, w, i, j] = xp[b, c, h + i, w + j], a strided view.
     # The forward copies it once into cols[b, (c, i, j), (h, w)], and one
     # GEMM per sample leaves the output in [B, O, H', W'] order with no
-    # transposing copy; the backward keeps the view, which holds less than cols
+    # transposing copy
     windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
     Ho, Wo = windows.shape[2:4]
     cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(B, C * kh * kw, Ho * Wo)
     out_v = np.matmul(kv.reshape(O, -1), cols)
     out_v += bias.values[:, None]
     out_v = out_v.reshape(B, O, Ho, Wo)
+    Hp, Wp = xp.shape[2:]
 
     def _bw(g, need):
+        # The backward keeps xp, not the window view, and makes no window
+        # copy: in the flattened padded plane, output pixel (h, w) reads
+        # xp at h*Wp + w + off for tap (i, j), with off = i*Wp + j. So g,
+        # laid out on Wp columns (the last Wp - Wo of them zero) and cut to
+        # its first n positions, meets each tap's slice of xp in one GEMM;
+        # the last tap's slice ends at Hp*Wp exactly
+        n = (Ho - 1) * Wp + Wo
+        gw = np.zeros((B, O, Ho, Wp))
+        gw[:, :, :, :Wo] = g
+        gw = gw.reshape(B, O, Ho * Wp)[:, :, :n]
         gx = gk = None
         if need[0]:
-            # full correlation of g with the flipped kernel, cropped to the
-            # unpadded input: pad g by k-1, then skip the first `pad` rows
-            # and columns; unlike padding by k-1-pad, this holds for pad >= k
-            gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-            gwin = sliding_window_view(gp[:, :, pad:pad + H + kh - 1, pad:pad + W + kw - 1],
-                                       (kh, kw), axis=(2, 3))
-            gx = np.ascontiguousarray(np.tensordot(
-                kv[:, :, ::-1, ::-1], gwin, axes=((0, 2, 3), (1, 4, 5))).transpose(1, 0, 2, 3))
+            # kt[i, j] is the contiguous [C, O] slice that BLAS takes
+            kt = np.ascontiguousarray(kv.transpose(2, 3, 1, 0))
+            gxf = np.zeros((B, C, Hp * Wp))
+            tap = np.empty((B, C, n))
+            for i in range(kh):
+                for j in range(kw):
+                    off = i * Wp + j
+                    gxf[:, :, off:off + n] += np.matmul(kt[i, j], gw, out=tap)
+            del tap
+            gx = np.ascontiguousarray(gxf.reshape(B, C, Hp, Wp)[:, :, pad:pad + H, pad:pad + W])
         if need[1]:
-            gk = np.tensordot(g, windows, axes=((0, 2, 3), (0, 2, 3)))
+            xf = xp.reshape(B, C, Hp * Wp)
+            gk = np.empty((O, C, kh, kw))
+            for i in range(kh):
+                for j in range(kw):
+                    off = i * Wp + j
+                    gk[:, :, i, j] = np.matmul(gw, xf[:, :, off:off + n].transpose(0, 2, 1)).sum(0)
         return gx, gk, g.sum(axis=(0, 2, 3)) if need[2] else None
 
     return _node(out_v, (x, kernel, bias), _bw, "conv2d")
@@ -323,9 +343,15 @@ def instance_norm2d(x: Tensor, eps: float = 1e-5) -> Tensor:
     y *= inv
 
     def _bw(g, need):
-        gm = g.mean(axis=(2, 3), keepdims=True)
-        gym = (g * y).mean(axis=(2, 3), keepdims=True)
-        return ((g - gm - y * gym) * inv,)
+        # (g - mean(g) - y * mean(g * y)) * inv: einsum sums g * y without
+        # a full-size product, and the terms land in place in one buffer
+        gm = (g.sum(axis=(2, 3)) / (H * W))[:, :, None, None]
+        gym = (np.einsum("bchw,bchw->bc", g, y) / (H * W))[:, :, None, None]
+        gx = y * -gym
+        gx += g
+        gx -= gm
+        gx *= inv
+        return (gx,)
 
     return _node(y, (x,), _bw, "instance_norm2d")
 

@@ -1,6 +1,7 @@
 """Autodiff core: forward values, trivial cases, finite-difference checks."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,13 @@ def test_conv2d_pad_is_keyword_only():
         T.conv2d(x, Tensor(np.zeros((1, 1, 3, 3))), Tensor(np.zeros(1)), 1, 1)
 
 
+@pytest.mark.parametrize("pad", [-1, 1.5, "1", None], ids=["negative", "float", "str", "None"])
+def test_conv2d_rejects_a_pad_that_is_not_a_nonnegative_integer(pad):
+    x = Tensor(np.zeros((1, 1, 4, 4)))
+    with pytest.raises(DimensionError, match="pad"):
+        T.conv2d(x, Tensor(np.zeros((1, 1, 3, 3))), Tensor(np.zeros(1)), pad=pad)
+
+
 def test_conv2d_gradients_match_finite_differences():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((2, 3, 5, 5))
@@ -73,14 +81,24 @@ def _conv2d_loop_oracle(x, k, b, pad, g):
     return out, gxp[:, :, pad:pad + H, pad:pad + W], gk
 
 
-@pytest.mark.parametrize("pad", [0, 1, 2])
-@pytest.mark.parametrize("kshape", [(1, 1), (3, 3), (2, 3)])
-def test_conv2d_matches_loop_oracle(pad, kshape):
-    # pad=2 with a 1x1 or 2x3 kernel pads by at least the kernel height
+# (input shape or maker, output channels, kernel shape, pad), keyed by test id
+ORACLE_CASES = {f"kshape{i}-{pad}": ((2, 2, 4, 5), 3, kshape, pad)
+                for i, kshape in enumerate([(1, 1), (3, 3), (2, 3)]) for pad in (0, 1, 2)}
+ORACLE_CASES["first_layer-1"] = ((2, 1, 6, 7), 4, (3, 3), 1)
+# a non-contiguous [2, 2, 5, 6] view: every other channel, all but one column
+ORACLE_CASES["view-0"] = (lambda rng: rng.standard_normal((2, 4, 5, 7))[:, ::2, :, 1:], 3, (3, 3), 0)
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_conv2d_matches_loop_oracle(case):
+    # pad=2 with a 1x1 or 2x3 kernel pads by at least the kernel height;
+    # first_layer is the ConvNet's 1-channel input layer, view an input
+    # that is a strided view
+    x_shape, O, kshape, pad = ORACLE_CASES[case]
     rng = np.random.default_rng(11)
-    x = Tensor(rng.standard_normal((2, 2, 4, 5)))
-    k = Tensor(rng.standard_normal((3, 2) + kshape))
-    b = Tensor(rng.standard_normal(3))
+    x = Tensor(x_shape(rng) if callable(x_shape) else rng.standard_normal(x_shape))
+    k = Tensor(rng.standard_normal((O, x.shape[1]) + kshape))
+    b = Tensor(rng.standard_normal(O))
     out = T.conv2d(x, k, b, pad=pad)
     g = rng.standard_normal(out.shape)
     T.backward(T.sum_all(T.mul(out, Tensor(g))), [x, k, b])
@@ -89,6 +107,23 @@ def test_conv2d_matches_loop_oracle(pad, kshape):
     for got, ref in ((out.values, ref_out), (x.grad, ref_gx), (k.grad, ref_gk),
                      (b.grad, g.sum(axis=(0, 2, 3)))):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_conv2d_backward_peak_memory_is_a_few_inputs():
+    # both gradients of a ConvNet-sized layer allocate less than 6 times
+    # the input's bytes at their peak: no window-sized copy is made
+    rng = np.random.default_rng(15)
+    x = Tensor(rng.standard_normal((32, 16, 14, 14)))
+    out = T.conv2d(x, Tensor(rng.standard_normal((16, 16, 3, 3))), Tensor(np.zeros(16)), pad=1)
+    g = rng.standard_normal(out.shape)
+    tracemalloc.start()
+    try:
+        gx, gk, _ = out._backward(g, (True, True, False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gx.shape == x.shape and gk.shape == (16, 16, 3, 3)
+    assert peak < 6 * x.values.nbytes, peak / x.values.nbytes
 
 
 NEED_CASES = {
@@ -151,6 +186,21 @@ def test_instance_norm_matches_two_pass_reference(shape):
     x = np.random.default_rng(14).standard_normal(shape) * 7.0 + 3.0
     ref = (x - x.mean(axis=(2, 3), keepdims=True)) / np.sqrt(x.var(axis=(2, 3), keepdims=True) + 1e-5)
     np.testing.assert_allclose(T.instance_norm2d(Tensor(x)).values, ref, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 3, 4, 4), (3, 2, 5, 7), (2, 16, 28, 28)])
+def test_instance_norm_backward_matches_reference(shape):
+    # the closure's one reduction pass against the five-pass formula
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal(shape) * 7.0 + 3.0
+    out = T.instance_norm2d(Tensor(x))
+    g = rng.standard_normal(shape)
+    y = out.values
+    inv = 1.0 / np.sqrt(x.var(axis=(2, 3), keepdims=True) + 1e-5)
+    ref = (g - g.mean(axis=(2, 3), keepdims=True)
+           - y * (g * y).mean(axis=(2, 3), keepdims=True)) * inv
+    (gx,) = out._backward(g, (True,))
+    np.testing.assert_allclose(gx, ref, rtol=0, atol=1e-13)
 
 
 def test_instance_norm_backward():
