@@ -24,18 +24,20 @@ out = T.add(T.mul(a, a), a)          # a^2 + a, derivative 2a + 1 = 7
 T.backward(out, [a])
 print("d(a^2 + a)/da =", a.grad)
 
-# A one-layer network end to end: conv -> relu -> pool -> linear -> CE.
+# A one-block ConvNet end to end: conv, then the block op (instance norm,
+# ReLU and 2x2 average pool as one tape node), then linear -> CE. The
+# pool floors, so the 7x7 plane pools to 3x3.
 rng = np.random.default_rng(0)
-img = Tensor(rng.standard_normal((2, 1, 8, 8)))
+img = Tensor(rng.standard_normal((2, 1, 7, 7)))
 kernel = Tensor(rng.standard_normal((4, 1, 3, 3)) * 0.5)
 kbias = Tensor(np.zeros(4))
-w = Tensor(rng.standard_normal((4 * 4 * 4, 3)) * 0.1)
+w = Tensor(rng.standard_normal((4 * 3 * 3, 3)) * 0.1)
 b = Tensor(np.zeros(3))
 
 h = T.conv2d(img, kernel, kbias, pad=1)
-h = T.relu(h)
-h = T.avg_pool2d(h, 2)
-h = T.reshape(h, (2, 4 * 4 * 4))
+h = T.norm_relu_pool(h)
+print("pooled block output:", h.shape)
+h = T.reshape(h, (2, 4 * 3 * 3))
 logits = T.linear(h, w, b)
 loss = T.softmax_cross_entropy_mean(logits, np.array([0, 2]))
 T.backward(loss, [kernel, kbias, w, b])

@@ -7,8 +7,9 @@ gradient. It runs backward and compares every analytic gradient entry
 against a central difference with step h = 1e-5.
 Entries whose analytic value is below 1e-8 in magnitude are compared
 absolutely (tolerance 1e-6), the rest relatively (tolerance 1e-3). The
-suite checks every public op of ``tensor`` and a composed ConvNet, each on
-every coordinate of every leaf.
+suite checks every public op of ``tensor``, away from ReLU's kink, and a
+one-block ConvNet built by ``models.forward``, each on every coordinate of
+every leaf.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor as T
+from .models import ConvNetSpec, ModelParams, forward
 
 H_STEP = 1e-5
 REL_TOL = 1e-3
@@ -111,18 +113,14 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
     b = rng.standard_normal(4)
     out += check_op("conv2d", lambda t: T.conv2d(t[0], t[1], t[2], pad=1), [x, k, b])
 
-    # instance_norm2d on 2x2x4x4
-    xn = rng.standard_normal((2, 2, 4, 4))
-    out += check_op("instance_norm2d", lambda t: T.instance_norm2d(t[0]), [xn])
-
     # relu away from the kink
     xr = rng.standard_normal((3, 6))
     out += check_op("relu", lambda t: T.relu(t[0]), [xr],
                     mask_fns=[lambda a: np.abs(a) > 1e-3])
 
-    # avg_pool2d
-    xp = rng.standard_normal((2, 3, 4, 4))
-    out += check_op("avg_pool2d", lambda t: T.avg_pool2d(t[0], 2), [xp])
+    # the block op on an even plane and on an odd one, which the pool floors
+    for name, shape in (("norm_relu_pool", (2, 3, 4, 4)), ("norm_relu_pool_5x5", (2, 2, 5, 5))):
+        out += check_op(name, lambda t: T.norm_relu_pool(t[0]), [_off_kink(rng, shape)])
 
     # linear 3x4 @ 4x2
     xl = rng.standard_normal((3, 4))
@@ -136,7 +134,8 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
     out += check_op("softmax_cross_entropy_mean",
                     lambda t: T.softmax_cross_entropy_mean(t[0], lab), [lg])
 
-    # composed conv -> norm -> relu -> pool -> linear -> CE network
+    # one ConvNet block and its linear head under mean cross-entropy, built
+    # by models.forward: the oracle checks the model's own code
     out += _check_composed(rng)
 
     # the tape's plumbing ops
@@ -164,23 +163,28 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
     return out
 
 
+def _off_kink(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """A [B,C,H,W] draw with no normalized entry within 1e-3 of ReLU's kink,
+    where a central difference measures neither side's slope."""
+    while True:
+        x = rng.standard_normal(shape)
+        c = x - x.mean(axis=(2, 3), keepdims=True)
+        if np.all(np.abs(c) > 1e-3 * c.std(axis=(2, 3), keepdims=True)):
+            return x
+
+
 def _check_composed(rng: np.random.Generator) -> list[CheckResult]:
     B, C, Hh, Ww, O, K = 2, 2, 4, 4, 3, 2
-    x = rng.standard_normal((B, C, Hh, Ww))
+    spec = ConvNetSpec(blocks=1, channels=O, input_shape=(C, Hh, Ww), num_classes=K)
+    x = T.Tensor.constant(rng.standard_normal((B, C, Hh, Ww)))
     kern = rng.standard_normal((O, C, 3, 3)) * 0.5
     kb = rng.standard_normal(O) * 0.1
-    D = O * (Hh // 2) * (Ww // 2)
-    w = rng.standard_normal((D, K)) * 0.5
+    w = rng.standard_normal((spec.embed_dim, K)) * 0.5
     wb = rng.standard_normal(K) * 0.1
     labels = rng.integers(0, K, size=B)
 
     def build(t):
-        h = T.conv2d(T.Tensor(x), t[0], t[1], pad=1)
-        h = T.instance_norm2d(h)
-        h = T.relu(h)
-        h = T.avg_pool2d(h, 2)
-        h = T.reshape(h, (B, D))
-        logits = T.linear(h, t[2], t[3])
+        logits = forward(ModelParams(spec, list(t)), x).logits
         return T.softmax_cross_entropy_mean(logits, labels)
 
     return check_op("composed_convnet", build, [kern, kb, w, wb])

@@ -1,12 +1,12 @@
 """ConvNet and MLP forward passes with per-layer feature taps.
 
 The ConvNet is a stack of Conv(3x3, stride 1, pad 1) -> InstanceNorm ->
-ReLU -> AvgPool(2x2, non-overlapping) blocks followed by one linear output
-layer; these are the only forms ``tensor.conv2d`` and ``tensor.avg_pool2d``
-provide. A flattened feature tap is recorded after each block's pool; the
-last tap is exactly the input to the output layer, and the tap list
-excludes the output layer itself. The MLP mirrors this with taps after
-each hidden ReLU.
+ReLU -> AvgPool(2x2, flooring) blocks (Zhao et al., ICLR 2021, as CAFE
+uses), ``tensor.conv2d`` then ``tensor.norm_relu_pool``, so 28x28 pools to
+14, 7 and 3, and one linear output layer. A flattened feature tap is
+recorded after each block; the last tap is exactly the input to the
+output layer, and the tap list excludes the output layer itself. The MLP
+mirrors this with taps after each hidden ReLU.
 """
 
 from __future__ import annotations
@@ -32,11 +32,12 @@ class ConvNetSpec:
         C, H, W = self.input_shape
         if self.blocks < 1 or self.channels < 1:
             raise ConfigError("blocks and channels must be >= 1")
-        if H % (2 ** self.blocks) or W % (2 ** self.blocks):
-            raise ConfigError(f"input {H}x{W} not divisible by 2^{self.blocks}")
+        if min(H, W) < 2 ** self.blocks:
+            raise ConfigError(f"input {H}x{W}: {self.blocks} 2x2 pools need each side >= {2 ** self.blocks}")
 
     @property
     def embed_dim(self) -> int:
+        # floor(floor(H / 2) / 2) ... equals H // 2**blocks
         C, H, W = self.input_shape
         f = 2 ** self.blocks
         return self.channels * (H // f) * (W // f)
@@ -116,10 +117,7 @@ def convnet_forward(params: ModelParams, batch: Tensor) -> FeaturePyramid:
     taps = []
     for b in range(spec.blocks):
         k, bias = params.tensors[2 * b], params.tensors[2 * b + 1]
-        h = T.conv2d(h, k, bias, pad=1)
-        h = T.instance_norm2d(h)
-        h = T.relu(h)
-        h = T.avg_pool2d(h, 2)
+        h = T.norm_relu_pool(T.conv2d(h, k, bias, pad=1))
         taps.append(T.reshape(h, (B, int(np.prod(h.shape[1:])))))
     w, wb = params.tensors[-2], params.tensors[-1]
     logits = T.linear(taps[-1], w, wb)

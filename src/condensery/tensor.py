@@ -21,8 +21,8 @@ read it. A leaf made with ``Tensor(values)`` is not a constant.
 
 Only the primitives needed by the condensation networks and losses are
 provided, in the forms those use: ``conv2d`` moves its kernel one pixel at
-a time, ``avg_pool2d`` pools non-overlapping windows, and there is no
-broadcasting beyond what they need.
+a time, ``norm_relu_pool`` is a ConvNet block's norm, ReLU and 2x2 pool as
+one node, and there is no broadcasting beyond what they need.
 """
 
 from __future__ import annotations
@@ -328,54 +328,49 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
     return _node(out_v, (x, kernel, bias), _bw, "conv2d")
 
 
-def instance_norm2d(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-(sample, channel) normalization over the spatial plane.
-
-    Population variance, no learned affine parameters.
+def norm_relu_pool(x: Tensor) -> Tensor:
+    """A ConvNet block after its conv: instance norm over each (sample,
+    channel) plane (population variance, eps 1e-5, no affine), ReLU, then
+    the mean over non-overlapping 2x2 windows. The pool floors, as
+    PyTorch's ``AvgPool2d``: an odd last row or column is normalized with
+    its plane but pooled into nothing.
     """
     if x.values.ndim != 4:
-        raise DimensionError(f"instance_norm2d: expected [B,C,H,W], got {x.shape}")
-    H, W = x.shape[2:]
+        raise DimensionError(f"norm_relu_pool: expected [B,C,H,W], got {x.shape}")
+    B, C, H, W = x.shape
+    if H < 2 or W < 2:
+        raise DimensionError(f"norm_relu_pool: plane {H}x{W} is smaller than the 2x2 window")
+    Ho, Wo = H // 2, W // 2
     # one mean, one centred copy, its sum of squares, then the copy scaled
     # in place: np.var would take the mean and centre again
     y = x.values - x.values.mean(axis=(2, 3), keepdims=True)
-    inv = (1.0 / np.sqrt(np.einsum("bchw,bchw->bc", y, y) / (H * W) + eps))[:, :, None, None]
+    inv = (1.0 / np.sqrt(np.einsum("bchw,bchw->bc", y, y) / (H * W) + 1e-5))[:, :, None, None]
     y *= inv
+    # offset (i, j) of every window as a strided view: four strided adds,
+    # as a mean over the strided window axes runs 5x slower
+    windows = [np.s_[:, :, i:2 * Ho:2, j:2 * Wo:2] for i in (0, 1) for j in (0, 1)]
+    v = np.zeros((B, C, Ho, Wo))
+    for w in windows:
+        v += np.maximum(y[w], 0.0)
+    v *= 0.25
 
     def _bw(g, need):
-        # (g - mean(g) - y * mean(g * y)) * inv: einsum sums g * y without
-        # a full-size product, and the terms land in place in one buffer
-        gm = (g.sum(axis=(2, 3)) / (H * W))[:, :, None, None]
-        gym = (np.einsum("bchw,bchw->bc", g, y) / (H * W))[:, :, None, None]
+        # g / 4 onto each window position where y > 0, then the norm's
+        # (gy - mean(gy) - y * mean(gy * y)) * inv: einsum sums gy * y
+        # without a full-size product, and the terms land in place
+        gy = np.zeros((B, C, H, W))
+        g4 = g * 0.25
+        for w in windows:
+            np.multiply(g4, y[w] > 0.0, out=gy[w])
+        gm = (gy.sum(axis=(2, 3)) / (H * W))[:, :, None, None]
+        gym = (np.einsum("bchw,bchw->bc", gy, y) / (H * W))[:, :, None, None]
         gx = y * -gym
-        gx += g
+        gx += gy
         gx -= gm
         gx *= inv
         return (gx,)
 
-    return _node(y, (x,), _bw, "instance_norm2d")
-
-
-def avg_pool2d(x: Tensor, k: int) -> Tensor:
-    """Mean over non-overlapping k x k windows; ragged pooling is rejected."""
-    if x.values.ndim != 4:
-        raise DimensionError(f"avg_pool2d: expected [B,C,H,W], got {x.shape}")
-    B, C, H, W = x.shape
-    if k < 1 or H < k or W < k or H % k or W % k:
-        raise DimensionError(f"avg_pool2d: window {k} does not tile {H}x{W}")
-    Ho, Wo = H // k, W // k
-    # k*k strided adds: a mean over the strided window axes runs 5x slower
-    v = np.zeros((B, C, Ho, Wo))
-    for i in range(k):
-        for j in range(k):
-            v += x.values[:, :, i::k, j::k]
-    v *= 1.0 / (k * k)
-
-    def _bw(g, need):
-        gw = np.broadcast_to((g / (k * k))[:, :, :, None, :, None], (B, C, Ho, k, Wo, k))
-        return (gw.reshape(B, C, H, W),)
-
-    return _node(v, (x,), _bw, "avg_pool2d")
+    return _node(v, (x,), _bw, "norm_relu_pool")
 
 
 def softmax_cross_entropy_mean(logits: Tensor, labels) -> Tensor:

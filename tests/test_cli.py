@@ -46,6 +46,18 @@ def test_condense_writes_artifacts(tmp_path):
     assert synth.ipc == 1 and synth.num_classes == 3
 
 
+def test_condense_default_arch_on_28x28(tmp_path):
+    # the default ConvNet pools 28 -> 14 -> 7 -> 3
+    path, _ = blob_config(
+        tmp_path, arch={},
+        dataset={"kind": "blobs", "num_classes": 2, "n_train_per_class": 4,
+                 "n_test_per_class": 2, "shape": [1, 28, 28]},
+        condense={"ipc": 1, "n_per_class": 2, "gamma": 2, "l_out": 1, "l_in": 1,
+                  "max_outer_iters": 1, "query_size": 4})
+    assert cli.main(["condense", "--config", str(path)]) == 0
+    assert load_synthetic(tmp_path / "run" / "synthetic.cnd").images.shape == (2, 1, 28, 28)
+
+
 def test_condense_missing_dataset_path(tmp_path, capsys):
     path, _ = blob_config(tmp_path, dataset={"kind": "idx", "train_images": "/nope.idx"})
     code = cli.main(["condense", "--config", str(path)])
@@ -337,26 +349,17 @@ def test_gradcheck_detects_injected_sign_flip(monkeypatch, capsys):
 
 
 def test_gradcheck_standalone_checks_catch_pool_and_norm_faults(monkeypatch, capsys):
-    real_pool, real_norm = T.avg_pool2d, T.instance_norm2d
+    real = T.norm_relu_pool
+    faults = (lambda bw: lambda g, need: bw(g.swapaxes(2, 3), need),    # transposed window map
+              lambda bw: lambda g, need: (bw(g, need)[0] * 1.01,))      # 1% too large
+    for fault in faults:
+        @functools.wraps(real)
+        def broken(x, fault=fault):
+            out = real(x)
+            out._backward = fault(out._backward)
+            return out
 
-    @functools.wraps(real_pool)
-    def broken_pool(x, k):
-        out = real_pool(x, k)
-        orig_bw = out._backward
-        out._backward = lambda g, need: orig_bw(g.swapaxes(2, 3), need)   # transposed window map
-        return out
-
-    @functools.wraps(real_norm)
-    def broken_norm(x, eps=1e-5):
-        out = real_norm(x, eps)
-        orig_bw = out._backward
-        out._backward = lambda g, need: (orig_bw(g, need)[0] * 1.01,)   # 1% too large
-        return out
-
-    monkeypatch.setattr(T, "avg_pool2d", broken_pool)
-    monkeypatch.setattr(T, "instance_norm2d", broken_norm)
-    assert cli.main(["gradcheck"]) == 1
-    err = capsys.readouterr().err
-    # each fault fails its own op's check, not only the composed network's
-    assert "FAIL avg_pool2d[arg0]" in err
-    assert "FAIL instance_norm2d[arg0]" in err
+        monkeypatch.setattr(T, "norm_relu_pool", broken)
+        assert cli.main(["gradcheck"]) == 1
+        # each fault fails the op's own check, not only the composed network's
+        assert "FAIL norm_relu_pool[arg0]" in capsys.readouterr().err

@@ -60,9 +60,21 @@ def test_convnet_shape_mismatch():
         convnet_forward(params, Tensor(np.zeros((2, 3, 8, 8))))
 
 
-def test_convnet_spec_rejects_indivisible_input():
-    with pytest.raises(ConfigError):
-        ConvNetSpec(blocks=3, channels=4, input_shape=(1, 28, 28), num_classes=10)
+@pytest.mark.parametrize("shape", [(1, 4, 4), (1, 28, 7)])
+def test_convnet_spec_rejects_too_small_input(shape):
+    # 3 blocks pool 3 times: each side needs at least 2**3
+    with pytest.raises(ConfigError, match="each side >= 8"):
+        ConvNetSpec(blocks=3, channels=4, input_shape=shape, num_classes=10)
+
+
+def test_convnet_default_spec_forwards_28x28_with_floor_pooling():
+    # the ConvNet of Zhao et al. on MNIST: 28 -> 14 -> 7 -> 3
+    spec = ConvNetSpec()
+    pyr = convnet_forward(init_params(spec, seed=0),
+                          Tensor.constant(np.random.default_rng(0).standard_normal((2, 1, 28, 28))))
+    assert [t.shape for t in pyr.per_layer] == [(2, 128 * 14 * 14), (2, 128 * 7 * 7), (2, 1152)]
+    assert spec.embed_dim == 1152
+    assert pyr.logits.shape == (2, 10)
 
 
 @pytest.mark.parametrize("hidden", [(), (0,), (16, -1)])

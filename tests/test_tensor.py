@@ -168,44 +168,121 @@ def test_gradient_asked_alone_matches_full_gradient(op):
         np.testing.assert_array_equal(alone, full[i])
 
 
+def _one_pass_norm(x):
+    """instance_norm2d's forward as the three-op chain computed it: (y, inv)."""
+    H, W = x.shape[2:]
+    y = x - x.mean(axis=(2, 3), keepdims=True)
+    inv = (1.0 / np.sqrt(np.einsum("bchw,bchw->bc", y, y) / (H * W) + 1e-5))[:, :, None, None]
+    y *= inv
+    return y, inv
+
+
+def _one_pass_norm_backward(y, inv, gy):
+    """instance_norm2d's one-pass backward of the three-op chain."""
+    H, W = y.shape[2:]
+    gm = (gy.sum(axis=(2, 3)) / (H * W))[:, :, None, None]
+    gym = (np.einsum("bchw,bchw->bc", gy, y) / (H * W))[:, :, None, None]
+    gx = y * -gym
+    gx += gy
+    gx -= gm
+    gx *= inv
+    return gx
+
+
+def _window_loop_pool(r):
+    """2x2 mean pool that floors, one window at a time."""
+    B, C, H, W = r.shape
+    out = np.empty((B, C, H // 2, W // 2))
+    for h in range(H // 2):
+        for w in range(W // 2):
+            out[:, :, h, w] = r[:, :, 2 * h:2 * h + 2, 2 * w:2 * w + 2].mean(axis=(2, 3))
+    return out
+
+
+def _window_loop_spread(g, shape):
+    """The pool's backward: g / 4 added into each window position one
+    offset at a time; a dropped last row or column stays 0."""
+    Ho, Wo = g.shape[2:]
+    gy = np.zeros(shape)
+    for i in range(2):
+        for j in range(2):
+            gy[:, :, i:2 * Ho:2, j:2 * Wo:2] += g / 4
+    return gy
+
+
 def test_instance_norm_constant_plane_is_zero():
     x = Tensor(np.full((1, 1, 3, 3), 3.0))
-    out = T.instance_norm2d(x, eps=1e-5)
+    out = T.norm_relu_pool(x)
+    assert out.shape == (1, 1, 1, 1)
     assert np.all(np.abs(out.values) < 1e-6)
 
 
 def test_instance_norm_unit_variance_preserved():
-    x = Tensor(np.array([[[[-1.0, 1.0]]]]))
-    out = T.instance_norm2d(x, eps=0.0)
-    np.testing.assert_allclose(out.values, [[[[-1.0, 1.0]]]], atol=1e-12)
+    # a mean-0, variance-1 plane comes out of the norm scaled only by eps,
+    # so its two positive entries pool to 2 / sqrt(1 + eps) / 4
+    x = Tensor(np.array([[[[-1.0, 1.0], [1.0, -1.0]]]]))
+    out = T.norm_relu_pool(x)
+    np.testing.assert_allclose(out.values, [[[[0.5 / np.sqrt(1.0 + 1e-5)]]]], atol=1e-12)
 
 
-@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 3, 4, 4), (3, 2, 5, 7), (2, 16, 28, 28)])
+NORM_SHAPES = [(1, 1, 2, 2), (2, 3, 4, 4), (3, 2, 5, 7), (2, 16, 28, 28), (2, 3, 7, 4)]
+
+
+@pytest.mark.parametrize("shape", NORM_SHAPES)
 def test_instance_norm_matches_two_pass_reference(shape):
-    # the forward sums the squares of one centred copy; np.var centres again
+    # the op's norm sums the squares of one centred copy; np.var centres
+    # again. Composed here with ReLU and the window-loop pool
     x = np.random.default_rng(14).standard_normal(shape) * 7.0 + 3.0
-    ref = (x - x.mean(axis=(2, 3), keepdims=True)) / np.sqrt(x.var(axis=(2, 3), keepdims=True) + 1e-5)
-    np.testing.assert_allclose(T.instance_norm2d(Tensor(x)).values, ref, rtol=0, atol=1e-13)
+    y = (x - x.mean(axis=(2, 3), keepdims=True)) / np.sqrt(x.var(axis=(2, 3), keepdims=True) + 1e-5)
+    ref = _window_loop_pool(np.maximum(y, 0.0))
+    np.testing.assert_allclose(T.norm_relu_pool(Tensor(x)).values, ref, rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 3, 4, 4), (3, 2, 5, 7), (2, 16, 28, 28)])
+@pytest.mark.parametrize("shape", NORM_SHAPES)
 def test_instance_norm_backward_matches_reference(shape):
-    # the closure's one reduction pass against the five-pass formula
+    # the closure's one reduction pass against the five-pass norm formula,
+    # fed the window-loop spread of g masked by ReLU
     rng = np.random.default_rng(16)
     x = rng.standard_normal(shape) * 7.0 + 3.0
-    out = T.instance_norm2d(Tensor(x))
-    g = rng.standard_normal(shape)
-    y = out.values
+    out = T.norm_relu_pool(Tensor(x))
+    g = rng.standard_normal(out.shape)
     inv = 1.0 / np.sqrt(x.var(axis=(2, 3), keepdims=True) + 1e-5)
-    ref = (g - g.mean(axis=(2, 3), keepdims=True)
-           - y * (g * y).mean(axis=(2, 3), keepdims=True)) * inv
+    y = (x - x.mean(axis=(2, 3), keepdims=True)) * inv
+    gy = _window_loop_spread(g, shape) * (y > 0.0)
+    ref = (gy - gy.mean(axis=(2, 3), keepdims=True)
+           - y * (gy * y).mean(axis=(2, 3), keepdims=True)) * inv
     (gx,) = out._backward(g, (True,))
     np.testing.assert_allclose(gx, ref, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 2, 2), (2, 3, 4, 4), (3, 2, 6, 10), (2, 16, 28, 28)])
+def test_norm_relu_pool_is_the_three_op_chain_bit_for_bit(shape):
+    # on even planes the block op does the arithmetic of instance_norm2d,
+    # relu and avg_pool2d in the same order: forward and input gradient
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal(shape) * 7.0 + 3.0
+    B, C, H, W = shape
+    y, inv = _one_pass_norm(x)
+    r = np.maximum(y, 0.0)
+    v = np.zeros((B, C, H // 2, W // 2))
+    for i in range(2):
+        for j in range(2):
+            v += r[:, :, i::2, j::2]
+    v *= 1.0 / 4
+    out = T.norm_relu_pool(Tensor(x))
+    np.testing.assert_array_equal(out.values, v)
+    g = rng.standard_normal(v.shape)
+    gp = np.broadcast_to((g / 4)[:, :, :, None, :, None], (B, C, H // 2, 2, W // 2, 2))
+    gr = gp.reshape(shape) * (y > 0.0)
+    (gx,) = out._backward(g, (True,))
+    np.testing.assert_array_equal(gx, _one_pass_norm_backward(y, inv, gr))
+
+
 def test_instance_norm_backward():
     x = np.random.default_rng(2).standard_normal((2, 2, 4, 4))
-    for r in check_op("instnorm", lambda t: T.instance_norm2d(t[0]), [x]):
+    y, _ = _one_pass_norm(x)
+    assert np.abs(y).min() > 1e-3   # away from ReLU's kink
+    for r in check_op("instnorm", lambda t: T.norm_relu_pool(t[0]), [x]):
         assert r.passed, r.detail
 
 
@@ -236,39 +313,66 @@ def test_relu_backward_away_from_kink():
 
 
 def test_avg_pool_mean():
-    out = T.avg_pool2d(Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]])), 2)
-    np.testing.assert_array_equal(out.values, [[[[2.5]]]])
+    # plane mean 2.5 and variance 1.25; ReLU keeps the bottom row, whose
+    # normalized values 0.5 and 1.5 (over sqrt(1.25 + eps)) the pool averages
+    out = T.norm_relu_pool(Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]])))
+    np.testing.assert_allclose(out.values, [[[[0.5 / np.sqrt(1.25 + 1e-5)]]]], rtol=0, atol=1e-15)
 
 
 def test_avg_pool_constant_preserved():
-    out = T.avg_pool2d(Tensor(np.full((1, 2, 4, 4), 7.0)), 2)
-    np.testing.assert_array_equal(out.values, np.full((1, 2, 2, 2), 7.0))
+    # a plane tiled by one window has that window's mean and variance, so
+    # every window pools to the value of the window alone, bit for bit
+    window = np.array([[1.0, 2.0], [3.0, 4.0]])
+    out = T.norm_relu_pool(Tensor(np.tile(window, (1, 2, 2, 2))))
+    alone = T.norm_relu_pool(Tensor(window[None, None])).values.item()
+    np.testing.assert_array_equal(out.values, np.full((1, 2, 2, 2), alone))
 
 
-def test_avg_pool_rejects_ragged():
-    with pytest.raises(DimensionError):
-        T.avg_pool2d(Tensor(np.zeros((1, 1, 5, 5))), 2)
+def test_norm_relu_pool_floors_an_odd_plane():
+    # the last row and column are normalized with the plane but pooled into
+    # nothing: they move the output, and get gradient, only through the norm
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((2, 3, 5, 7))
+    y, _ = _one_pass_norm(x)
+    out = T.norm_relu_pool(Tensor(x))
+    assert out.shape == (2, 3, 2, 3)
+    np.testing.assert_allclose(out.values, _window_loop_pool(np.maximum(y, 0.0)), rtol=0, atol=1e-15)
+    assert np.abs(y).min() > 1e-3   # away from ReLU's kink
+    for r in check_op("pool_odd", lambda t: T.norm_relu_pool(t[0]), [x]):
+        assert r.passed, r.detail
+    xt = Tensor(x)
+    T.backward(T.sum_all(T.norm_relu_pool(xt)), [xt])
+    assert np.all(xt.grad[:, :, 4, :] != 0.0) and np.all(xt.grad[:, :, :, 6] != 0.0)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1, 4), (1, 1, 4, 1), (2, 4, 4)])
+def test_norm_relu_pool_rejects_a_plane_below_its_window(shape):
+    with pytest.raises(DimensionError, match="norm_relu_pool"):
+        T.norm_relu_pool(Tensor(np.zeros(shape)))
 
 
 def test_avg_pool_backward():
     x = np.random.default_rng(4).standard_normal((2, 3, 4, 4))
-    for r in check_op("pool", lambda t: T.avg_pool2d(t[0], 2), [x]):
+    y, _ = _one_pass_norm(x)
+    assert np.abs(y).min() > 1e-3   # away from ReLU's kink
+    for r in check_op("pool", lambda t: T.norm_relu_pool(t[0]), [x]):
         assert r.passed, r.detail
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_avg_pool_backward_matches_window_loop(k):
-    # a weighted sum gives every window its own upstream gradient; the
-    # reference adds g / k^2 into each window position one offset at a time
+    # k windows down and 3k/2 across an odd plane, bit for bit: the
+    # reference adds g / 4 into each window position one offset at a time,
+    # masks it by ReLU and runs the one-pass norm backward
     rng = np.random.default_rng(7)
-    x = Tensor(rng.standard_normal((2, 3, 2 * k, 3 * k)))
-    w = rng.standard_normal((2, 3, 2, 3))
-    T.backward(T.sum_all(T.mul(T.avg_pool2d(x, k), Tensor(w))), [x])
-    ref = np.zeros_like(x.values)
-    for i in range(k):
-        for j in range(k):
-            ref[:, :, i::k, j::k] += w / (k * k)
-    np.testing.assert_array_equal(x.grad, ref)
+    shape = (2, 3, 2 * k + 1, 3 * k + 1)
+    x = Tensor(rng.standard_normal(shape))
+    out = T.norm_relu_pool(x)
+    g = rng.standard_normal(out.shape)
+    y, inv = _one_pass_norm(x.values)
+    ref = _one_pass_norm_backward(y, inv, _window_loop_spread(g, shape) * (y > 0.0))
+    (gx,) = out._backward(g, (True,))
+    np.testing.assert_array_equal(gx, ref)
 
 
 def test_linear_identity():
@@ -393,8 +497,7 @@ OP_CASES = {
     "relu": (lambda t: T.relu(t[0]), [(3, 4)]),
     "linear": (lambda t: T.linear(t[0], t[1], t[2]), [(3, 4), (4, 2), (2,)]),
     "conv2d": (lambda t: T.conv2d(t[0], t[1], t[2], pad=1), [(2, 2, 4, 4), (3, 2, 3, 3), (3,)]),
-    "instance_norm2d": (lambda t: T.instance_norm2d(t[0]), [(2, 2, 4, 4)]),
-    "avg_pool2d": (lambda t: T.avg_pool2d(t[0], 2), [(2, 2, 4, 4)]),
+    "norm_relu_pool": (lambda t: T.norm_relu_pool(t[0]), [(2, 2, 5, 4)]),
     "softmax_cross_entropy_mean": (lambda t: T.softmax_cross_entropy_mean(t[0], [0, 2, 1, 2]),
                                    [(4, 3)]),
 }
