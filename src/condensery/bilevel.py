@@ -31,7 +31,6 @@ from .tensor import Tensor
 class CondenseConfig:
     ipc: int = 1
     n_per_class: int = 256          # real batch size per class
-    m_per_class: Optional[int] = None   # synthetic batch per class; None -> min(ipc, 256)
     beta: float = 1.0
     lambda1: float = 0.05
     lambda2: float = 0.05
@@ -55,10 +54,6 @@ class CondenseConfig:
             raise ConfigError("gamma must be >= 2")
         if self.ipc < 1:
             raise ConfigError("ipc must be >= 1")
-        if self.m_per_class is None:
-            self.m_per_class = min(self.ipc, 256)
-        if self.m_per_class > self.ipc:
-            raise ConfigError("m_per_class cannot exceed ipc")
 
 
 class AccQueue(deque):
@@ -94,7 +89,6 @@ class CondenseState:
     # instrumentation for the counting harness
     total_outer_steps: int = 0
     total_inner_steps: int = 0
-    restarts: int = 0
     max_queue_len: int = 0
     outer_lr: float = 0.0   # learning rate of the latest outer step
 
@@ -119,17 +113,6 @@ def init_state(real: LabeledDataset, arch: ArchSpec, cfg: CondenseConfig) -> Con
                          0, 0, 0, rng)
 
 
-def _synthetic_batch(state: CondenseState, cfg: CondenseConfig) -> tuple[Tensor, np.ndarray]:
-    synth = state.synthetic
-    m = cfg.m_per_class
-    if m == synth.ipc:
-        return synth.images, synth.labels
-    idx = np.concatenate([
-        state.rng.choice(synth.class_indices(k), size=m, replace=False)
-        for k in range(synth.num_classes)])
-    return T.take_rows(synth.images, idx), synth.labels[idx]
-
-
 def outer_step(state: CondenseState, real: LabeledDataset, cfg: CondenseConfig) -> LossBreakdown:
     """One synthetic-pixel update at the scheduled learning rate."""
     K = real.num_classes
@@ -138,20 +121,20 @@ def outer_step(state: CondenseState, real: LabeledDataset, cfg: CondenseConfig) 
     # records no tape
     real_batch = Tensor.constant(real.images[real_idx])
     real_labels = real.labels[real_idx]
-    synth_batch, synth_labels = _synthetic_batch(state, cfg)
+    synth = state.synthetic
 
     real_pyr = forward(state.theta.constants(), real_batch)
-    synth_pyr = forward(state.theta, synth_batch)
+    synth_pyr = forward(state.theta, synth.images)
     real_means = cwfa(real_pyr, real_labels, K)
-    synth_means = cwfa(synth_pyr, synth_labels, K)
+    synth_means = cwfa(synth_pyr, synth.labels, K)
     l_f = feature_alignment_loss(synth_means, real_means)
     logits = discrimination_logits(real_pyr.per_layer[-1], synth_means.per_layer[-1])
     l_d = discrimination_loss(logits, real_labels)
     breakdown = total_loss(l_f, l_d, cfg.beta)
 
-    T.backward(breakdown.total, [state.synthetic.images])
+    T.backward(breakdown.total, [synth.images])
     state.outer_lr = outer_lr_at(cfg, state.outer_iter)
-    T.sgd_step([state.synthetic.images], state.outer_lr)
+    T.sgd_step([synth.images], state.outer_lr)
 
     state.lc_out += 1
     state.outer_iter += 1
@@ -160,11 +143,13 @@ def outer_step(state: CondenseState, real: LabeledDataset, cfg: CondenseConfig) 
 
 
 def inner_step(state: CondenseState, cfg: CondenseConfig) -> float:
-    """One SGD step fitting the network to a synthetic batch (``evaluate.
-    train_step`` at ``inner_lr``); returns the loss before the step."""
-    if len(state.synthetic.labels) == 0:
+    """One SGD step fitting the network to the whole synthetic set
+    (``evaluate.train_step`` at ``inner_lr``); returns the loss before the
+    step."""
+    synth = state.synthetic
+    if len(synth.labels) == 0:
         raise InputError("synthetic set is empty")
-    loss, _ = evaluate.train_step(state.theta, *_synthetic_batch(state, cfg), cfg.inner_lr)
+    loss, _ = evaluate.train_step(state.theta, synth.images, synth.labels, cfg.inner_lr)
     state.lc_in += 1
     state.total_inner_steps += 1
     return loss
@@ -213,7 +198,6 @@ def run_condense(real: LabeledDataset, arch: ArchSpec, cfg: CondenseConfig,
             state.q_in.clear()
             state.lc_out = 0
             state.lc_in = 0
-            state.restarts += 1
             while state.outer_iter < cfg.max_outer_iters:
                 breakdown = outer_step(state, real, cfg)
                 lf, ld, tot = breakdown.as_floats()

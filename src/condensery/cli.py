@@ -86,9 +86,8 @@ def _one_of(*names):
 
 
 # condense.* minimums; every other CondenseConfig field has none
-CONDENSE_LEAST = {"ipc": 1, "n_per_class": 1, "m_per_class": 1, "gamma": 2, "l_out": 0,
-                  "l_in": 0, "outer_lr": 0, "max_outer_iters": 0, "inner_lr": 0,
-                  "query_size": 1}
+CONDENSE_LEAST = {"ipc": 1, "n_per_class": 1, "gamma": 2, "l_out": 0, "l_in": 0,
+                  "outer_lr": 0, "max_outer_iters": 0, "inner_lr": 0, "query_size": 1}
 
 # dotted key -> (reader, default, least). A key with a None default may be
 # unset or null; a list with a least is non-empty, each entry >= least.

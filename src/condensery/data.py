@@ -75,9 +75,6 @@ class SyntheticSet:
     def image_shape(self) -> tuple:
         return tuple(self.images.shape[1:])
 
-    def class_indices(self, k: int) -> np.ndarray:
-        return np.arange(k * self.ipc, (k + 1) * self.ipc)
-
 
 def new_synthetic(num_classes: int, ipc: int, image_shape: tuple, rng: np.random.Generator,
                   norm_stats: Optional[NormStats] = None) -> SyntheticSet:
@@ -284,6 +281,8 @@ def load_synthetic(path) -> SyntheticSet:
     C, H, W = header["shape"]
     if K < 1 or ipc < 1:
         raise ParseError(f"container declares {K} classes of {ipc} images", 8)
+    if not (C and H and W):
+        raise ParseError(f"container declares images of shape {C}x{H}x{W}", 16)
     n = K * ipc
     if "images" not in sections or "labels" not in sections:
         raise ParseError("container missing images/labels sections")

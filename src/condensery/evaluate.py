@@ -62,9 +62,12 @@ def _worker_count() -> int:
     env = os.environ.get("CONDENSERY_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            n = int(env)
         except ValueError:
             raise ConfigError(f"CONDENSERY_THREADS must be an integer, got {env!r}") from None
+        if n < 1:
+            raise ConfigError(f"CONDENSERY_THREADS must be >= 1, got {env!r}")
+        return n
     return min(4, os.cpu_count() or 1)
 
 

@@ -146,8 +146,6 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
     out += check_op("scale", lambda t: T.scale(t[0], -1.5), [p])
     out += check_op("sum_all", lambda t: T.sum_all(t[0]), [p])
     out += check_op("reshape", lambda t: T.reshape(t[0], (2, 6)), [p])
-    rows = np.array([2, 0, 2, 1])   # row 2 twice: its gradient is a scatter-add
-    out += check_op("take_rows", lambda t: T.take_rows(t[0], rows), [p])
     out += check_op("transpose2d", lambda t: T.transpose2d(t[0]), [p])
     out += check_op("matmul", lambda t: T.matmul(t[0], t[1]), [p, rng.standard_normal((4, 2))])
 

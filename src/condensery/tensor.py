@@ -200,18 +200,6 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
     return _node(a.values.reshape(shape), (a,), _bw, "reshape")
 
 
-def take_rows(a: Tensor, idx) -> Tensor:
-    """Select rows along axis 0 by integer index array."""
-    idx = np.asarray(idx, dtype=np.intp)
-
-    def _bw(g, need):
-        ga = np.zeros_like(a.values)
-        np.add.at(ga, idx, g)
-        return (ga,)
-
-    return _node(a.values[idx], (a,), _bw, "take_rows")
-
-
 def transpose2d(a: Tensor) -> Tensor:
     if a.values.ndim != 2:
         raise DimensionError(f"transpose2d needs a matrix, got {a.shape}")

@@ -37,8 +37,6 @@ def test_config_validation():
         CondenseConfig(ipc=1, gamma=1)
     with pytest.raises(ConfigError):
         CondenseConfig(ipc=0)
-    with pytest.raises(ConfigError):
-        CondenseConfig(ipc=2, m_per_class=3)
 
 
 def test_config_defaults_match_reported_values():
@@ -51,11 +49,6 @@ def test_config_defaults_match_reported_values():
     assert cfg.max_outer_iters == 2000
     assert cfg.inner_lr == 0.01
     assert cfg.beta == 1.0
-
-
-def test_m_per_class_defaults_to_ipc_capped():
-    assert CondenseConfig(ipc=5).m_per_class == 5
-    assert CondenseConfig(ipc=300).m_per_class == 256
 
 
 def test_div_examples():
@@ -101,7 +94,7 @@ def test_outer_lr_schedule():
 def test_outer_step_zero_alignment_when_synthetic_equals_real():
     # synthetic == whole real set and matching batch sizes: L_f contributes 0
     ds = tiny_data()
-    cfg = tiny_cfg(ipc=20, n_per_class=20, m_per_class=20)
+    cfg = tiny_cfg(ipc=20, n_per_class=20)
     state = init_state(ds, TINY_ARCH, cfg)
     order = np.argsort(ds.labels, kind="stable")
     state.synthetic.images = Tensor(ds.images[order].copy())

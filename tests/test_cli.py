@@ -2,6 +2,7 @@
 
 import functools
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,8 @@ def test_diverged_condense_stops_at_first_non_finite_step(tmp_path):
     ("eval", "eval.lr=null", None),
     ("eval", "eval.epochs=abc", None),
     ("eval", None, "abc"),
+    ("eval", None, "0"),
+    ("eval", None, "-2"),
     ("condense", "dataset.shape=abc", None),
     pytest.param("condense", ("arch.type=mlp", "arch.hidden=abc"), None,
                  id="condense-arch.hidden=abc-None"),
@@ -237,6 +240,18 @@ def test_eval_round_trip_matches_memory(tmp_path, capsys):
 def test_eval_missing_container(tmp_path):
     path, _ = blob_config(tmp_path)
     assert cli.main(["eval", str(tmp_path / "missing.cnd"), "--config", str(path)]) == 3
+
+
+def test_eval_of_zero_sized_container_exits_3(tmp_path, capsys):
+    # a CND v1 header declaring 3 classes of 1 image of shape 0x0x0
+    path, _ = blob_config(tmp_path)
+    container = tmp_path / "empty.cnd"
+    container.write_bytes(b"CND1" + struct.pack("<7I", 1, 3, 1, 0, 0, 0, 2)
+                          + b"images  " + struct.pack("<Q", 0)
+                          + b"labels  " + struct.pack("<Q", 12)
+                          + np.arange(3, dtype="<u4").tobytes())
+    assert cli.main(["eval", str(container), "--config", str(path)]) == 3
+    assert "offset 16" in capsys.readouterr().err
 
 
 def test_eval_protocol_flags(tmp_path):

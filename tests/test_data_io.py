@@ -282,6 +282,17 @@ def test_load_synthetic_refuses_non_finite_pixels(tmp_path, value):
         load_synthetic(path)
 
 
+@pytest.mark.parametrize("shape", [(0, 2, 2), (1, 0, 2), (1, 2, 0)])
+def test_load_synthetic_refuses_zero_sized_images(tmp_path, shape):
+    path = tmp_path / "empty.cnd"
+    path.write_bytes(cnd_bytes([(b"images", b""),
+                                (b"labels", np.arange(3, dtype="<u4").tobytes())],
+                               num_classes=3, shape=shape))
+    with pytest.raises(ParseError, match="shape") as e:
+        load_synthetic(path)
+    assert e.value.offset == 16
+
+
 @pytest.fixture(scope="module")
 def valid_container(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "fuzzed.cnd"

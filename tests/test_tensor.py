@@ -491,7 +491,6 @@ OP_CASES = {
     "scale": (lambda t: T.scale(t[0], -1.5), [(3, 4)]),
     "sum_all": (lambda t: T.sum_all(t[0]), [(3, 4)]),
     "reshape": (lambda t: T.reshape(t[0], (2, 6)), [(3, 4)]),
-    "take_rows": (lambda t: T.take_rows(t[0], np.array([2, 0, 2, 1])), [(3, 4)]),
     "transpose2d": (lambda t: T.transpose2d(t[0]), [(3, 4)]),
     "matmul": (lambda t: T.matmul(t[0], t[1]), [(3, 4), (4, 2)]),
     "relu": (lambda t: T.relu(t[0]), [(3, 4)]),
