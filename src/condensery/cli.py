@@ -12,9 +12,11 @@ Exit codes: 0 success, 1 gradient-check failure, 2 config/input error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
+import platform
 import sys
 import time
 from dataclasses import fields
@@ -227,12 +229,32 @@ def _prepare_run_dir(cfg: dict) -> Path:
     return out
 
 
-def _write_manifest(out: Path, command: str, cfg: dict, artifacts: list[str]) -> None:
+def _keep_freed_memory() -> bool:
+    """Keep freed memory in the heap. glibc serves large blocks with mmap and
+    trims the heap top on free, so each training step would fault its tape's
+    pages in again. Setting either threshold also turns off glibc's dynamic
+    mmap threshold, so both are set. Returns whether both were set; without
+    ``mallopt`` (musl, macOS, Windows) it does nothing and returns False."""
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except TypeError:       # Windows has no handle for the process itself
+        return False
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # M_MMAP_THRESHOLD (-3) at 256 MiB, M_TRIM_THRESHOLD (-1) at 512 MiB
+    return [mallopt(-3, 256 << 20), mallopt(-1, 512 << 20)] == [1, 1]
+
+
+def _write_manifest(out: Path, command: str, cfg: dict, artifacts: list[str],
+                    malloc_thresholds: bool) -> None:
     manifest = {
         "command": command,
         "seed": cfg["seed"],
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "artifacts": artifacts + ["config.yaml"],
+        "libc": " ".join(platform.libc_ver()).strip(),
+        "malloc_thresholds": malloc_thresholds,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2)
@@ -260,7 +282,8 @@ def cmd_condense(args) -> int:
     except BaseException:
         _cleanup([synth_path, metrics_path])
         raise
-    _write_manifest(out, "condense", cfg, ["synthetic.cnd", "metrics.csv"])
+    _write_manifest(out, "condense", cfg, ["synthetic.cnd", "metrics.csv"],
+                    args.malloc_thresholds)
     print(f"wrote {synth_path} and {metrics_path}")
     return EXIT_OK
 
@@ -292,7 +315,7 @@ def cmd_eval(args) -> int:
         for i, acc in enumerate(report.accuracies):
             f.write(f"{i},{acc!r}\n")
         f.write(f"mean,{report.mean!r}\nstd,{report.std!r}\n")
-    _write_manifest(out, "eval", cfg, ["eval.csv"])
+    _write_manifest(out, "eval", cfg, ["eval.csv"], args.malloc_thresholds)
     print(f"{'set':<20} {'ipc':>4} {'accuracy':>16}")
     print(f"{Path(args.synthetic).name:<20} {synth.ipc:>4} "
           f"{100 * report.mean:>9.2f}±{100 * report.std:.2f}%")
@@ -323,7 +346,8 @@ def cmd_coreset(args) -> int:
     synth = materialize(train, sel)
     save_synthetic(synth, out / "synthetic.cnd")
     sel.to_csv(out / "selection.csv")
-    _write_manifest(out, f"coreset:{args.method}", cfg, ["synthetic.cnd", "selection.csv"])
+    _write_manifest(out, f"coreset:{args.method}", cfg, ["synthetic.cnd", "selection.csv"],
+                    args.malloc_thresholds)
     print(f"selected {len(sel.indices)} images with {args.method}; wrote {out}/synthetic.cnd")
     return EXIT_OK
 
@@ -349,6 +373,8 @@ def cmd_export_proj(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"gradcheck --seed must be >= 0, got {args.seed}")
     t0 = time.monotonic()
     results = gc.run_suite(seed=args.seed)
     failed = [r for r in results if not r.passed]
@@ -404,7 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    kept = _keep_freed_memory()
     args = build_parser().parse_args(argv)
+    args.malloc_thresholds = kept
     try:
         return args.fn(args)
     except ParseError as e:

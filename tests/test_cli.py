@@ -1,8 +1,14 @@
 """CLI subcommands: exit codes, overrides, artifacts."""
 
+import ctypes
 import functools
+import json
+import os
+import platform
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +47,10 @@ def test_condense_writes_artifacts(tmp_path):
     out = tmp_path / "run"
     assert (out / "synthetic.cnd").exists()
     assert (out / "metrics.csv").exists()
-    assert (out / "manifest.json").exists()
     assert (out / "config.yaml").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["libc"] == " ".join(platform.libc_ver()).strip()
+    assert manifest["malloc_thresholds"] is cli._keep_freed_memory()
     synth = load_synthetic(out / "synthetic.cnd")
     assert synth.ipc == 1 and synth.num_classes == 3
 
@@ -341,6 +349,56 @@ def test_gradcheck_clean(capsys):
     assert cli.main(["gradcheck"]) == 0
     out = capsys.readouterr().out
     assert "conv2d" in out and "all gradient checks passed" in out
+
+
+def test_gradcheck_negative_seed_exits_2(capsys):
+    assert cli.main(["gradcheck", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--seed" in err
+
+
+def test_keep_freed_memory_without_mallopt(monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    assert cli._keep_freed_memory() is False
+    assert cli.main(["gradcheck"]) == 0
+
+
+# Steady-state minor page faults of a batch-256 28x28 training step, read in
+# a fresh interpreter so no earlier test has shaped its heap.
+FAULT_PROBE = """
+import json, resource
+import numpy as np
+from condensery import cli, evaluate
+from condensery.models import ConvNetSpec, init_params
+from condensery.tensor import Tensor
+kept = cli._keep_freed_memory()
+params = init_params(ConvNetSpec(blocks=2, channels=16, input_shape=(1, 28, 28),
+                                 num_classes=10), seed=0)
+rng = np.random.default_rng(0)
+batch = Tensor.constant(rng.standard_normal((256, 1, 28, 28)))
+labels = rng.integers(0, 10, 256)
+for _ in range(2):
+    evaluate.train_step(params, batch, labels, 0.01)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(6):
+    evaluate.train_step(params, batch, labels, 0.01)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps({"kept": kept, "faults_per_step": faults / 6}))
+"""
+
+
+def test_training_step_keeps_its_pages_once_thresholds_are_set():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    if not probe["kept"]:
+        pytest.skip("this libc has no mallopt")
+    # without the thresholds a step faults about 9000 pages in again
+    assert probe["faults_per_step"] < 500
 
 
 def test_gradcheck_detects_injected_sign_flip(monkeypatch, capsys):
