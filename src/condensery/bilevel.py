@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from . import evaluate
 from .data import LabeledDataset, SyntheticSet, new_synthetic
-from .errors import ConfigError, DivergenceError, InputError, UsageError
+from .errors import ConfigError, InputError, UsageError
 from .losses import LossBreakdown, cwfa, discrimination_logits, discrimination_loss, \
     feature_alignment_loss, total_loss
 from .models import ArchSpec, ModelParams, forward, init_params
@@ -117,14 +117,14 @@ def outer_step(state: CondenseState, real: LabeledDataset, cfg: CondenseConfig) 
     """One synthetic-pixel update at the scheduled learning rate."""
     K = real.num_classes
     real_idx = sample_class_balanced(real, cfg.n_per_class, state.rng)
-    # the real branch needs no gradient: forwarded from constants, it
-    # records no tape
-    real_batch = Tensor.constant(real.images[real_idx])
+    # only the pixels are trained: the weights enter both branches as
+    # constants, so the real branch records no tape at all
+    theta = state.theta.constants()
     real_labels = real.labels[real_idx]
     synth = state.synthetic
 
-    real_pyr = forward(state.theta.constants(), real_batch)
-    synth_pyr = forward(state.theta, synth.images)
+    real_pyr = forward(theta, Tensor.constant(real.images[real_idx]))
+    synth_pyr = forward(theta, synth.images)
     real_means = cwfa(real_pyr, real_labels, K)
     synth_means = cwfa(synth_pyr, synth.labels, K)
     l_f = feature_alignment_loss(synth_means, real_means)
@@ -132,7 +132,7 @@ def outer_step(state: CondenseState, real: LabeledDataset, cfg: CondenseConfig) 
     l_d = discrimination_loss(logits, real_labels)
     breakdown = total_loss(l_f, l_d, cfg.beta)
 
-    T.backward(breakdown.total, [synth.images])
+    T.backward(breakdown.total)
     state.outer_lr = outer_lr_at(cfg, state.outer_iter)
     T.sgd_step([synth.images], state.outer_lr)
 
@@ -149,7 +149,7 @@ def inner_step(state: CondenseState, cfg: CondenseConfig) -> float:
     synth = state.synthetic
     if len(synth.labels) == 0:
         raise InputError("synthetic set is empty")
-    loss, _ = evaluate.train_step(state.theta, synth.images, synth.labels, cfg.inner_lr)
+    loss, _ = evaluate.train_step(state.theta, synth.images.values, synth.labels, cfg.inner_lr)
     state.lc_in += 1
     state.total_inner_steps += 1
     return loss
@@ -164,14 +164,6 @@ def query_accuracy(theta: ModelParams, real: LabeledDataset, cfg: CondenseConfig
 
 
 MetricsHook = Callable[[CondenseState, LossBreakdown, float], None]
-
-
-def _require_finite(loop: str, step: int, **quantities) -> None:
-    """Raise DivergenceError naming the first quantity that holds a NaN or
-    Inf; each value is a float, an array or a list of arrays."""
-    for name, value in quantities.items():
-        if not all(np.isfinite(a).all() for a in (value if isinstance(value, list) else [value])):
-            raise DivergenceError(f"{loop} step {step}: {name} is non-finite")
 
 
 def run_condense(real: LabeledDataset, arch: ArchSpec, cfg: CondenseConfig,
@@ -201,8 +193,8 @@ def run_condense(real: LabeledDataset, arch: ArchSpec, cfg: CondenseConfig,
             while state.outer_iter < cfg.max_outer_iters:
                 breakdown = outer_step(state, real, cfg)
                 lf, ld, tot = breakdown.as_floats()
-                _require_finite("outer", state.total_outer_steps, l_f=lf, l_d=ld, total=tot,
-                                pixels=state.synthetic.images.values)
+                evaluate._require_finite("outer", state.total_outer_steps, l_f=lf, l_d=ld,
+                                         total=tot, pixels=state.synthetic.images.values)
                 acc = query_accuracy(state.theta, real, cfg, state.rng)
                 state.q_out.push(acc)
                 state.max_queue_len = max(state.max_queue_len, len(state.q_out))
@@ -219,8 +211,8 @@ def run_condense(real: LabeledDataset, arch: ArchSpec, cfg: CondenseConfig,
                 # inner loop: fit the network until its accuracy moves
                 while True:
                     loss = inner_step(state, cfg)
-                    _require_finite("inner", state.total_inner_steps, loss=loss,
-                                    theta=[p.values for p in state.theta.tensors])
+                    evaluate._require_finite("inner", state.total_inner_steps, loss=loss,
+                                             theta=[p.values for p in state.theta.tensors])
                     acc_in = query_accuracy(state.theta, real, cfg, state.rng)
                     state.q_in.push(acc_in)
                     state.max_queue_len = max(state.max_queue_len, len(state.q_in))

@@ -149,7 +149,7 @@ def load_config(path: str, overrides: list[str]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             cfg = yaml.safe_load(f) or {}
-    except (OSError, yaml.YAMLError) as e:
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as e:
         raise ConfigError(f"cannot read config {path!r}: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path!r} must be a mapping at top level")

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import LabeledDataset, SyntheticSet
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 from .models import ArchSpec, ModelParams, forward, init_params
 from .tensor import Tensor
 
@@ -71,14 +71,23 @@ def _worker_count() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def train_step(params: ModelParams, batch: Tensor, labels: np.ndarray,
+def _require_finite(loop: str, step: int, **quantities) -> None:
+    """Raise DivergenceError naming the first quantity that holds a NaN or
+    Inf; each value is a float, an array or a list of arrays."""
+    for name, value in quantities.items():
+        if not all(np.isfinite(a).all() for a in (value if isinstance(value, list) else [value])):
+            raise DivergenceError(f"{loop} step {step}: {name} is non-finite")
+
+
+def train_step(params: ModelParams, images: np.ndarray, labels: np.ndarray,
                lr: float) -> tuple[float, np.ndarray]:
-    """One SGD step on the mean cross-entropy of ``batch``; returns the loss
-    and the logits, both computed before the update. Only values leave, so
-    the step's tape is freed on return, before the caller's next step."""
-    logits = forward(params, batch).logits
+    """One SGD step on the mean cross-entropy of ``images``, which enter as
+    a constant; returns the loss and the logits, both computed before the
+    update. Only values leave, so the step's tape is freed on return,
+    before the caller's next step."""
+    logits = forward(params, Tensor.constant(images)).logits
     loss = T.softmax_cross_entropy_mean(logits, labels)
-    T.backward(loss, params.tensors)
+    T.backward(loss)
     T.sgd_step(params.tensors, lr)
     return loss.item(), logits.values
 
@@ -98,15 +107,21 @@ def _sgd_fit(arch_spec: ArchSpec, images: np.ndarray, labels: np.ndarray, epochs
              trace: Optional[np.ndarray] = None) -> ModelParams:
     """Minibatch SGD on cross-entropy from a fresh init; batches are shuffled
     each epoch only when there is more than one. ``trace[e, i]`` records
-    whether sample i was classified correctly in epoch e, before its step."""
+    whether sample i was classified correctly in epoch e, before its step.
+    Raises DivergenceError at the first step whose loss or weights hold a
+    NaN or Inf."""
     params = init_params(arch_spec, seed)
     n = len(labels)
     rng = np.random.default_rng(seed + 1)
+    step = 0
     for e in range(epochs):
         order = rng.permutation(n) if n > batch_size else np.arange(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            _, logits = train_step(params, Tensor(images[idx]), labels[idx], lr)
+            loss, logits = train_step(params, images[idx], labels[idx], lr)
+            step += 1
+            _require_finite("training", step, loss=loss,
+                            weights=[p.values for p in params.tensors])
             if trace is not None:
                 trace[e, idx] = np.argmax(logits, axis=1) == labels[idx]
     return params
@@ -115,7 +130,6 @@ def _sgd_fit(arch_spec: ArchSpec, images: np.ndarray, labels: np.ndarray, epochs
 def train_on_synthetic(synth: SyntheticSet, arch_spec: ArchSpec, epochs: int,
                        lr: float, seed: int, batch_size: int = 256) -> ModelParams:
     """SGD on cross-entropy over the synthetic images; fresh init per seed."""
-    # the pixels are only read; fresh Tensors wrap each batch
     return _sgd_fit(arch_spec, synth.images.values, synth.labels, epochs, lr, seed,
                     batch_size)
 

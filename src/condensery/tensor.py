@@ -7,17 +7,17 @@ parent, it returns a tuple with one entry per parent, the gradient where
 ``needs_input_grad``). A closure never writes a ``grad`` and never
 references its own output, so a tape holds no reference cycle and
 refcounting frees it as soon as its last tensor goes out of scope.
-``backward(root, wrt)`` walks, in reverse topological order, only the
-nodes that depend on a leaf in ``wrt``, asks each for the gradients of
-its parents that do too, keeps each intermediate gradient until its node
-is walked, and assigns ``grad`` on the tensors in ``wrt`` alone.
 
-A constant (``Tensor.constant``) is a tensor no gradient is ever asked of,
-such as an image batch or weights that are only read. Every op returns
-through ``_node``: when all its parents are constants, the output is a
-constant too, with no parents and no closure, so a forward from constants
-records no tape and frees each intermediate as soon as the next op has
-read it. A leaf made with ``Tensor(values)`` is not a constant.
+One rule says which leaves get a gradient: every leaf but a constant
+(``Tensor.constant``), such as an image batch or weights that are only
+read. ``backward(root)`` walks the tape in reverse topological order,
+asks each node for the gradients of its non-constant parents, keeps each
+intermediate gradient until its node is walked, and assigns ``grad`` on
+every non-constant leaf the root reaches. Every op returns through
+``_node``: when all its parents are constants, the output is a constant
+too, with no parents and no closure, so a forward from constants records
+no tape and frees each intermediate as soon as the next op has read it.
+A leaf made with ``Tensor(values)`` is not a constant.
 
 Only the primitives needed by the condensation networks and losses are
 provided, in the forms those use: ``conv2d`` moves its kernel one pixel at
@@ -43,7 +43,7 @@ class Tensor:
     tuple of the parents' gradients, computing only those ``need`` marks;
     leaf tensors (parameters, inputs) carry neither. ``Tensor.constant``
     marks a tensor ``_op == "const"``: ops on constants alone return
-    constants, and ``backward`` refuses one in ``wrt``.
+    constants, and ``backward`` gives a constant no gradient.
     """
 
     __slots__ = ("values", "grad", "_parents", "_backward", "_op")
@@ -93,34 +93,26 @@ def _topo_order(root: Tensor) -> list:
     return order
 
 
-def backward(root: Tensor, wrt: Sequence[Tensor]) -> None:
-    """Assign ``t.grad`` = d root / d t for each leaf ``t`` in ``wrt``;
-    ``None`` where the scalar root does not depend on ``t``. Gradients are
-    read-only: ``add`` hands one array to both of its parents. A constant
-    in ``wrt`` is refused: nothing records the ops that read it."""
+def backward(root: Tensor) -> None:
+    """Assign ``t.grad`` = d root / d t on every non-constant leaf ``t``
+    the scalar root reaches; other tensors keep their ``grad``. Gradients
+    are read-only: ``add`` hands one array to both of its parents."""
     if root.values.size != 1:
         raise UsageError(f"backward root must be scalar, got shape {root.shape}")
-    for i, t in enumerate(wrt):
-        if t._op == "const":
-            raise UsageError(f"backward wrt[{i}] is a constant {t!r}; it has no gradient")
-        if t._parents:
-            raise UsageError(f"backward wrt must hold leaf tensors, got a {t._op!r} output")
-    order = _topo_order(root)
-    live = {id(t) for t in wrt}
-    for node in order:
-        if any(id(p) in live for p in node._parents):
-            live.add(id(node))
     grads = {id(root): np.ones_like(root.values)}
-    for node in reversed(order):
-        if node._backward is None or id(node) not in live:
+    for node in reversed(_topo_order(root)):
+        if node._op == "const":
             continue
-        need = tuple(id(p) in live for p in node._parents)
+        if not node._parents:
+            node.grad = grads.pop(id(node))
+            continue
+        need = tuple(p._op != "const" for p in node._parents)
+        # no local holds the popped gradient, so it is freed as soon as
+        # the closure returns, before the parents' gradients are summed
         for p, wanted, gp in zip(node._parents, need, node._backward(grads.pop(id(node)), need)):
             if wanted:
                 prev = grads.get(id(p))
                 grads[id(p)] = gp if prev is None else prev + gp
-    for t in wrt:
-        t.grad = grads.get(id(t))
 
 
 def sgd_step(params: Sequence[Tensor], lr: float) -> None:

@@ -98,7 +98,7 @@ def test_criterion_3_closed_form_optimum():
     mr = cwfa(FeaturePyramid([Tensor(real)], Tensor(np.zeros((K * 5, 1)))), labels, K)
     for _ in range(200):
         ms = cwfa(FeaturePyramid([synth], Tensor(np.zeros((K, 1)))), np.arange(K), K)
-        T.backward(feature_alignment_loss(ms, mr), [synth])
+        T.backward(feature_alignment_loss(ms, mr))
         T.sgd_step([synth], 0.5)
     gap = np.linalg.norm(synth.values - target)
     ok = gap <= 1e-2

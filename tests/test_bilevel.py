@@ -142,7 +142,7 @@ def test_outer_step_equals_a_reference_with_a_taped_real_branch(monkeypatch):
     l_d = discrimination_loss(discrimination_logits(real_pyr.per_layer[-1],
                                                     synth_means.per_layer[-1]), real_labels)
     expected = total_loss(l_f, l_d, cfg.beta)
-    T.backward(expected.total, [ref.synthetic.images])
+    T.backward(expected.total)
     assert breakdown.as_floats() == expected.as_floats()
     np.testing.assert_array_equal(
         state.synthetic.images.values,
@@ -157,6 +157,24 @@ def test_inner_step_zero_lr_keeps_theta():
     inner_step(state, cfg)
     for a, b in zip(before, state.theta.tensors):
         assert np.array_equal(a, b.values)
+
+
+def test_steps_leave_what_they_do_not_train_untouched():
+    # the outer step trains only the pixels and the inner step only the
+    # weights: whatever a step reads without training it keeps its bits and
+    # gets no gradient, which a forward through a non-constant would leave
+    ds = tiny_data()
+    cfg = tiny_cfg()
+    state = init_state(ds, TINY_ARCH, cfg)
+    weights = [t.values.copy() for t in state.theta.tensors]
+    outer_step(state, ds, cfg)
+    for before, t in zip(weights, state.theta.tensors):
+        np.testing.assert_array_equal(t.values, before)
+        assert t.grad is None
+    pixels = state.synthetic.images.values.copy()
+    inner_step(state, cfg)
+    np.testing.assert_array_equal(state.synthetic.images.values, pixels)
+    assert state.synthetic.images.grad is None
 
 
 def test_inner_steps_fit_separable_synthetic():

@@ -114,6 +114,24 @@ def test_diverged_condense_stops_at_first_non_finite_step(tmp_path):
     assert len(outer_steps) <= 2
 
 
+# An MLP has no norm to absorb huge weights: at lr 1e300 the second step's
+# forward overflows, and the run stops there instead of training on NaN.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command, lr_key", [("eval", "eval.lr"),
+                                             ("coreset", "coreset.trace_lr")])
+def test_diverged_training_exits_2(tmp_path, capsys, command, lr_key):
+    path, _ = blob_config(tmp_path)
+    container = tmp_path / "s.cnd"
+    save_synthetic(new_synthetic(3, 1, (1, 8, 8), np.random.default_rng(0)), container)
+    head = ["eval", str(container)] if command == "eval" else ["coreset", "forgetting"]
+    argv = head + ["--config", str(path), "--set", "arch.type=mlp", "--set", f"{lr_key}=1e300"]
+    assert cli.main(argv) == 2
+    assert re.search(r"^error: training step \d+: (loss|weights) is non-finite$",
+                     capsys.readouterr().err, re.M)
+    assert not any((tmp_path / "run" / name).exists()
+                   for name in ("eval.csv", "synthetic.cnd", "selection.csv"))
+
+
 @pytest.mark.parametrize("command, override, env", [
     ("condense", "condense.ipc=abc", None),
     ("condense", "condense.ipc=null", None),
@@ -222,9 +240,11 @@ def test_resolved_config_fills_every_default(tmp_path):
 
 def test_malformed_config_file_exits_2(tmp_path, capsys):
     path = tmp_path / "cfg.yaml"
-    path.write_text("seed: [\n")
-    assert cli.main(["condense", "--config", str(path)]) == 2
-    assert "cannot read config" in capsys.readouterr().err
+    # unbalanced YAML, and a UTF-16 byte-order mark, which is no UTF-8
+    for raw in (b"seed: [\n", b"\xff\xfeseed: 1\n"):
+        path.write_bytes(raw)
+        assert cli.main(["condense", "--config", str(path)]) == 2
+        assert "cannot read config" in capsys.readouterr().err
 
 
 def test_eval_round_trip_matches_memory(tmp_path, capsys):
@@ -370,12 +390,11 @@ import json, resource
 import numpy as np
 from condensery import cli, evaluate
 from condensery.models import ConvNetSpec, init_params
-from condensery.tensor import Tensor
 kept = cli._keep_freed_memory()
 params = init_params(ConvNetSpec(blocks=2, channels=16, input_shape=(1, 28, 28),
                                  num_classes=10), seed=0)
 rng = np.random.default_rng(0)
-batch = Tensor.constant(rng.standard_normal((256, 1, 28, 28)))
+batch = rng.standard_normal((256, 1, 28, 28))
 labels = rng.integers(0, 10, 256)
 for _ in range(2):
     evaluate.train_step(params, batch, labels, 0.01)

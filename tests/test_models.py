@@ -112,7 +112,7 @@ def test_mlp_gradcheck():
         return T.softmax_cross_entropy_mean(pyr.logits, labels).item()
 
     pyr = mlp_forward(params, Tensor(x))
-    T.backward(T.softmax_cross_entropy_mean(pyr.logits, labels), params.tensors)
+    T.backward(T.softmax_cross_entropy_mean(pyr.logits, labels))
     for i, t in enumerate(params.tensors):
         num = numeric_grad(loss_value, t.values)
         r = compare(t.grad, num, f"mlp_param{i}")

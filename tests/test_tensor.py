@@ -101,7 +101,7 @@ def test_conv2d_matches_loop_oracle(case):
     b = Tensor(rng.standard_normal(O))
     out = T.conv2d(x, k, b, pad=pad)
     g = rng.standard_normal(out.shape)
-    T.backward(T.sum_all(T.mul(out, Tensor(g))), [x, k, b])
+    T.backward(T.sum_all(T.mul(out, Tensor(g))))
     ref_out, ref_gx, ref_gk = _conv2d_loop_oracle(x.values, k.values, b.values, pad, g)
     # the kernels sum in another order than the loops: float64 round-off only
     for got, ref in ((out.values, ref_out), (x.grad, ref_gx), (k.grad, ref_gk),
@@ -136,16 +136,16 @@ NEED_CASES = {
 
 @pytest.mark.parametrize("op", sorted(NEED_CASES))
 def test_gradient_asked_alone_matches_full_gradient(op):
-    # backward tells the closure which parents it needs; one parent asked
-    # for alone gets the same bits as with all parents asked for, and the
-    # closure returns None for every parent it was not asked for
+    # backward tells the closure which parents it needs: those that are not
+    # constants. One parent asked for alone gets the same bits as with all
+    # parents asked for, and the closure returns None for every constant
     build, shapes = NEED_CASES[op]
     rng = np.random.default_rng(12)
     arrays = [rng.standard_normal(s) for s in shapes]
-    weights = Tensor(rng.standard_normal(build([Tensor(a) for a in arrays]).shape))
+    weights = Tensor.constant(rng.standard_normal(build([Tensor(a) for a in arrays]).shape))
 
     def grads(asked):
-        leaves = [Tensor(a) for a in arrays]
+        leaves = [Tensor(a) if i in asked else Tensor.constant(a) for i, a in enumerate(arrays)]
         out = build(leaves)
         calls = []
         orig_bw = out._backward
@@ -155,7 +155,7 @@ def test_gradient_asked_alone_matches_full_gradient(op):
             calls.append((need, [r is not None for r in result]))
             return result
         out._backward = spy
-        T.backward(T.sum_all(T.mul(out, weights)), [leaves[i] for i in asked])
+        T.backward(T.sum_all(T.mul(out, weights)))
         return [leaves[i].grad for i in asked], calls
 
     n = len(arrays)
@@ -294,7 +294,7 @@ def test_relu_values():
 def test_relu_all_negative_zero_gradient():
     x = Tensor(np.array([-1.0, -2.0, -0.5]))
     out = T.sum_all(T.relu(x))
-    T.backward(out, [x])
+    T.backward(out)
     np.testing.assert_array_equal(x.grad, np.zeros(3))
 
 
@@ -307,8 +307,8 @@ def test_relu_elementwise_max(vals):
 
 def test_relu_backward_away_from_kink():
     x = np.random.default_rng(3).standard_normal((4, 4))
-    for r in check_op("relu", lambda t: T.relu(t[0]), [x],
-                      mask_fns=[lambda a: np.abs(a) > 1e-3]):
+    assert np.abs(x).min() > 1e-3   # where a central difference measures one side
+    for r in check_op("relu", lambda t: T.relu(t[0]), [x]):
         assert r.passed, r.detail
 
 
@@ -341,7 +341,7 @@ def test_norm_relu_pool_floors_an_odd_plane():
     for r in check_op("pool_odd", lambda t: T.norm_relu_pool(t[0]), [x]):
         assert r.passed, r.detail
     xt = Tensor(x)
-    T.backward(T.sum_all(T.norm_relu_pool(xt)), [xt])
+    T.backward(T.sum_all(T.norm_relu_pool(xt)))
     assert np.all(xt.grad[:, :, 4, :] != 0.0) and np.all(xt.grad[:, :, :, 6] != 0.0)
 
 
@@ -444,7 +444,7 @@ def test_cross_entropy_backward():
 def test_backward_identity_chain():
     x = Tensor(np.array(2.0))
     y = T.scale(x, 1.0)
-    T.backward(y, [x])
+    T.backward(y)
     np.testing.assert_array_equal(x.grad, 1.0)
 
 
@@ -452,7 +452,7 @@ def test_backward_product_rule():
     rng = np.random.default_rng(8)
     a = Tensor(rng.standard_normal(5))
     b = Tensor(rng.standard_normal(5))
-    T.backward(T.sum_all(T.mul(a, b)), [a, b])
+    T.backward(T.sum_all(T.mul(a, b)))
     np.testing.assert_array_equal(a.grad, b.values)
     np.testing.assert_array_equal(b.grad, a.values)
 
@@ -460,10 +460,7 @@ def test_backward_product_rule():
 def test_backward_rejects_nonscalar_root():
     x = Tensor(np.zeros(3))
     with pytest.raises(UsageError):
-        T.backward(x, [x])
-    y = T.scale(x, 2.0)
-    with pytest.raises(UsageError):
-        T.backward(T.sum_all(y), [y])
+        T.backward(x)
 
 
 def test_backward_accumulates_over_fanout():
@@ -471,15 +468,8 @@ def test_backward_accumulates_over_fanout():
     x = Tensor(np.array([1.0, 2.0]))
     f = T.sum_all(T.mul(x, x))          # grad 2x
     g = T.sum_all(T.scale(x, 3.0))      # grad 3
-    T.backward(T.add(f, g), [x])
+    T.backward(T.add(f, g))
     np.testing.assert_allclose(x.grad, 2 * x.values + 3.0)
-
-
-def test_backward_rejects_a_constant_in_wrt():
-    x = Tensor(np.arange(3.0))
-    c = Tensor.constant(np.ones(3))
-    with pytest.raises(UsageError, match=r"wrt\[1\] is a constant"):
-        T.backward(T.sum_all(T.mul(x, c)), [x, c])
 
 
 # One build per public op of condensery.tensor, with the shapes of its
@@ -524,23 +514,24 @@ def test_constant_parents_give_a_constant(op):
     np.testing.assert_array_equal(const.values, taped.values)
     for i in range(len(arrays)):
         leaves = [Tensor(a) for a in arrays]
-        T.backward(T.sum_all(T.mul(build(leaves), weights)), [leaves[i]])
+        T.backward(T.sum_all(T.mul(build(leaves), weights)))
         mixed = [Tensor(a) if j == i else Tensor.constant(a) for j, a in enumerate(arrays)]
         out = build(mixed)
         assert out._op == op and out._backward is not None
         assert all(p is q for p, q in zip(out._parents, mixed))
-        T.backward(T.sum_all(T.mul(out, weights)), [mixed[i]])
+        T.backward(T.sum_all(T.mul(out, weights)))
         np.testing.assert_array_equal(mixed[i].grad, leaves[i].grad)
 
 
 def test_backward_walks_and_fills_only_what_wrt_needs():
-    # root = sum(x @ w) + sum(p * p): asking for p alone must not walk the
-    # x @ w branch, fill w, or leave a gradient on any interior tensor.
+    # root = sum(x @ w) + sum(p * p) with x and w constants: backward must
+    # not walk the x @ w branch, fill w or a leaf the root does not reach,
+    # or leave a gradient on any interior tensor.
     rng = np.random.default_rng(10)
-    w = Tensor(rng.standard_normal((3, 2)))
+    w = Tensor.constant(rng.standard_normal((3, 2)))
     p = Tensor(rng.standard_normal(4))
     unused = Tensor(rng.standard_normal(2))
-    xw = T.matmul(Tensor(rng.standard_normal((5, 3))), w)
+    xw = T.matmul(Tensor.constant(rng.standard_normal((5, 3))), w)
     calls = []
     orig_bw = xw._backward
 
@@ -551,7 +542,7 @@ def test_backward_walks_and_fills_only_what_wrt_needs():
     pp = T.mul(p, p)
     left, right = T.sum_all(xw), T.sum_all(pp)
     root = T.add(left, right)
-    T.backward(root, [p, unused])
+    T.backward(root)
     assert calls == []
     assert w.grad is None and unused.grad is None
     assert all(t.grad is None for t in (xw, pp, left, right, root))
