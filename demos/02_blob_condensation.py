@@ -25,9 +25,9 @@ cfg = CondenseConfig(ipc=1, n_per_class=16, gamma=5, l_out=5, l_in=10,
 t0 = time.monotonic()
 
 
-def progress(state, breakdown, acc):
+def progress(state, losses, acc):
     if state.outer_iter % 10 == 0:
-        lf, ld, total = breakdown.as_floats()[:3]
+        lf, ld, total = losses
         print(f"iter {state.outer_iter:3d}  l_f {lf:8.4f}  l_d {ld:6.4f}  "
               f"query acc {acc:.2f}")
 

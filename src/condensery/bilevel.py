@@ -10,7 +10,6 @@ above lambda2). Unconditional loop caps guarantee termination.
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -21,8 +20,8 @@ from . import tensor as T
 from . import evaluate
 from .data import LabeledDataset, SyntheticSet, new_synthetic
 from .errors import ConfigError, InputError, UsageError
-from .losses import LossBreakdown, cwfa, discrimination_logits, discrimination_loss, \
-    feature_alignment_loss, total_loss
+from .losses import cwfa, discrimination_logits, discrimination_loss, feature_alignment_loss, \
+    total_loss
 from .models import ArchSpec, ModelParams, forward, init_params
 from .tensor import Tensor
 
@@ -87,7 +86,6 @@ class CondenseState:
     outer_iter: int
     rng: np.random.Generator
     # instrumentation for the counting harness
-    total_outer_steps: int = 0
     total_inner_steps: int = 0
     max_queue_len: int = 0
     outer_lr: float = 0.0   # learning rate of the latest outer step
@@ -113,8 +111,11 @@ def init_state(real: LabeledDataset, arch: ArchSpec, cfg: CondenseConfig) -> Con
                          0, 0, 0, rng)
 
 
-def outer_step(state: CondenseState, real: LabeledDataset, cfg: CondenseConfig) -> LossBreakdown:
-    """One synthetic-pixel update at the scheduled learning rate."""
+def outer_step(state: CondenseState, real: LabeledDataset,
+               cfg: CondenseConfig) -> tuple[float, float, float]:
+    """One synthetic-pixel update at the scheduled learning rate; returns
+    l_f, l_d and the total, computed before the update. Only values leave,
+    so the step's tape is freed on return, before the caller's query."""
     K = real.num_classes
     real_idx = sample_class_balanced(real, cfg.n_per_class, state.rng)
     # only the pixels are trained: the weights enter both branches as
@@ -130,16 +131,15 @@ def outer_step(state: CondenseState, real: LabeledDataset, cfg: CondenseConfig) 
     l_f = feature_alignment_loss(synth_means, real_means)
     logits = discrimination_logits(real_pyr.per_layer[-1], synth_means.per_layer[-1])
     l_d = discrimination_loss(logits, real_labels)
-    breakdown = total_loss(l_f, l_d, cfg.beta)
+    total = total_loss(l_f, l_d, cfg.beta)
 
-    T.backward(breakdown.total)
+    T.backward(total)
     state.outer_lr = outer_lr_at(cfg, state.outer_iter)
     T.sgd_step([synth.images], state.outer_lr)
 
     state.lc_out += 1
     state.outer_iter += 1
-    state.total_outer_steps += 1
-    return breakdown
+    return l_f.item(), l_d.item(), total.item()
 
 
 def inner_step(state: CondenseState, cfg: CondenseConfig) -> float:
@@ -163,65 +163,45 @@ def query_accuracy(theta: ModelParams, real: LabeledDataset, cfg: CondenseConfig
     return float(np.mean(evaluate.predict(theta, real.images[idx]) == real.labels[idx]))
 
 
-MetricsHook = Callable[[CondenseState, LossBreakdown, float], None]
-
-
 def run_condense(real: LabeledDataset, arch: ArchSpec, cfg: CondenseConfig,
-                 metrics_path=None, hook: Optional[MetricsHook] = None) -> SyntheticSet:
+                 hook: Optional[Callable] = None) -> SyntheticSet:
     """Full dynamic bi-level loop; returns the learned synthetic set.
 
-    The metrics CSV stream gets one row per outer iteration:
-    iter, l_f, l_d, total, query_acc, lc_out, lc_in, lr. Raises
+    ``hook(state, (l_f, l_d, total), query_acc)``, if given, is called once
+    per outer iteration, after that iteration's query. Raises
     DivergenceError at the first outer step whose losses or pixels, or inner
     step whose loss or weights, hold a NaN or Inf.
     """
     state = init_state(real, arch, cfg)
-    writer = None
-    fh = None
-    if metrics_path is not None:
-        fh = open(metrics_path, "w", newline="", encoding="utf-8")
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "l_f", "l_d", "total", "query_acc", "lc_out", "lc_in", "lr"])
-    try:
+    while state.outer_iter < cfg.max_outer_iters:
+        # restart: fresh network, empty outer queue and count; every inner
+        # loop exits with q_in empty and lc_in at 0
+        state.theta = init_params(arch, seed=int(state.rng.integers(2 ** 31)))
+        state.q_out.clear()
+        state.lc_out = 0
         while state.outer_iter < cfg.max_outer_iters:
-            # restart: fresh network, empty queues, zeroed counters
-            state.theta = init_params(arch, seed=int(state.rng.integers(2 ** 31)))
-            state.q_out.clear()
-            state.q_in.clear()
-            state.lc_out = 0
-            state.lc_in = 0
-            while state.outer_iter < cfg.max_outer_iters:
-                breakdown = outer_step(state, real, cfg)
-                lf, ld, tot = breakdown.as_floats()
-                evaluate._require_finite("outer", state.total_outer_steps, l_f=lf, l_d=ld,
-                                         total=tot, pixels=state.synthetic.images.values)
-                acc = query_accuracy(state.theta, real, cfg, state.rng)
-                state.q_out.push(acc)
-                state.max_queue_len = max(state.max_queue_len, len(state.q_out))
-                if writer is not None:
-                    writer.writerow([state.outer_iter, repr(lf), repr(ld), repr(tot),
-                                     repr(acc), state.lc_out, state.lc_in,
-                                     repr(state.outer_lr)])
-                if hook is not None:
-                    hook(state, breakdown, acc)
-                del breakdown   # frees the step's tape before the inner loop runs
-                if (state.q_out.full and state.q_out.div() < cfg.lambda1) \
-                        or state.lc_out >= cfg.l_out:
-                    break   # the next restart resets lc_out and q_out
-                # inner loop: fit the network until its accuracy moves
-                while True:
-                    loss = inner_step(state, cfg)
-                    evaluate._require_finite("inner", state.total_inner_steps, loss=loss,
-                                             theta=[p.values for p in state.theta.tensors])
-                    acc_in = query_accuracy(state.theta, real, cfg, state.rng)
-                    state.q_in.push(acc_in)
-                    state.max_queue_len = max(state.max_queue_len, len(state.q_in))
-                    if (state.q_in.full and state.q_in.div() > cfg.lambda2) \
-                            or state.lc_in >= cfg.l_in:
-                        state.lc_in = 0
-                        state.q_in.clear()
-                        break
-    finally:
-        if fh is not None:
-            fh.close()
+            l_f, l_d, total = outer_step(state, real, cfg)
+            evaluate._require_finite("outer", state.outer_iter, l_f=l_f, l_d=l_d, total=total,
+                                     pixels=state.synthetic.images.values)
+            acc = query_accuracy(state.theta, real, cfg, state.rng)
+            state.q_out.push(acc)
+            state.max_queue_len = max(state.max_queue_len, len(state.q_out))
+            if hook is not None:
+                hook(state, (l_f, l_d, total), acc)
+            if (state.q_out.full and state.q_out.div() < cfg.lambda1) \
+                    or state.lc_out >= cfg.l_out:
+                break   # the next restart resets lc_out and q_out
+            # inner loop: fit the network until its accuracy moves
+            while True:
+                loss = inner_step(state, cfg)
+                evaluate._require_finite("inner", state.total_inner_steps, loss=loss,
+                                         theta=[p.values for p in state.theta.tensors])
+                acc_in = query_accuracy(state.theta, real, cfg, state.rng)
+                state.q_in.push(acc_in)
+                state.max_queue_len = max(state.max_queue_len, len(state.q_in))
+                if (state.q_in.full and state.q_in.div() > cfg.lambda2) \
+                        or state.lc_in >= cfg.l_in:
+                    state.lc_in = 0
+                    state.q_in.clear()
+                    break
     return state.synthetic

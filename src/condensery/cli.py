@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 gradient-check failure, 2 config/input error,
 from __future__ import annotations
 
 import argparse
+import csv
 import ctypes
 import json
 import math
@@ -50,7 +51,10 @@ IDX_PATHS = ("train_images", "train_labels", "test_images", "test_labels")
 def _integer(raw) -> int:
     if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
         raise ValueError("not an integer")
-    return int(raw)
+    val = int(raw)
+    if not -2 ** 63 <= val < 2 ** 63:
+        raise ValueError("outside the signed 64-bit range")
+    return val
 
 
 def _real(raw) -> float:
@@ -277,7 +281,15 @@ def cmd_condense(args) -> int:
     synth_path = out / "synthetic.cnd"
     metrics_path = out / "metrics.csv"
     try:
-        synth = run_condense(train, arch, ccfg, metrics_path=metrics_path)
+        # one row per outer iteration, written as the loop runs
+        with open(metrics_path, "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f)
+            writer.writerow(["iter", "l_f", "l_d", "total", "query_acc", "lc_out", "lc_in", "lr"])
+
+            def write_row(state, losses, acc):
+                writer.writerow([state.outer_iter, *map(repr, losses), repr(acc),
+                                 state.lc_out, state.lc_in, repr(state.outer_lr)])
+            synth = run_condense(train, arch, ccfg, hook=write_row)
         save_synthetic(synth, synth_path)
     except BaseException:
         _cleanup([synth_path, metrics_path])
@@ -305,6 +317,10 @@ def cmd_eval(args) -> int:
         print(f"error: cannot load container {args.synthetic!r}: {e}", file=sys.stderr)
         return EXIT_CONTAINER
     _, test = build_datasets(cfg)
+    if (synth.num_classes, synth.image_shape) != (test.num_classes, test.image_shape):
+        raise ConfigError(f"container {args.synthetic!r} holds {synth.num_classes} classes of "
+                          f"shape {synth.image_shape}, but the test split has "
+                          f"{test.num_classes} classes of shape {test.image_shape}")
     arch = build_arch(cfg, test.image_shape, test.num_classes)
     n_exp, n_nets, ecfg = _eval_protocol_params(cfg)
     out = _prepare_run_dir(cfg)

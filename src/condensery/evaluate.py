@@ -141,7 +141,11 @@ def test_accuracy(params: ModelParams, test_ds: LabeledDataset) -> float:
 
 def evaluate_protocol(synth: SyntheticSet, arch_spec: ArchSpec, test_ds: LabeledDataset,
                       n_experiments: int, n_nets_per: int, cfg: EvalConfig) -> EvalReport:
-    """Train n_experiments x n_nets_per fresh networks, aggregate mean/std."""
+    """Train n_experiments x n_nets_per fresh networks, aggregate mean/std.
+    Each count is at most 1000, so no two networks share a seed."""
+    for name, count in (("n_experiments", n_experiments), ("n_nets_per", n_nets_per)):
+        if count > 1000:
+            raise ConfigError(f"{name} must be <= 1000, got {count}")
     seeds = [cfg.seed * 1_000_000 + e * 1000 + j
              for e in range(n_experiments) for j in range(n_nets_per)]
 

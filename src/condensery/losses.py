@@ -34,16 +34,6 @@ class ClassMeans:
         return len(self.per_layer)
 
 
-@dataclass
-class LossBreakdown:
-    l_f: Tensor
-    l_d: Tensor
-    total: Tensor
-
-    def as_floats(self) -> tuple[float, float, float]:
-        return self.l_f.item(), self.l_d.item(), self.total.item()
-
-
 def cwfa(pyramid: FeaturePyramid, labels, num_classes: int) -> ClassMeans:
     """Per-layer, per-class arithmetic mean of flattened features.
 
@@ -88,8 +78,7 @@ def discrimination_loss(logits: Tensor, labels) -> Tensor:
     return T.softmax_cross_entropy_mean(logits, labels)
 
 
-def total_loss(l_f: Tensor, l_d: Tensor, beta: float) -> LossBreakdown:
+def total_loss(l_f: Tensor, l_d: Tensor, beta: float) -> Tensor:
     if beta <= 0:
         raise ConfigError(f"beta must be positive, got {beta}")
-    total = T.add(l_f, T.scale(l_d, beta))
-    return LossBreakdown(l_f, l_d, total)
+    return T.add(l_f, T.scale(l_d, beta))

@@ -79,8 +79,8 @@ def test_criterion_2_loss_oracles():
     disc_ok = abs(ld - ld_oracle) < 1e-9
 
     a, b, beta = rng.random(), rng.random(), 0.7
-    bd = total_loss(Tensor(np.array(a)), Tensor(np.array(b)), beta)
-    total_ok = bd.total.item() == a + beta * b
+    total = total_loss(Tensor(np.array(a)), Tensor(np.array(b)), beta)
+    total_ok = total.item() == a + beta * b
 
     ok = align_ok and disc_ok and total_ok
     report(2, ok, f"alignment gap {abs(lf - lf_oracle):.1e}, "
@@ -118,7 +118,7 @@ def test_criterion_4_loop_behavior():
         final = {}
         run_condense(train, arch, cfg, hook=lambda st, bd, acc: final.update(state=st))
         st = final["state"]
-        ok &= st.total_outer_steps == 4
+        ok &= st.outer_iter == 4
         ok &= st.total_inner_steps <= 4 * 3
         ok &= st.max_queue_len <= gamma
 

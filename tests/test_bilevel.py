@@ -98,8 +98,7 @@ def test_outer_step_zero_alignment_when_synthetic_equals_real():
     state = init_state(ds, TINY_ARCH, cfg)
     order = np.argsort(ds.labels, kind="stable")
     state.synthetic.images = Tensor(ds.images[order].copy())
-    bd = outer_step(state, ds, cfg)
-    assert bd.l_f.item() == pytest.approx(0.0, abs=1e-18)
+    assert outer_step(state, ds, cfg)[0] == pytest.approx(0.0, abs=1e-18)
 
 
 def test_outer_steps_reduce_alignment_on_blobs():
@@ -109,7 +108,7 @@ def test_outer_steps_reduce_alignment_on_blobs():
     state = init_state(ds, TINY_ARCH, cfg)
     losses = []
     for _ in range(50):
-        losses.append(outer_step(state, ds, cfg).l_f.item())
+        losses.append(outer_step(state, ds, cfg)[0])
     drops = sum(1 for a, b in zip(losses, losses[1:]) if b < a)
     assert drops >= 0.9 * (len(losses) - 1)
 
@@ -128,7 +127,7 @@ def test_outer_step_equals_a_reference_with_a_taped_real_branch(monkeypatch):
         pyramids.append(real_forward(params, x))
         return pyramids[-1]
     monkeypatch.setattr(bilevel, "forward", recording)
-    breakdown = outer_step(state, ds, cfg)
+    losses = outer_step(state, ds, cfg)
     assert pyramids[0].logits._op == "const" and pyramids[1].logits._backward is not None
 
     real_idx = sample_class_balanced(ds, cfg.n_per_class, ref.rng)
@@ -141,9 +140,9 @@ def test_outer_step_equals_a_reference_with_a_taped_real_branch(monkeypatch):
     l_f = feature_alignment_loss(synth_means, real_means)
     l_d = discrimination_loss(discrimination_logits(real_pyr.per_layer[-1],
                                                     synth_means.per_layer[-1]), real_labels)
-    expected = total_loss(l_f, l_d, cfg.beta)
-    T.backward(expected.total)
-    assert breakdown.as_floats() == expected.as_floats()
+    total = total_loss(l_f, l_d, cfg.beta)
+    T.backward(total)
+    assert losses == (l_f.item(), l_d.item(), total.item())
     np.testing.assert_array_equal(
         state.synthetic.images.values,
         ref.synthetic.images.values - outer_lr_at(cfg, 0) * ref.synthetic.images.grad)
@@ -220,6 +219,23 @@ def test_steps_leave_no_cyclic_garbage():
         gc.enable()
 
 
+def test_outer_tape_is_freed_before_the_query(monkeypatch):
+    # outer_step hands out floats, so no node of its tape is alive while the
+    # query after it runs, nor while any inner-loop query runs
+    real_query = bilevel.query_accuracy
+    live = []
+
+    def counting(*args):
+        live.append(sum(1 for o in gc.get_objects()
+                        if isinstance(o, Tensor) and o._backward is not None))
+        return real_query(*args)
+
+    monkeypatch.setattr(bilevel, "query_accuracy", counting)
+    gc.collect()
+    run_condense(tiny_data(), TINY_ARCH, tiny_cfg(max_outer_iters=4))
+    assert live == [0] * 10   # 4 outer and 6 inner queries
+
+
 def test_query_accuracy_random_theta_near_chance():
     ds = make_blobs(4, 300, (1, 4, 4), spread=0.2, seed=2)
     cfg = tiny_cfg(query_size=1200)
@@ -294,8 +310,8 @@ def test_run_condense_counting_bound():
 
     run_condense(ds, TINY_ARCH, cfg, hook=hook)
     st = final["state"]
-    assert st.total_outer_steps == 20
-    assert st.total_outer_steps + st.total_inner_steps <= 20 * (1 + 5)
+    assert st.outer_iter == 20
+    assert st.outer_iter + st.total_inner_steps <= 20 * (1 + 5)
 
 
 def test_run_condense_terminates_for_all_lambda_gamma_combinations():
@@ -309,7 +325,7 @@ def test_run_condense_terminates_for_all_lambda_gamma_combinations():
                 run_condense(ds, TINY_ARCH, cfg,
                              hook=lambda st, bd, acc: final.update(state=st))
                 st = final["state"]
-                assert st.total_outer_steps == 5
+                assert st.outer_iter == 5
                 assert st.total_inner_steps <= 5 * 3
                 assert st.max_queue_len <= gamma
 
@@ -335,24 +351,14 @@ def test_run_condense_stops_when_an_outer_step_leaves_nan_pixels(monkeypatch):
     real_outer_step = bilevel.outer_step
 
     def nan_outer_step(state, real, cfg):
-        breakdown = real_outer_step(state, real, cfg)
-        if state.total_outer_steps == 2:
+        losses = real_outer_step(state, real, cfg)
+        if state.outer_iter == 2:
             state.synthetic.images.values[0, 0, 0, 0] = np.nan   # injected divergence
-        return breakdown
+        return losses
 
     monkeypatch.setattr(bilevel, "outer_step", nan_outer_step)
     steps = []
     with pytest.raises(DivergenceError, match=r"^outer step 2: pixels is non-finite$"):
         run_condense(tiny_data(), TINY_ARCH, tiny_cfg(),
-                     hook=lambda state, breakdown, acc: steps.append(state.total_outer_steps))
+                     hook=lambda state, losses, acc: steps.append(state.outer_iter))
     assert steps == [1]
-
-
-def test_metrics_csv_stream(tmp_path):
-    ds = tiny_data()
-    cfg = tiny_cfg(max_outer_iters=3)
-    path = tmp_path / "metrics.csv"
-    run_condense(ds, TINY_ARCH, cfg, metrics_path=path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iter,l_f,l_d,total,query_acc,lc_out,lc_in,lr"
-    assert len(lines) == 4   # header + one row per outer iteration

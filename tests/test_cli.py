@@ -110,7 +110,7 @@ def test_diverged_condense_stops_at_first_non_finite_step(tmp_path):
     outer_steps = []
     with pytest.raises(DivergenceError, match=r"^inner step \d+: (loss|theta) is non-finite$"):
         run_condense(train, arch, cli.build_condense_config(cfg),
-                     hook=lambda state, breakdown, acc: outer_steps.append(state.total_outer_steps))
+                     hook=lambda state, losses, acc: outer_steps.append(state.outer_iter))
     assert len(outer_steps) <= 2
 
 
@@ -176,6 +176,10 @@ def test_diverged_training_exits_2(tmp_path, capsys, command, lr_key):
     ("eval", "condense.beta=-1", None),
     ("eval", "condense.lambda1=0", None),
     ("eval", "condense.m_per_class=2", None),
+    ("condense", "condense.n_per_class=1.0e+300", None),
+    ("condense", "condense.query_size=1.0e+300", None),
+    ("condense", "condense.gamma=1.0e+300", None),
+    ("condense", "coreset.trace_epochs=1.0e+300", None),
 ])
 def test_wrong_typed_config_value_exits_2(tmp_path, monkeypatch, capsys, command, override,
                                           env):
@@ -245,6 +249,42 @@ def test_malformed_config_file_exits_2(tmp_path, capsys):
         path.write_bytes(raw)
         assert cli.main(["condense", "--config", str(path)]) == 2
         assert "cannot read config" in capsys.readouterr().err
+
+
+def test_metrics_csv_stream(tmp_path):
+    path, _ = blob_config(tmp_path)
+    argv = ["condense", "--config", str(path), "--set", "condense.max_outer_iters=3"]
+    assert cli.main(argv) == 0
+    lines = (tmp_path / "run" / "metrics.csv").read_text().strip().splitlines()
+    assert lines[0] == "iter,l_f,l_d,total,query_acc,lc_out,lc_in,lr"
+    assert len(lines) == 4   # header + one row per outer iteration
+
+
+@pytest.mark.parametrize("key", ["n_experiments", "n_nets_per"])
+def test_eval_of_over_1000_networks_per_count_exits_2(tmp_path, capsys, key):
+    path, _ = blob_config(tmp_path)
+    container = tmp_path / "s.cnd"
+    save_synthetic(new_synthetic(3, 1, (1, 8, 8), np.random.default_rng(0)), container)
+    argv = ["eval", str(container), "--config", str(path), "--set", f"eval.{key}=1001"]
+    assert cli.main(argv) == 2
+    assert f"{key} must be <= 1000, got 1001" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "eval.csv").exists()
+
+
+@pytest.mark.parametrize("classes, shape", [(3, (1, 8, 8)), (5, (1, 8, 8)), (4, (1, 4, 4))],
+                         ids=["fewer_classes", "more_classes", "other_shape"])
+def test_eval_of_a_container_unlike_the_test_split_exits_2(tmp_path, capsys, classes, shape):
+    # the test split has 4 classes of 1x8x8; a 3-class container used to
+    # score networks that never saw class 3
+    path, _ = blob_config(tmp_path)
+    container = tmp_path / "s.cnd"
+    save_synthetic(new_synthetic(classes, 1, shape, np.random.default_rng(0)), container)
+    argv = ["eval", str(container), "--config", str(path), "--set", "dataset.num_classes=4"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"holds {classes} classes of shape {shape}" in err
+    assert "the test split has 4 classes of shape (1, 8, 8)" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_eval_round_trip_matches_memory(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from condensery import evaluate
 from condensery.coreset import materialize, select_random
 from condensery.data import make_blob_split
+from condensery.errors import ConfigError
 from condensery.evaluate import EvalConfig, evaluate_protocol, \
     record_training_trace, train_on_synthetic
 from condensery.evaluate import test_accuracy as accuracy_on  # avoid pytest collection
@@ -98,6 +99,22 @@ def test_protocol_seed_determinism(blob_sets):
     r1 = evaluate_protocol(synth, ARCH, test, 1, 2, cfg)
     r2 = evaluate_protocol(synth, ARCH, test, 1, 2, cfg)
     assert r1.accuracies == r2.accuracies
+
+
+def test_protocol_counts_are_bounded_so_no_two_networks_share_a_seed(blob_sets, monkeypatch):
+    # seeds are seed * 1_000_000 + e * 1000 + j: with either count above
+    # 1000, network (e=0, j=1000) would be network (e=1, j=0)
+    _, test, synth = blob_sets
+    seeds = []
+    monkeypatch.setattr(evaluate, "train_on_synthetic", lambda *args: seeds.append(args[4]))
+    monkeypatch.setattr(evaluate, "test_accuracy", lambda params, ds: 0.5)
+    cfg = EvalConfig(epochs=1, lr=0.05, seed=2)
+    evaluate_protocol(synth, ARCH, test, 2, 1000, cfg)
+    assert sorted(seeds) == [2_000_000 + e * 1000 + j for e in range(2) for j in range(1000)]
+    for counts, name in (((1001, 1), "n_experiments"), ((1, 1001), "n_nets_per")):
+        with pytest.raises(ConfigError, match=f"^{name} must be <= 1000, got 1001$"):
+            evaluate_protocol(synth, ARCH, test, *counts, cfg)
+    assert len(seeds) == 2000   # refused before any network trains
 
 
 def test_record_training_trace_shape(blob_sets):

@@ -143,10 +143,9 @@ def test_discrimination_loss_matches_oracle():
 
 
 def test_total_loss_weighted_sum():
-    bd = total_loss(Tensor(np.array(2.0)), Tensor(np.array(3.0)), 1.0)
-    assert bd.total.item() == 5.0
-    bd = total_loss(Tensor(np.array(0.0)), Tensor(np.array(10.0)), 0.1)
-    assert bd.total.item() == pytest.approx(1.0)
+    assert total_loss(Tensor(np.array(2.0)), Tensor(np.array(3.0)), 1.0).item() == 5.0
+    assert total_loss(Tensor(np.array(0.0)), Tensor(np.array(10.0)), 0.1).item() \
+        == pytest.approx(1.0)
 
 
 def test_total_loss_rejects_nonpositive_beta():
@@ -162,9 +161,9 @@ def test_default_beta_is_one():
 def test_total_loss_identity_bitexact():
     rng = np.random.default_rng(7)
     lf, ld, beta = rng.random(), rng.random(), 0.7
-    bd = total_loss(Tensor(np.array(lf)), Tensor(np.array(ld)), beta)
+    total = total_loss(Tensor(np.array(lf)), Tensor(np.array(ld)), beta)
     # same arithmetic path as the implementation: l_f + beta * l_d
-    assert bd.total.item() == lf + beta * ld
+    assert total.item() == lf + beta * ld
 
 
 def test_total_loss_gradient_through_tiny_model():
@@ -186,7 +185,7 @@ def test_total_loss_gradient_through_tiny_model():
         lf = feature_alignment_loss(ms, mr)
         logits = discrimination_logits(pr.per_layer[-1], ms.per_layer[-1])
         ld = discrimination_loss(logits, real_labels)
-        return total_loss(lf, ld, 1.0).total
+        return total_loss(lf, ld, 1.0)
 
     s = Tensor(synth.copy())
     T.backward(objective(s))
