@@ -79,16 +79,12 @@ class AccQueue(deque):
 class CondenseState:
     synthetic: SyntheticSet
     theta: ModelParams
-    q_out: AccQueue
-    q_in: AccQueue
     lc_out: int
-    lc_in: int
     outer_iter: int
     rng: np.random.Generator
     # instrumentation for the counting harness
     total_inner_steps: int = 0
     max_queue_len: int = 0
-    outer_lr: float = 0.0   # learning rate of the latest outer step
 
 
 def outer_lr_at(cfg: CondenseConfig, outer_iter: int) -> float:
@@ -107,8 +103,7 @@ def init_state(real: LabeledDataset, arch: ArchSpec, cfg: CondenseConfig) -> Con
     rng = np.random.default_rng(cfg.seed)
     synth = new_synthetic(real.num_classes, cfg.ipc, real.image_shape, rng, real.norm_stats)
     theta = init_params(arch, seed=int(rng.integers(2 ** 31)))
-    return CondenseState(synth, theta, AccQueue(cfg.gamma), AccQueue(cfg.gamma),
-                         0, 0, 0, rng)
+    return CondenseState(synth, theta, 0, 0, rng)
 
 
 def outer_step(state: CondenseState, real: LabeledDataset,
@@ -134,8 +129,7 @@ def outer_step(state: CondenseState, real: LabeledDataset,
     total = total_loss(l_f, l_d, cfg.beta)
 
     T.backward(total)
-    state.outer_lr = outer_lr_at(cfg, state.outer_iter)
-    T.sgd_step([synth.images], state.outer_lr)
+    T.sgd_step([synth.images], outer_lr_at(cfg, state.outer_iter))
 
     state.lc_out += 1
     state.outer_iter += 1
@@ -150,7 +144,6 @@ def inner_step(state: CondenseState, cfg: CondenseConfig) -> float:
     if len(synth.labels) == 0:
         raise InputError("synthetic set is empty")
     loss, _ = evaluate.train_step(state.theta, synth.images.values, synth.labels, cfg.inner_lr)
-    state.lc_in += 1
     state.total_inner_steps += 1
     return loss
 
@@ -174,34 +167,30 @@ def run_condense(real: LabeledDataset, arch: ArchSpec, cfg: CondenseConfig,
     """
     state = init_state(real, arch, cfg)
     while state.outer_iter < cfg.max_outer_iters:
-        # restart: fresh network, empty outer queue and count; every inner
-        # loop exits with q_in empty and lc_in at 0
+        # restart: fresh network, empty outer queue and count
         state.theta = init_params(arch, seed=int(state.rng.integers(2 ** 31)))
-        state.q_out.clear()
+        q_out = AccQueue(cfg.gamma)
         state.lc_out = 0
         while state.outer_iter < cfg.max_outer_iters:
             l_f, l_d, total = outer_step(state, real, cfg)
             evaluate._require_finite("outer", state.outer_iter, l_f=l_f, l_d=l_d, total=total,
                                      pixels=state.synthetic.images.values)
             acc = query_accuracy(state.theta, real, cfg, state.rng)
-            state.q_out.push(acc)
-            state.max_queue_len = max(state.max_queue_len, len(state.q_out))
+            q_out.push(acc)
+            state.max_queue_len = max(state.max_queue_len, len(q_out))
             if hook is not None:
                 hook(state, (l_f, l_d, total), acc)
-            if (state.q_out.full and state.q_out.div() < cfg.lambda1) \
-                    or state.lc_out >= cfg.l_out:
+            if (q_out.full and q_out.div() < cfg.lambda1) or state.lc_out >= cfg.l_out:
                 break   # the next restart resets lc_out and q_out
-            # inner loop: fit the network until its accuracy moves
-            while True:
+            # inner loop: fit the network until its accuracy moves, at
+            # least one step and at most l_in
+            q_in = AccQueue(cfg.gamma)
+            for _ in range(max(cfg.l_in, 1)):
                 loss = inner_step(state, cfg)
                 evaluate._require_finite("inner", state.total_inner_steps, loss=loss,
                                          theta=[p.values for p in state.theta.tensors])
-                acc_in = query_accuracy(state.theta, real, cfg, state.rng)
-                state.q_in.push(acc_in)
-                state.max_queue_len = max(state.max_queue_len, len(state.q_in))
-                if (state.q_in.full and state.q_in.div() > cfg.lambda2) \
-                        or state.lc_in >= cfg.l_in:
-                    state.lc_in = 0
-                    state.q_in.clear()
+                q_in.push(query_accuracy(state.theta, real, cfg, state.rng))
+                state.max_queue_len = max(state.max_queue_len, len(q_in))
+                if q_in.full and q_in.div() > cfg.lambda2:
                     break
     return state.synthetic

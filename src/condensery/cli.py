@@ -2,11 +2,12 @@
 
 Subcommands: condense, eval, coreset, export-proj, gradcheck. Runs are
 driven by a YAML config file plus ``--set key=value`` dotted overrides;
-every command echoes its resolved config and a manifest into the run
-directory so results are reproducible from the artifacts alone.
+condense, eval and coreset echo their resolved config and a manifest into
+the run directory so results are reproducible from the artifacts alone.
+A failed command leaves none of its artifacts and no manifest.
 
 Exit codes: 0 success, 1 gradient-check failure, 2 config/input error,
-3 bad container.
+3 bad container. Commands raise; ``main`` maps the error to its code.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import os
 import platform
 import sys
 import time
+from contextlib import contextmanager, suppress
 from dataclasses import fields
 from pathlib import Path
 
@@ -27,7 +29,7 @@ import numpy as np
 import yaml
 
 from . import gradcheck as gc
-from .bilevel import CondenseConfig, run_condense
+from .bilevel import CondenseConfig, outer_lr_at, run_condense
 from .coreset import materialize, select_forgetting, select_herding, select_kcenter, \
     select_random
 from .data import LabeledDataset, load_idx, load_synthetic, make_blob_split, \
@@ -225,14 +227,6 @@ def build_condense_config(cfg: dict) -> CondenseConfig:
     return CondenseConfig(seed=cfg["seed"], **cfg["condense"])
 
 
-def _prepare_run_dir(cfg: dict) -> Path:
-    out = Path(cfg["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "config.yaml", "w", encoding="utf-8") as f:
-        yaml.safe_dump(cfg, f, sort_keys=False)
-    return out
-
-
 def _keep_freed_memory() -> bool:
     """Keep freed memory in the heap. glibc serves large blocks with mmap and
     trims the heap top on free, so each training step would fault its tape's
@@ -250,8 +244,22 @@ def _keep_freed_memory() -> bool:
     return [mallopt(-3, 256 << 20), mallopt(-1, 512 << 20)] == [1, 1]
 
 
-def _write_manifest(out: Path, command: str, cfg: dict, artifacts: list[str],
-                    malloc_thresholds: bool) -> None:
+@contextmanager
+def _run_dir(cfg: dict, command: str, artifacts: list[str], malloc_thresholds: bool):
+    """The run directory, with ``config.yaml`` written on entry. If the body
+    raises, the command's ``artifacts`` and any ``manifest.json`` are
+    removed; on success ``manifest.json`` is written."""
+    out = Path(cfg["output_dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "config.yaml", "w", encoding="utf-8") as f:
+        yaml.safe_dump(cfg, f, sort_keys=False)
+    try:
+        yield out
+    except BaseException:
+        for name in artifacts + ["manifest.json"]:
+            with suppress(OSError):
+                (out / name).unlink()
+        raise
     manifest = {
         "command": command,
         "seed": cfg["seed"],
@@ -264,12 +272,11 @@ def _write_manifest(out: Path, command: str, cfg: dict, artifacts: list[str],
         json.dump(manifest, f, indent=2)
 
 
-def _cleanup(paths: list) -> None:
-    for p in paths:
-        try:
-            os.remove(p)
-        except OSError:
-            pass
+def _load_container(path: str):
+    try:
+        return load_synthetic(path)
+    except (OSError, ParseError) as e:
+        raise ParseError(f"cannot load container {path!r}: {e}") from None
 
 
 def cmd_condense(args) -> int:
@@ -277,26 +284,19 @@ def cmd_condense(args) -> int:
     train, _ = build_datasets(cfg)
     ccfg = build_condense_config(cfg)
     arch = build_arch(cfg, train.image_shape, train.num_classes)
-    out = _prepare_run_dir(cfg)
-    synth_path = out / "synthetic.cnd"
-    metrics_path = out / "metrics.csv"
-    try:
+    with _run_dir(cfg, "condense", ["synthetic.cnd", "metrics.csv"],
+                  args.malloc_thresholds) as out:
         # one row per outer iteration, written as the loop runs
-        with open(metrics_path, "w", newline="", encoding="utf-8") as f:
+        with open(out / "metrics.csv", "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f)
-            writer.writerow(["iter", "l_f", "l_d", "total", "query_acc", "lc_out", "lc_in", "lr"])
+            writer.writerow(["iter", "l_f", "l_d", "total", "query_acc", "lc_out", "lr"])
 
             def write_row(state, losses, acc):
-                writer.writerow([state.outer_iter, *map(repr, losses), repr(acc),
-                                 state.lc_out, state.lc_in, repr(state.outer_lr)])
+                writer.writerow([state.outer_iter, *map(repr, losses), repr(acc), state.lc_out,
+                                 repr(outer_lr_at(ccfg, state.outer_iter - 1))])
             synth = run_condense(train, arch, ccfg, hook=write_row)
-        save_synthetic(synth, synth_path)
-    except BaseException:
-        _cleanup([synth_path, metrics_path])
-        raise
-    _write_manifest(out, "condense", cfg, ["synthetic.cnd", "metrics.csv"],
-                    args.malloc_thresholds)
-    print(f"wrote {synth_path} and {metrics_path}")
+        save_synthetic(synth, out / "synthetic.cnd")
+    print(f"wrote {out / 'synthetic.cnd'} and {out / 'metrics.csv'}")
     return EXIT_OK
 
 
@@ -311,11 +311,7 @@ def _eval_protocol_params(cfg: dict) -> tuple[int, int, EvalConfig]:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config, args.set or [])
-    try:
-        synth = load_synthetic(args.synthetic)
-    except (OSError, ParseError) as e:
-        print(f"error: cannot load container {args.synthetic!r}: {e}", file=sys.stderr)
-        return EXIT_CONTAINER
+    synth = _load_container(args.synthetic)
     _, test = build_datasets(cfg)
     if (synth.num_classes, synth.image_shape) != (test.num_classes, test.image_shape):
         raise ConfigError(f"container {args.synthetic!r} holds {synth.num_classes} classes of "
@@ -323,15 +319,13 @@ def cmd_eval(args) -> int:
                           f"{test.num_classes} classes of shape {test.image_shape}")
     arch = build_arch(cfg, test.image_shape, test.num_classes)
     n_exp, n_nets, ecfg = _eval_protocol_params(cfg)
-    out = _prepare_run_dir(cfg)
     report = evaluate_protocol(synth, arch, test, n_exp, n_nets, ecfg)
-    csv_path = out / "eval.csv"
-    with open(csv_path, "w", encoding="utf-8") as f:
+    with _run_dir(cfg, "eval", ["eval.csv"], args.malloc_thresholds) as out, \
+            open(out / "eval.csv", "w", encoding="utf-8") as f:
         f.write("run,accuracy\n")
         for i, acc in enumerate(report.accuracies):
             f.write(f"{i},{acc!r}\n")
         f.write(f"mean,{report.mean!r}\nstd,{report.std!r}\n")
-    _write_manifest(out, "eval", cfg, ["eval.csv"], args.malloc_thresholds)
     print(f"{'set':<20} {'ipc':>4} {'accuracy':>16}")
     print(f"{Path(args.synthetic).name:<20} {synth.ipc:>4} "
           f"{100 * report.mean:>9.2f}±{100 * report.std:.2f}%")
@@ -340,9 +334,7 @@ def cmd_eval(args) -> int:
 
 def cmd_coreset(args) -> int:
     if args.method not in CORESET_METHODS:
-        print(f"error: unknown method {args.method!r}; valid: {', '.join(CORESET_METHODS)}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"unknown method {args.method!r}; valid: {', '.join(CORESET_METHODS)}")
     cfg = load_config(args.config, args.set or [])
     train, _ = build_datasets(cfg)
     ccfg = build_condense_config(cfg)
@@ -358,23 +350,17 @@ def cmd_coreset(args) -> int:
         trace = record_training_trace(train, arch, co["trace_epochs"], co["trace_lr"],
                                       cfg["seed"])
         sel = select_forgetting(train, ccfg.ipc, trace)
-    out = _prepare_run_dir(cfg)
-    synth = materialize(train, sel)
-    save_synthetic(synth, out / "synthetic.cnd")
-    sel.to_csv(out / "selection.csv")
-    _write_manifest(out, f"coreset:{args.method}", cfg, ["synthetic.cnd", "selection.csv"],
-                    args.malloc_thresholds)
+    with _run_dir(cfg, f"coreset:{args.method}", ["synthetic.cnd", "selection.csv"],
+                  args.malloc_thresholds) as out:
+        save_synthetic(materialize(train, sel), out / "synthetic.cnd")
+        sel.to_csv(out / "selection.csv")
     print(f"selected {len(sel.indices)} images with {args.method}; wrote {out}/synthetic.cnd")
     return EXIT_OK
 
 
 def cmd_export_proj(args) -> int:
     cfg = load_config(args.config, args.set or [])
-    try:
-        synth = load_synthetic(args.synthetic)
-    except (OSError, ParseError) as e:
-        print(f"error: cannot load container {args.synthetic!r}: {e}", file=sys.stderr)
-        return EXIT_CONTAINER
+    synth = _load_container(args.synthetic)
     train, _ = build_datasets(cfg)
     n_real = cfg["projection"]["n_real"]
     rng = np.random.default_rng(cfg["seed"])

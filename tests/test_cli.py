@@ -85,11 +85,16 @@ def test_condense_single_class_blobs_rejected(tmp_path, capsys):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflow on the way to NaN
 def test_diverged_condense_exits_2_and_eval_of_nan_container_exits_3(tmp_path, capsys):
     path, _ = blob_config(tmp_path)
+    # a finished run's manifest in the same directory goes with the failure
+    assert cli.main(["condense", "--config", str(path)]) == 0
     argv = ["condense", "--config", str(path), "--set", "condense.inner_lr=1e308"]
     assert cli.main(argv) == 2
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "run" / "synthetic.cnd").exists()
     assert not (tmp_path / "run" / "metrics.csv").exists()
+    # condense opens its run directory before it runs, so config.yaml stays
+    assert (tmp_path / "run" / "config.yaml").exists()
+    assert not (tmp_path / "run" / "manifest.json").exists()
     container = tmp_path / "nan.cnd"
     save_synthetic(new_synthetic(3, 1, (1, 8, 8), np.random.default_rng(0)), container)
     raw = bytearray(container.read_bytes())
@@ -128,8 +133,7 @@ def test_diverged_training_exits_2(tmp_path, capsys, command, lr_key):
     assert cli.main(argv) == 2
     assert re.search(r"^error: training step \d+: (loss|weights) is non-finite$",
                      capsys.readouterr().err, re.M)
-    assert not any((tmp_path / "run" / name).exists()
-                   for name in ("eval.csv", "synthetic.cnd", "selection.csv"))
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("command, override, env", [
@@ -256,7 +260,7 @@ def test_metrics_csv_stream(tmp_path):
     argv = ["condense", "--config", str(path), "--set", "condense.max_outer_iters=3"]
     assert cli.main(argv) == 0
     lines = (tmp_path / "run" / "metrics.csv").read_text().strip().splitlines()
-    assert lines[0] == "iter,l_f,l_d,total,query_acc,lc_out,lc_in,lr"
+    assert lines[0] == "iter,l_f,l_d,total,query_acc,lc_out,lr"
     assert len(lines) == 4   # header + one row per outer iteration
 
 
@@ -268,7 +272,7 @@ def test_eval_of_over_1000_networks_per_count_exits_2(tmp_path, capsys, key):
     argv = ["eval", str(container), "--config", str(path), "--set", f"eval.{key}=1001"]
     assert cli.main(argv) == 2
     assert f"{key} must be <= 1000, got 1001" in capsys.readouterr().err
-    assert not (tmp_path / "run" / "eval.csv").exists()
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("classes, shape", [(3, (1, 8, 8)), (5, (1, 8, 8)), (4, (1, 4, 4))],
@@ -305,9 +309,10 @@ def test_eval_round_trip_matches_memory(tmp_path, capsys):
         assert f"{i},{acc!r}" in out1
 
 
-def test_eval_missing_container(tmp_path):
+def test_eval_missing_container(tmp_path, capsys):
     path, _ = blob_config(tmp_path)
     assert cli.main(["eval", str(tmp_path / "missing.cnd"), "--config", str(path)]) == 3
+    assert "cannot load container" in capsys.readouterr().err
 
 
 def test_eval_of_zero_sized_container_exits_3(tmp_path, capsys):
