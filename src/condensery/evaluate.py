@@ -5,8 +5,8 @@ and the accuracy read the whole library shares.
 step, evaluation training, the forgetting trace). ``predict`` is every
 accuracy read (bi-level queries, the test split); it forwards constants
 (``Tensor.constant``), so a read records no tape, and READ_BATCH images at
-a time, so conv2d's window copies stay bounded whatever the number of
-images.
+a time, so a read's activations stay bounded whatever the number of
+images (conv2d bounds its own window copies).
 
 Each evaluation run trains a freshly initialized network on the synthetic
 images and reports held-out accuracy. The protocol repeats over
@@ -32,9 +32,8 @@ from .tensor import Tensor
 
 DESK_PROTOCOL = {"n_experiments": 3, "n_nets_per": 5, "epochs": 100}
 PAPER_PROTOCOL = {"n_experiments": 5, "n_nets_per": 20, "epochs": 300}
-# Images per forward in predict. At 128 or 256, conv2d's im2col copy raised
-# peak RSS (condense 148 -> 165 MB, eval 144 -> 193 or 361 MB) and cpu_s did
-# not fall.
+# Images per forward in predict; it bounds only the activations a read
+# holds, as conv2d copies its windows one sample chunk at a time.
 READ_BATCH = 64
 
 

@@ -7,7 +7,8 @@ gradient. It runs backward and compares every analytic gradient entry
 against a central difference with step h = 1e-5.
 Entries whose analytic value is below 1e-8 in magnitude are compared
 absolutely (tolerance 1e-6), the rest relatively (tolerance 1e-3). The
-suite checks every public op of ``tensor``, away from ReLU's kink, and a
+suite checks every public op of ``tensor``, away from ReLU's kink, the two
+ConvNet kernels on a batch that spans two of their sample chunks, and a
 one-block ConvNet built by ``models.forward``, each on every coordinate of
 every leaf.
 """
@@ -151,6 +152,14 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
         leaves = [rng.standard_normal(x_shape), rng.standard_normal(k_shape),
                   rng.standard_normal(k_shape[0])]
         out += check_op(name, lambda t, pad=pad: T.conv2d(t[0], t[1], t[2], pad=pad), leaves)
+
+    # both ConvNet kernels on CHUNK + 1 samples, so the oracle covers the
+    # seam between two of the kernels' sample chunks; drawn last as well
+    leaves = [rng.standard_normal((T.CHUNK + 1, 2, 3, 3)), rng.standard_normal((3, 2, 2, 2)),
+              rng.standard_normal(3)]
+    out += check_op("conv2d_chunked", lambda t: T.conv2d(t[0], t[1], t[2], pad=1), leaves)
+    out += check_op("norm_relu_pool_chunked", lambda t: T.norm_relu_pool(t[0]),
+                    [_off_kink(rng, (T.CHUNK + 1, 2, 4, 4))])
     return out
 
 

@@ -22,7 +22,12 @@ A leaf made with ``Tensor(values)`` is not a constant.
 Only the primitives needed by the condensation networks and losses are
 provided, in the forms those use: ``conv2d`` moves its kernel one pixel at
 a time, ``norm_relu_pool`` is a ConvNet block's norm, ReLU and 2x2 pool as
-one node, and there is no broadcasting beyond what they need.
+one node, and there is no broadcasting beyond what they need. Those two
+ConvNet kernels fill their full-size outputs ``CHUNK`` samples at a time,
+forward and backward, so each pass over a chunk stays in cache; a batch
+of at most ``CHUNK`` samples is one chunk, and any batch gives the bits
+one pass over it would, save the kernel gradient of a conv2d with one
+input and one output channel.
 """
 
 from __future__ import annotations
@@ -33,6 +38,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, InputError, UsageError
+
+# Samples per pass inside conv2d and norm_relu_pool: at the ConvNet's
+# 16-channel width a chunk's activations and im2col copy stay near a 2 MiB
+# L2 cache, and a synthetic set of up to 16 images is one chunk. 32 ran
+# slower on batch-256 training; 8 ran faster there, but split the 10-image
+# training batches of an ipc-1 evaluation in two, which cost it 12%.
+CHUNK = 16
 
 
 class Tensor:
@@ -262,14 +274,16 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
     xp = np.pad(x.values, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.values
     kv = kernel.values
     # windows[b, c, h, w, i, j] = xp[b, c, h + i, w + j], a strided view.
-    # The forward copies it once into cols[b, (c, i, j), (h, w)], and one
-    # GEMM per sample leaves the output in [B, O, H', W'] order with no
+    # The forward copies a chunk of it into cols[b, (c, i, j), (h, w)], and
+    # one GEMM per sample leaves the output in [B, O, H', W'] order with no
     # transposing copy
     windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
     Ho, Wo = windows.shape[2:4]
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(B, C * kh * kw, Ho * Wo)
-    out_v = np.matmul(kv.reshape(O, -1), cols)
-    out_v += bias.values[:, None]
+    out_v = np.empty((B, O, Ho * Wo))
+    for s in range(0, B, CHUNK):
+        cols = windows[s:s + CHUNK].transpose(0, 1, 4, 5, 2, 3).reshape(-1, C * kh * kw, Ho * Wo)
+        np.matmul(kv.reshape(O, -1), cols, out=out_v[s:s + CHUNK])
+        out_v[s:s + CHUNK] += bias.values[:, None]
     out_v = out_v.reshape(B, O, Ho, Wo)
     Hp, Wp = xp.shape[2:]
 
@@ -281,28 +295,36 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
         # its first n positions, meets each tap's slice of xp in one GEMM;
         # the last tap's slice ends at Hp*Wp exactly
         n = (Ho - 1) * Wp + Wo
-        gw = np.zeros((B, O, Ho, Wp))
-        gw[:, :, :, :Wo] = g
-        gw = gw.reshape(B, O, Ho * Wp)[:, :, :n]
-        gx = gk = None
-        if need[0]:
-            # kt[i, j] is the contiguous [C, O] slice that BLAS takes
-            kt = np.ascontiguousarray(kv.transpose(2, 3, 1, 0))
-            gxf = np.zeros((B, C, Hp * Wp))
-            tap = np.empty((B, C, n))
-            for i in range(kh):
-                for j in range(kw):
-                    off = i * Wp + j
-                    gxf[:, :, off:off + n] += np.matmul(kt[i, j], gw, out=tap)
-            del tap
-            gx = np.ascontiguousarray(gxf.reshape(B, C, Hp, Wp)[:, :, pad:pad + H, pad:pad + W])
-        if need[1]:
-            xf = xp.reshape(B, C, Hp * Wp)
-            gk = np.empty((O, C, kh, kw))
-            for i in range(kh):
-                for j in range(kw):
-                    off = i * Wp + j
-                    gk[:, :, i, j] = np.matmul(gw, xf[:, :, off:off + n].transpose(0, 2, 1)).sum(0)
+        xf = xp.reshape(B, C, Hp * Wp)
+        # kt[i, j] is the contiguous [C, O] slice that BLAS takes
+        kt = np.ascontiguousarray(kv.transpose(2, 3, 1, 0))
+        gx = np.empty((B, C, H, W)) if need[0] else None
+        gk = np.zeros((O, C, kh, kw)) if need[1] else None
+        for s in range(0, B, CHUNK):
+            c = min(CHUNK, B - s)
+            gw = np.zeros((c, O, Ho, Wp))
+            gw[:, :, :, :Wo] = g[s:s + c]
+            gw = gw.reshape(c, O, Ho * Wp)[:, :, :n]
+            if need[0]:
+                gxf = np.zeros((c, C, Hp * Wp))
+                tap = np.empty((c, C, n))
+                for i in range(kh):
+                    for j in range(kw):
+                        off = i * Wp + j
+                        gxf[:, :, off:off + n] += np.matmul(kt[i, j], gw, out=tap)
+                gx[s:s + c] = gxf.reshape(c, C, Hp, Wp)[:, :, pad:pad + H, pad:pad + W]
+            if need[1]:
+                for i in range(kh):
+                    for j in range(kw):
+                        off = i * Wp + j
+                        part = np.matmul(gw, xf[s:s + c, :, off:off + n].transpose(0, 2, 1))
+                        # the running sum enters as the chunk's first row, so
+                        # the sum over samples keeps numpy's axis-0 order; a
+                        # kernel with one input and one output channel is
+                        # the exception: numpy sums its lone axis pairwise
+                        if s:
+                            part[0] += gk[:, :, i, j]
+                        gk[:, :, i, j] = part.sum(0)
         return gx, gk, g.sum(axis=(0, 2, 3)) if need[2] else None
 
     return _node(out_v, (x, kernel, bias), _bw, "conv2d")
@@ -321,33 +343,41 @@ def norm_relu_pool(x: Tensor) -> Tensor:
     if H < 2 or W < 2:
         raise DimensionError(f"norm_relu_pool: plane {H}x{W} is smaller than the 2x2 window")
     Ho, Wo = H // 2, W // 2
-    # one mean, one centred copy, its sum of squares, then the copy scaled
-    # in place: np.var would take the mean and centre again
-    y = x.values - x.values.mean(axis=(2, 3), keepdims=True)
-    inv = (1.0 / np.sqrt(np.einsum("bchw,bchw->bc", y, y) / (H * W) + 1e-5))[:, :, None, None]
-    y *= inv
     # offset (i, j) of every window as a strided view: four strided adds,
     # as a mean over the strided window axes runs 5x slower
     windows = [np.s_[:, :, i:2 * Ho:2, j:2 * Wo:2] for i in (0, 1) for j in (0, 1)]
+    y = np.empty((B, C, H, W))
+    inv = np.empty((B, C, 1, 1))
     v = np.zeros((B, C, Ho, Wo))
-    for w in windows:
-        v += np.maximum(y[w], 0.0)
-    v *= 0.25
+    for s in range(0, B, CHUNK):
+        # one mean, one centred copy, its sum of squares, then the copy
+        # scaled in place: np.var would take the mean and centre again
+        xs, ys, vs = x.values[s:s + CHUNK], y[s:s + CHUNK], v[s:s + CHUNK]
+        np.subtract(xs, xs.mean(axis=(2, 3), keepdims=True), out=ys)
+        ss = np.einsum("bchw,bchw->bc", ys, ys)
+        inv[s:s + CHUNK] = (1.0 / np.sqrt(ss / (H * W) + 1e-5))[:, :, None, None]
+        ys *= inv[s:s + CHUNK]
+        for w in windows:
+            vs += np.maximum(ys[w], 0.0)
+        vs *= 0.25
 
     def _bw(g, need):
         # g / 4 onto each window position where y > 0, then the norm's
         # (gy - mean(gy) - y * mean(gy * y)) * inv: einsum sums gy * y
         # without a full-size product, and the terms land in place
-        gy = np.zeros((B, C, H, W))
-        g4 = g * 0.25
-        for w in windows:
-            np.multiply(g4, y[w] > 0.0, out=gy[w])
-        gm = (gy.sum(axis=(2, 3)) / (H * W))[:, :, None, None]
-        gym = (np.einsum("bchw,bchw->bc", gy, y) / (H * W))[:, :, None, None]
-        gx = y * -gym
-        gx += gy
-        gx -= gm
-        gx *= inv
+        gx = np.empty((B, C, H, W))
+        for s in range(0, B, CHUNK):
+            ys, gxs, invs = y[s:s + CHUNK], gx[s:s + CHUNK], inv[s:s + CHUNK]
+            gy = np.zeros(ys.shape)
+            g4 = g[s:s + CHUNK] * 0.25
+            for w in windows:
+                np.multiply(g4, ys[w] > 0.0, out=gy[w])
+            gm = (gy.sum(axis=(2, 3)) / (H * W))[:, :, None, None]
+            gym = (np.einsum("bchw,bchw->bc", gy, ys) / (H * W))[:, :, None, None]
+            np.multiply(ys, -gym, out=gxs)
+            gxs += gy
+            gxs -= gm
+            gxs *= invs
         return (gx,)
 
     return _node(v, (x,), _bw, "norm_relu_pool")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import condensery.tensor as T
 from condensery.errors import DimensionError, InputError, UsageError
@@ -87,13 +88,17 @@ ORACLE_CASES = {f"kshape{i}-{pad}": ((2, 2, 4, 5), 3, kshape, pad)
 ORACLE_CASES["first_layer-1"] = ((2, 1, 6, 7), 4, (3, 3), 1)
 # a non-contiguous [2, 2, 5, 6] view: every other channel, all but one column
 ORACLE_CASES["view-0"] = (lambda rng: rng.standard_normal((2, 4, 5, 7))[:, ::2, :, 1:], 3, (3, 3), 0)
+# more samples than one of the kernels' chunks, so a chunk seam is crossed;
+# with one input and one output channel numpy sums the samples pairwise
+ORACLE_CASES["chunks-1"] = ((T.CHUNK + 1, 2, 4, 5), 3, (3, 3), 1)
+ORACLE_CASES["chunks_1to1-1"] = ((2 * T.CHUNK + 3, 1, 4, 5), 1, (3, 3), 1)
 
 
 @pytest.mark.parametrize("case", list(ORACLE_CASES))
 def test_conv2d_matches_loop_oracle(case):
     # pad=2 with a 1x1 or 2x3 kernel pads by at least the kernel height;
     # first_layer is the ConvNet's 1-channel input layer, view an input
-    # that is a strided view
+    # that is a strided view, chunks a batch that spans two sample chunks
     x_shape, O, kshape, pad = ORACLE_CASES[case]
     rng = np.random.default_rng(11)
     x = Tensor(x_shape(rng) if callable(x_shape) else rng.standard_normal(x_shape))
@@ -124,6 +129,98 @@ def test_conv2d_backward_peak_memory_is_a_few_inputs():
         tracemalloc.stop()
     assert gx.shape == x.shape and gk.shape == (16, 16, 3, 3)
     assert peak < 6 * x.values.nbytes, peak / x.values.nbytes
+
+
+def test_conv2d_forward_peak_memory_is_a_few_inputs():
+    # the forward copies one chunk's windows at a time, not the batch's:
+    # the padded input, the output and one chunk's im2col copy
+    rng = np.random.default_rng(19)
+    x = Tensor(rng.standard_normal((256, 16, 14, 14)))
+    k, b = Tensor(rng.standard_normal((16, 16, 3, 3))), Tensor(np.zeros(16))
+    tracemalloc.start()
+    try:
+        out = T.conv2d(x, k, b, pad=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == x.shape
+    assert peak <= 5 * x.values.nbytes, peak / x.values.nbytes
+
+
+def _conv2d_whole_batch(x, k, b, pad, g):
+    """conv2d's output and its input, kernel and bias gradients under
+    upstream gradient g, each formula run once over the whole batch."""
+    B, C, H, W = x.shape
+    O, _, kh, kw = k.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    Ho, Wo = windows.shape[2:4]
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(B, C * kh * kw, Ho * Wo)
+    out = np.matmul(k.reshape(O, -1), cols)
+    out += b[:, None]
+    Hp, Wp = xp.shape[2:]
+    n = (Ho - 1) * Wp + Wo
+    gw = np.zeros((B, O, Ho, Wp))
+    gw[:, :, :, :Wo] = g
+    gw = gw.reshape(B, O, Ho * Wp)[:, :, :n]
+    kt = np.ascontiguousarray(k.transpose(2, 3, 1, 0))
+    xf = xp.reshape(B, C, Hp * Wp)
+    gxf = np.zeros((B, C, Hp * Wp))
+    gk = np.empty((O, C, kh, kw))
+    for i in range(kh):
+        for j in range(kw):
+            off = i * Wp + j
+            gxf[:, :, off:off + n] += np.matmul(kt[i, j], gw)
+            gk[:, :, i, j] = np.matmul(gw, xf[:, :, off:off + n].transpose(0, 2, 1)).sum(0)
+    gx = gxf.reshape(B, C, Hp, Wp)[:, :, pad:pad + H, pad:pad + W]
+    return out.reshape(B, O, Ho, Wo), gx, gk, g.sum(axis=(0, 2, 3))
+
+
+def _norm_relu_pool_whole_batch(x, g):
+    """norm_relu_pool's output and its input gradient under upstream
+    gradient g, each formula run once over the whole batch."""
+    B, C, H, W = x.shape
+    Ho, Wo = H // 2, W // 2
+    y = x - x.mean(axis=(2, 3), keepdims=True)
+    inv = (1.0 / np.sqrt(np.einsum("bchw,bchw->bc", y, y) / (H * W) + 1e-5))[:, :, None, None]
+    y *= inv
+    windows = [np.s_[:, :, i:2 * Ho:2, j:2 * Wo:2] for i in (0, 1) for j in (0, 1)]
+    v = np.zeros((B, C, Ho, Wo))
+    for w in windows:
+        v += np.maximum(y[w], 0.0)
+    v *= 0.25
+    gy = np.zeros((B, C, H, W))
+    for w in windows:
+        np.multiply(g * 0.25, y[w] > 0.0, out=gy[w])
+    gm = (gy.sum(axis=(2, 3)) / (H * W))[:, :, None, None]
+    gym = (np.einsum("bchw,bchw->bc", gy, y) / (H * W))[:, :, None, None]
+    gx = y * -gym
+    gx += gy
+    gx -= gm
+    gx *= inv
+    return v, gx
+
+
+@pytest.mark.parametrize("B", [1, T.CHUNK - 1, T.CHUNK, T.CHUNK + 1, 2 * T.CHUNK + 3])
+def test_chunked_kernels_match_the_whole_batch_bit_for_bit(B):
+    # every result the kernels compute chunk by chunk is per sample, and
+    # the kernel gradient carries its running sum across the seams in the
+    # order of one sum over the batch: no bit may move. The input is a
+    # strided view, and the block op's 5x7 plane is pooled with a floor
+    rng = np.random.default_rng(20)
+    x = rng.standard_normal((B, 6, 5, 8))[:, ::2, :, 1:]
+    k, b = rng.standard_normal((4, 3, 3, 3)), rng.standard_normal(4)
+    out = T.conv2d(Tensor(x), Tensor(k), Tensor(b), pad=1)
+    g = rng.standard_normal(out.shape)
+    ref = _conv2d_whole_batch(x, k, b, 1, g)
+    for got, want in zip((out.values,) + out._backward(g, (True, True, True)), ref):
+        np.testing.assert_array_equal(got, want)
+    h = out.values * 3.0 + 1.0
+    pooled = T.norm_relu_pool(Tensor(h))
+    gp = rng.standard_normal(pooled.shape)
+    ref_v, ref_gx = _norm_relu_pool_whole_batch(h, gp)
+    np.testing.assert_array_equal(pooled.values, ref_v)
+    np.testing.assert_array_equal(pooled._backward(gp, (True,))[0], ref_gx)
 
 
 NEED_CASES = {
