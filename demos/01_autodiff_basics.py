@@ -24,7 +24,7 @@ out = T.add(T.mul(a, a), a)          # a^2 + a, derivative 2a + 1 = 7
 T.backward(out)
 print("d(a^2 + a)/da =", a.grad)
 
-# A one-block ConvNet end to end: conv, then the block op (instance norm,
+# A one-block ConvNet end to end: the block op (3x3 conv, instance norm,
 # ReLU and 2x2 average pool as one tape node), then linear -> CE. The
 # pool floors, so the 7x7 plane pools to 3x3. The images are only read.
 rng = np.random.default_rng(0)
@@ -34,8 +34,7 @@ kbias = Tensor(np.zeros(4))
 w = Tensor(rng.standard_normal((4 * 3 * 3, 3)) * 0.1)
 b = Tensor(np.zeros(3))
 
-h = T.conv2d(img, kernel, kbias, pad=1)
-h = T.norm_relu_pool(h)
+h = T.conv_block(img, kernel, kbias)
 print("pooled block output:", h.shape)
 h = T.reshape(h, (2, 4 * 3 * 3))
 logits = T.linear(h, w, b)

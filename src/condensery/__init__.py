@@ -12,7 +12,7 @@ from .bilevel import AccQueue, CondenseConfig, CondenseState, inner_step, outer_
 from .coreset import SelectionResult, forgetting_events, materialize, select_forgetting, \
     select_herding, select_kcenter, select_random
 from .data import LabeledDataset, NormStats, SyntheticSet, denormalize, \
-    export_projection_csv, load_idx, load_synthetic, make_blob_split, make_blobs, \
+    export_projection_csv, load_idx, load_synthetic, make_blob_split, \
     new_synthetic, normalize, save_synthetic
 from .errors import CondenseryError, ConfigError, DimensionError, InputError, \
     ParseError, UsageError

@@ -45,14 +45,16 @@ class CondenseConfig:
 
     def __post_init__(self):
         # each message starts with the field's name; cli.load_config
-        # prefixes it with "condense."
+        # prefixes it with "condense.". Each rule names the range a value
+        # must be in, so a NaN, which fails every comparison, is refused
         for name in ("lambda1", "lambda2", "beta"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.gamma < 2:
-            raise ConfigError("gamma must be >= 2")
-        if self.ipc < 1:
-            raise ConfigError("ipc must be >= 1")
+        for name, least in (("ipc", 1), ("n_per_class", 1), ("query_size", 1), ("gamma", 2),
+                            ("l_out", 0), ("l_in", 0), ("max_outer_iters", 0),
+                            ("outer_lr", 0), ("inner_lr", 0)):
+            if not getattr(self, name) >= least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
 
 
 class AccQueue(deque):

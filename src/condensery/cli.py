@@ -93,10 +93,6 @@ def _one_of(*names):
     return read
 
 
-# condense.* minimums; every other CondenseConfig field has none
-CONDENSE_LEAST = {"ipc": 1, "n_per_class": 1, "gamma": 2, "l_out": 0, "l_in": 0,
-                  "outer_lr": 0, "max_outer_iters": 0, "inner_lr": 0, "query_size": 1}
-
 # dotted key -> (reader, default, least). A key with a None default may be
 # unset or null; a list with a least is non-empty, each entry >= least.
 # Unset, dataset.num_classes is 3 for blobs or the IDX labels' count, and
@@ -117,7 +113,7 @@ KEYS = {
     "arch.channels": (_integer, ConvNetSpec.channels, 1),
     "arch.hidden": (_integers, MLPSpec.hidden, 1),
     **{"condense." + f.name: ({float: _real, tuple: _integers}.get(type(f.default), _integer),
-                              f.default, CONDENSE_LEAST.get(f.name))
+                              f.default, None)
        for f in fields(CondenseConfig) if f.name != "seed"},
     "eval.protocol": (_one_of("desk", "paper"), "desk", None),
     "eval.epochs": (_integer, None, 0),

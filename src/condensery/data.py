@@ -172,40 +172,26 @@ def save_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) -
 # Gaussian blob oracle datasets
 
 
-def _blob_draws(num_classes: int, sizes: tuple, shape: tuple, spread: float,
-                separation: float, seed: int) -> list:
-    """One (raw images, labels) pair per entry of ``sizes`` (samples per
-    class), all around the same well-separated random class means."""
+def make_blob_split(num_classes: int, n_train: int, n_test: int, shape: tuple,
+                    spread: float = 0.1, separation: float = 5.0,
+                    seed: int = 0) -> tuple[LabeledDataset, LabeledDataset]:
+    """Isotropic Gaussian clusters around well-separated random class
+    means: a train and a test split per class, drawn in that order, the
+    test split normalized with the train split's stats."""
     if num_classes < 2:
         raise InputError(f"need at least 2 classes, got {num_classes}")
     rng = np.random.default_rng(seed)
     dim = int(np.prod(shape))
     means = rng.standard_normal((num_classes, dim))
     means *= separation / np.linalg.norm(means, axis=1, keepdims=True)
-    draws = []
-    for n_per in sizes:
+
+    def draw(n_per: int) -> tuple:
         raw = np.repeat(means, n_per, axis=0) + spread * rng.standard_normal(
             (num_classes * n_per, dim))
-        draws.append((raw.reshape(-1, *shape), np.repeat(np.arange(num_classes), n_per)))
-    return draws
+        return raw.reshape(-1, *shape), np.repeat(np.arange(num_classes), n_per)
 
-
-def make_blobs(num_classes: int, n_per_class: int, shape: tuple, spread: float = 0.1,
-               separation: float = 5.0, seed: int = 0) -> LabeledDataset:
-    """Isotropic Gaussian clusters around well-separated random means."""
-    [(raw, labels)] = _blob_draws(num_classes, (n_per_class,), shape, spread, separation, seed)
-    return make_dataset(raw, labels, num_classes)
-
-
-def make_blob_split(num_classes: int, n_train: int, n_test: int, shape: tuple,
-                    spread: float = 0.1, separation: float = 5.0,
-                    seed: int = 0) -> tuple[LabeledDataset, LabeledDataset]:
-    """Train/test blob pair sharing class means and train-split stats."""
-    (raw_tr, lab_tr), (raw_te, lab_te) = _blob_draws(
-        num_classes, (n_train, n_test), shape, spread, separation, seed)
-    train = make_dataset(raw_tr, lab_tr, num_classes)
-    test = make_dataset(raw_te, lab_te, num_classes, train.norm_stats)
-    return train, test
+    train = make_dataset(*draw(n_train), num_classes)
+    return train, make_dataset(*draw(n_test), num_classes, train.norm_stats)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ step, evaluation training, the forgetting trace). ``predict`` is every
 accuracy read (bi-level queries, the test split); it forwards constants
 (``Tensor.constant``), so a read records no tape, and READ_BATCH images at
 a time, so a read's activations stay bounded whatever the number of
-images (conv2d bounds its own window copies).
+images (conv_block bounds its own window copies).
 
 Each evaluation run trains a freshly initialized network on the synthetic
 images and reports held-out accuracy. The protocol repeats over
@@ -33,7 +33,8 @@ from .tensor import Tensor
 DESK_PROTOCOL = {"n_experiments": 3, "n_nets_per": 5, "epochs": 100}
 PAPER_PROTOCOL = {"n_experiments": 5, "n_nets_per": 20, "epochs": 300}
 # Images per forward in predict; it bounds only the activations a read
-# holds, as conv2d copies its windows one sample chunk at a time.
+# holds, as conv_block pads and copies its windows one sample chunk at a
+# time.
 READ_BATCH = 64
 
 

@@ -7,10 +7,10 @@ gradient. It runs backward and compares every analytic gradient entry
 against a central difference with step h = 1e-5.
 Entries whose analytic value is below 1e-8 in magnitude are compared
 absolutely (tolerance 1e-6), the rest relatively (tolerance 1e-3). The
-suite checks every public op of ``tensor``, away from ReLU's kink, the two
-ConvNet kernels on a batch that spans two of their sample chunks, and a
-one-block ConvNet built by ``models.forward``, each on every coordinate of
-every leaf.
+suite checks every public op of ``tensor``, away from ReLU's kink; the
+ConvNet block also on an odd plane, a 1-channel input and a batch that
+spans two of its sample chunks; and a one-block ConvNet built by
+``models.forward``, each on every coordinate of every leaf.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
 from .models import ConvNetSpec, ModelParams, forward
@@ -104,17 +105,15 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out: list[CheckResult] = []
 
-    # conv2d: random 2x3x5x5 input, 4x3x3x3 kernel
-    x = rng.standard_normal((2, 3, 5, 5))
-    k = rng.standard_normal((4, 3, 3, 3)) * 0.5
-    b = rng.standard_normal(4)
-    out += check_op("conv2d", lambda t: T.conv2d(t[0], t[1], t[2], pad=1), [x, k, b])
+    # the ConvNet block on an even plane, on an odd one that the pool
+    # floors, on the 1-channel first layer and on CHUNK + 1 samples, so the
+    # oracle crosses the seam between two of its sample chunks
+    for name, x_shape, O in (("conv_block", (2, 3, 4, 4), 4), ("conv_block_5x5", (2, 2, 5, 5), 3),
+                             ("conv_block_c1", (2, 1, 4, 4), 4),
+                             ("conv_block_chunked", (T.CHUNK + 1, 2, 4, 4), 3)):
+        out += check_op(name, lambda t: T.conv_block(t[0], t[1], t[2]), _block_leaves(rng, x_shape, O))
 
-    out += check_op("relu", lambda t: T.relu(t[0]), [_off_kink(rng, (3, 6), planes=False)])
-
-    # the block op on an even plane and on an odd one, which the pool floors
-    for name, shape in (("norm_relu_pool", (2, 3, 4, 4)), ("norm_relu_pool_5x5", (2, 2, 5, 5))):
-        out += check_op(name, lambda t: T.norm_relu_pool(t[0]), [_off_kink(rng, shape)])
+    out += check_op("relu", lambda t: T.relu(t[0]), [_off_kink(rng, (3, 6))])
 
     # linear 3x4 @ 4x2
     xl = rng.standard_normal((3, 4))
@@ -142,37 +141,31 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
     out += check_op("reshape", lambda t: T.reshape(t[0], (2, 6)), [p])
     out += check_op("transpose2d", lambda t: T.transpose2d(t[0]), [p])
     out += check_op("matmul", lambda t: T.matmul(t[0], t[1]), [p, rng.standard_normal((4, 2))])
-
-    # conv2d shapes drawn last so the draws above do not depend on them:
-    # a non-square kernel without padding, a 1x1 kernel padded by as much
-    # as its size, and the ConvNet's 1-channel first layer
-    for name, x_shape, k_shape, pad in (("conv2d_2x3_pad0", (2, 2, 4, 5), (3, 2, 2, 3), 0),
-                                        ("conv2d_1x1_pad1", (2, 2, 3, 3), (3, 2, 1, 1), 1),
-                                        ("conv2d_c1_pad1", (2, 1, 5, 5), (4, 1, 3, 3), 1)):
-        leaves = [rng.standard_normal(x_shape), rng.standard_normal(k_shape),
-                  rng.standard_normal(k_shape[0])]
-        out += check_op(name, lambda t, pad=pad: T.conv2d(t[0], t[1], t[2], pad=pad), leaves)
-
-    # both ConvNet kernels on CHUNK + 1 samples, so the oracle covers the
-    # seam between two of the kernels' sample chunks; drawn last as well
-    leaves = [rng.standard_normal((T.CHUNK + 1, 2, 3, 3)), rng.standard_normal((3, 2, 2, 2)),
-              rng.standard_normal(3)]
-    out += check_op("conv2d_chunked", lambda t: T.conv2d(t[0], t[1], t[2], pad=1), leaves)
-    out += check_op("norm_relu_pool_chunked", lambda t: T.norm_relu_pool(t[0]),
-                    [_off_kink(rng, (T.CHUNK + 1, 2, 4, 4))])
     return out
 
 
-def _off_kink(rng: np.random.Generator, shape: tuple, planes: bool = True) -> np.ndarray:
+def _off_kink(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     """A draw with no entry within 1e-3 of ReLU's kink, where a central
-    difference measures neither side's slope: each entry as drawn, or with
-    ``planes`` as normalized over its [H,W] plane, as the block op does."""
+    difference measures neither side's slope."""
     while True:
         x = rng.standard_normal(shape)
-        c = x - x.mean(axis=(2, 3), keepdims=True) if planes else x
-        unit = c.std(axis=(2, 3), keepdims=True) if planes else 1.0
-        if np.all(np.abs(c) > 1e-3 * unit):
+        if np.all(np.abs(x) > 1e-3):
             return x
+
+
+def _block_leaves(rng: np.random.Generator, x_shape: tuple, out_channels: int) -> list:
+    """An input, kernel and bias for ``conv_block`` whose conv output,
+    normalized over each plane, has no entry within 1e-3 of ReLU's kink."""
+    while True:
+        x = rng.standard_normal(x_shape)
+        k = rng.standard_normal((out_channels, x_shape[1], 3, 3)) * 0.5
+        b = rng.standard_normal(out_channels)
+        # the conv without its bias, which the norm's centring removes
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        c = np.einsum("bchwij,ocij->bohw", sliding_window_view(xp, (3, 3), axis=(2, 3)), k)
+        c -= c.mean(axis=(2, 3), keepdims=True)
+        if np.all(np.abs(c) > 1e-3 * c.std(axis=(2, 3), keepdims=True)):
+            return [x, k, b]
 
 
 def _check_composed(rng: np.random.Generator) -> list[CheckResult]:

@@ -2,8 +2,8 @@
 
 The ConvNet is a stack of Conv(3x3, stride 1, pad 1) -> InstanceNorm ->
 ReLU -> AvgPool(2x2, flooring) blocks (Zhao et al., ICLR 2021, as CAFE
-uses), ``tensor.conv2d`` then ``tensor.norm_relu_pool``, so 28x28 pools to
-14, 7 and 3, and one linear output layer. A flattened feature tap is
+uses), one ``tensor.conv_block`` call and one tape node each, so 28x28
+pools to 14, 7 and 3, and one linear output layer. A flattened feature tap is
 recorded after each block; the last tap is exactly the input to the
 output layer, and the tap list excludes the output layer itself. The MLP
 mirrors this with taps after each hidden ReLU.
@@ -117,7 +117,7 @@ def convnet_forward(params: ModelParams, batch: Tensor) -> FeaturePyramid:
     taps = []
     for b in range(spec.blocks):
         k, bias = params.tensors[2 * b], params.tensors[2 * b + 1]
-        h = T.norm_relu_pool(T.conv2d(h, k, bias, pad=1))
+        h = T.conv_block(h, k, bias)
         taps.append(T.reshape(h, (B, int(np.prod(h.shape[1:])))))
     w, wb = params.tensors[-2], params.tensors[-1]
     logits = T.linear(taps[-1], w, wb)

@@ -20,14 +20,15 @@ no tape and frees each intermediate as soon as the next op has read it.
 A leaf made with ``Tensor(values)`` is not a constant.
 
 Only the primitives needed by the condensation networks and losses are
-provided, in the forms those use: ``conv2d`` moves its kernel one pixel at
-a time, ``norm_relu_pool`` is a ConvNet block's norm, ReLU and 2x2 pool as
-one node, and there is no broadcasting beyond what they need. Those two
-ConvNet kernels fill their full-size outputs ``CHUNK`` samples at a time,
-forward and backward, so each pass over a chunk stays in cache; a batch
-of at most ``CHUNK`` samples is one chunk, and any batch gives the bits
-one pass over it would, save the kernel gradient of a conv2d with one
-input and one output channel.
+provided, in the forms those use: ``conv_block`` is a whole ConvNet block
+(3x3 conv with padding 1, instance norm, ReLU and 2x2 pool) as one node,
+and there is no broadcasting beyond what they need. The block works
+through a batch ``CHUNK`` samples at a time, forward and backward, so each
+pass over a chunk stays in cache, and its conv output never leaves the
+chunk: the forward normalizes it in place and keeps only the normalized
+planes for the backward. Any batch gives the bits one pass over it would,
+save the bias gradient of a block with one output channel and the kernel
+gradient of one with one input and one output channel.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, InputError, UsageError
 
-# Samples per pass inside conv2d and norm_relu_pool: at the ConvNet's
-# 16-channel width a chunk's activations and im2col copy stay near a 2 MiB
-# L2 cache, and a synthetic set of up to 16 images is one chunk. 32 ran
-# slower on batch-256 training; 8 ran faster there, but split the 10-image
-# training batches of an ipc-1 evaluation in two, which cost it 12%.
+# Samples per pass inside conv_block: at the ConvNet's 16-channel width a
+# chunk's activations and im2col copy stay near a 2 MiB L2 cache, and a
+# synthetic set of up to 16 images is one chunk. 32 ran slower on
+# batch-256 training; 8 ran faster there, but split the 10-image training
+# batches of an ipc-1 evaluation in two, which cost it 12%.
 CHUNK = 16
 
 
@@ -251,136 +252,115 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _node(x.values @ weight.values + bias.values, (x, weight, bias), _bw, "linear")
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
-    """2-D cross-correlation with zero padding; the kernel moves one pixel
-    at a time.
+def conv_block(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """One ConvNet block as one node: a 3x3 cross-correlation with bias,
+    stride 1 and zero padding 1, then instance norm over each (sample,
+    channel) plane (population variance, eps 1e-5, no affine), ReLU, and
+    the mean over non-overlapping 2x2 windows.
 
-    x[B,C,H,W], kernel[O,C,kh,kw], bias[O] -> [B,O,H',W'] with
-    H' = H + 2*pad - kh + 1.
-    """
-    if x.values.ndim != 4 or kernel.values.ndim != 4:
-        raise DimensionError(f"conv2d: input {x.shape}, kernel {kernel.shape}")
-    B, C, H, W = x.shape
-    O, Ck, kh, kw = kernel.shape
-    if Ck != C:
-        raise DimensionError(f"conv2d: kernel expects {Ck} channels, input has {C}")
-    if bias.shape != (O,):
-        raise DimensionError(f"conv2d: bias {bias.shape} vs {O} output channels")
-    if not isinstance(pad, (int, np.integer)) or pad < 0:
-        raise DimensionError(f"conv2d: pad must be a non-negative integer, got {pad!r}")
-    if H + 2 * pad < kh or W + 2 * pad < kw:
-        raise DimensionError(f"conv2d: kernel {kh}x{kw} larger than padded input {H + 2 * pad}x{W + 2 * pad}")
-
-    xp = np.pad(x.values, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.values
-    kv = kernel.values
-    # windows[b, c, h, w, i, j] = xp[b, c, h + i, w + j], a strided view.
-    # The forward copies a chunk of it into cols[b, (c, i, j), (h, w)], and
-    # one GEMM per sample leaves the output in [B, O, H', W'] order with no
-    # transposing copy
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    Ho, Wo = windows.shape[2:4]
-    out_v = np.empty((B, O, Ho * Wo))
-    for s in range(0, B, CHUNK):
-        cols = windows[s:s + CHUNK].transpose(0, 1, 4, 5, 2, 3).reshape(-1, C * kh * kw, Ho * Wo)
-        np.matmul(kv.reshape(O, -1), cols, out=out_v[s:s + CHUNK])
-        out_v[s:s + CHUNK] += bias.values[:, None]
-    out_v = out_v.reshape(B, O, Ho, Wo)
-    Hp, Wp = xp.shape[2:]
-
-    def _bw(g, need):
-        # The backward keeps xp, not the window view, and makes no window
-        # copy: in the flattened padded plane, output pixel (h, w) reads
-        # xp at h*Wp + w + off for tap (i, j), with off = i*Wp + j. So g,
-        # laid out on Wp columns (the last Wp - Wo of them zero) and cut to
-        # its first n positions, meets each tap's slice of xp in one GEMM;
-        # the last tap's slice ends at Hp*Wp exactly
-        n = (Ho - 1) * Wp + Wo
-        xf = xp.reshape(B, C, Hp * Wp)
-        # kt[i, j] is the contiguous [C, O] slice that BLAS takes
-        kt = np.ascontiguousarray(kv.transpose(2, 3, 1, 0))
-        gx = np.empty((B, C, H, W)) if need[0] else None
-        gk = np.zeros((O, C, kh, kw)) if need[1] else None
-        for s in range(0, B, CHUNK):
-            c = min(CHUNK, B - s)
-            gw = np.zeros((c, O, Ho, Wp))
-            gw[:, :, :, :Wo] = g[s:s + c]
-            gw = gw.reshape(c, O, Ho * Wp)[:, :, :n]
-            if need[0]:
-                gxf = np.zeros((c, C, Hp * Wp))
-                tap = np.empty((c, C, n))
-                for i in range(kh):
-                    for j in range(kw):
-                        off = i * Wp + j
-                        gxf[:, :, off:off + n] += np.matmul(kt[i, j], gw, out=tap)
-                gx[s:s + c] = gxf.reshape(c, C, Hp, Wp)[:, :, pad:pad + H, pad:pad + W]
-            if need[1]:
-                for i in range(kh):
-                    for j in range(kw):
-                        off = i * Wp + j
-                        part = np.matmul(gw, xf[s:s + c, :, off:off + n].transpose(0, 2, 1))
-                        # the running sum enters as the chunk's first row, so
-                        # the sum over samples keeps numpy's axis-0 order; a
-                        # kernel with one input and one output channel is
-                        # the exception: numpy sums its lone axis pairwise
-                        if s:
-                            part[0] += gk[:, :, i, j]
-                        gk[:, :, i, j] = part.sum(0)
-        return gx, gk, g.sum(axis=(0, 2, 3)) if need[2] else None
-
-    return _node(out_v, (x, kernel, bias), _bw, "conv2d")
-
-
-def norm_relu_pool(x: Tensor) -> Tensor:
-    """A ConvNet block after its conv: instance norm over each (sample,
-    channel) plane (population variance, eps 1e-5, no affine), ReLU, then
-    the mean over non-overlapping 2x2 windows. The pool floors, as
-    PyTorch's ``AvgPool2d``: an odd last row or column is normalized with
-    its plane but pooled into nothing.
+    x[B,C,H,W], kernel[O,C,3,3], bias[O] -> [B,O,H//2,W//2]. The pool
+    floors, as PyTorch's ``AvgPool2d``: an odd last row or column is
+    normalized with its plane but pooled into nothing.
     """
     if x.values.ndim != 4:
-        raise DimensionError(f"norm_relu_pool: expected [B,C,H,W], got {x.shape}")
+        raise DimensionError(f"conv_block: expected [B,C,H,W], got {x.shape}")
     B, C, H, W = x.shape
+    if kernel.values.ndim != 4 or kernel.shape[1:] != (C, 3, 3):
+        raise DimensionError(f"conv_block: kernel {kernel.shape} is not [O,{C},3,3] for input {x.shape}")
+    O = kernel.shape[0]
+    if bias.shape != (O,):
+        raise DimensionError(f"conv_block: bias {bias.shape} vs {O} output channels")
     if H < 2 or W < 2:
-        raise DimensionError(f"norm_relu_pool: plane {H}x{W} is smaller than the 2x2 window")
-    Ho, Wo = H // 2, W // 2
-    # offset (i, j) of every window as a strided view: four strided adds,
-    # as a mean over the strided window axes runs 5x slower
+        raise DimensionError(f"conv_block: plane {H}x{W} is smaller than the 2x2 pool window")
+    Hp, Wp, Ho, Wo = H + 2, W + 2, H // 2, W // 2
+    kv = kernel.values
+    # offset (i, j) of every pool window as a strided view: four strided
+    # adds, as a mean over the strided window axes runs 5x slower
     windows = [np.s_[:, :, i:2 * Ho:2, j:2 * Wo:2] for i in (0, 1) for j in (0, 1)]
-    y = np.empty((B, C, H, W))
-    inv = np.empty((B, C, 1, 1))
-    v = np.zeros((B, C, Ho, Wo))
+    # one chunk of x, zero-padded by a pixel; its border is never written
+    xp = np.zeros((min(B, CHUNK), C, Hp, Wp))
+    y = np.empty((B, O, H, W))
+    inv = np.empty((B, O, 1, 1))
+    v = np.zeros((B, O, Ho, Wo))
     for s in range(0, B, CHUNK):
-        # one mean, one centred copy, its sum of squares, then the copy
-        # scaled in place: np.var would take the mean and centre again
-        xs, ys, vs = x.values[s:s + CHUNK], y[s:s + CHUNK], v[s:s + CHUNK]
-        np.subtract(xs, xs.mean(axis=(2, 3), keepdims=True), out=ys)
-        ss = np.einsum("bchw,bchw->bc", ys, ys)
-        inv[s:s + CHUNK] = (1.0 / np.sqrt(ss / (H * W) + 1e-5))[:, :, None, None]
-        ys *= inv[s:s + CHUNK]
+        c = min(CHUNK, B - s)
+        ys, vs, invs = y[s:s + c], v[s:s + c], inv[s:s + c]
+        xp[:c, :, 1:-1, 1:-1] = x.values[s:s + c]
+        # cols[b, (c, i, j), (h, w)] = xp[b, c, h + i, w + j]: one GEMM per
+        # sample leaves the conv in [B, O, H, W] order, straight in y
+        cols = sliding_window_view(xp[:c], (3, 3), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+        np.matmul(kv.reshape(O, -1), cols.reshape(c, C * 9, H * W), out=ys.reshape(c, O, H * W))
+        ys += bias.values[:, None, None]
+        # one mean, the centring in place, its sum of squares, then the
+        # scaling in place: np.var would take the mean and centre again
+        ys -= ys.mean(axis=(2, 3), keepdims=True)
+        invs[...] = (1.0 / np.sqrt(np.einsum("bchw,bchw->bc", ys, ys) / (H * W) + 1e-5))[:, :, None, None]
+        ys *= invs
         for w in windows:
             vs += np.maximum(ys[w], 0.0)
         vs *= 0.25
 
     def _bw(g, need):
-        # g / 4 onto each window position where y > 0, then the norm's
-        # (gy - mean(gy) - y * mean(gy * y)) * inv: einsum sums gy * y
-        # without a full-size product, and the terms land in place
-        gx = np.empty((B, C, H, W))
+        # Per chunk: g / 4 onto each window position where y > 0, then the
+        # norm's (gy - mean(gy) - y * mean(gy * y)) * inv into the
+        # contiguous buffer gc (einsum sums gy * y without a full-size
+        # product). gc is copied once into gw, laid out on Wp columns (the
+        # last two zero) and cut to its first n positions: in the flattened
+        # padded plane, output pixel (h, w) reads xp at h*Wp + w + off for
+        # tap (i, j), with off = i*Wp + j, so gw meets each tap's slice of
+        # xp in one GEMM, and the last tap's slice ends at Hp*Wp exactly
+        n = (H - 1) * Wp + W
+        # kt[i, j] is the contiguous [C, O] slice that BLAS takes
+        kt = np.ascontiguousarray(kv.transpose(2, 3, 1, 0))
+        gx = np.empty((B, C, H, W)) if need[0] else None
+        gk = np.zeros((O, C, 3, 3)) if need[1] else None
+        gb = np.zeros(O)
+        gy, gc = np.zeros((2, len(xp), O, H, W))
+        gw = np.zeros((len(xp), O, H, Wp))
         for s in range(0, B, CHUNK):
-            ys, gxs, invs = y[s:s + CHUNK], gx[s:s + CHUNK], inv[s:s + CHUNK]
-            gy = np.zeros(ys.shape)
-            g4 = g[s:s + CHUNK] * 0.25
+            c = min(CHUNK, B - s)
+            ys, gys, gcs = y[s:s + c], gy[:c], gc[:c]
+            g4 = g[s:s + c] * 0.25
             for w in windows:
-                np.multiply(g4, ys[w] > 0.0, out=gy[w])
-            gm = (gy.sum(axis=(2, 3)) / (H * W))[:, :, None, None]
-            gym = (np.einsum("bchw,bchw->bc", gy, ys) / (H * W))[:, :, None, None]
-            np.multiply(ys, -gym, out=gxs)
-            gxs += gy
-            gxs -= gm
-            gxs *= invs
-        return (gx,)
+                np.multiply(g4, ys[w] > 0.0, out=gys[w])
+            gm = (gys.sum(axis=(2, 3)) / (H * W))[:, :, None, None]
+            gym = (np.einsum("bchw,bchw->bc", gys, ys) / (H * W))[:, :, None, None]
+            np.multiply(ys, -gym, out=gcs)
+            gcs += gys
+            gcs -= gm
+            gcs *= inv[s:s + c]
+            gw[:c, :, :, :W] = gcs
+            gwn = gw[:c].reshape(c, O, H * Wp)[:, :, :n]
+            # each running sum over samples enters as the chunk's first row,
+            # so it keeps the order of one sum over the batch; the last bits
+            # differ only where numpy sums the batch pairwise: the bias
+            # gradient of a block with one output channel, and the kernel
+            # gradient of one with one input and one output channel
+            gbs = gcs.sum(axis=(2, 3))
+            if s:
+                gbs[0] += gb
+            gb = gbs.sum(0)
+            if need[0]:
+                gxf = np.zeros((c, C, Hp * Wp))
+                tap = np.empty((c, C, n))
+                for i in range(3):
+                    for j in range(3):
+                        off = i * Wp + j
+                        gxf[:, :, off:off + n] += np.matmul(kt[i, j], gwn, out=tap)
+                gx[s:s + c] = gxf.reshape(c, C, Hp, Wp)[:, :, 1:-1, 1:-1]
+            if need[1]:
+                xp[:c, :, 1:-1, 1:-1] = x.values[s:s + c]
+                xf = xp[:c].reshape(c, C, Hp * Wp)
+                for i in range(3):
+                    for j in range(3):
+                        off = i * Wp + j
+                        part = np.matmul(gwn, xf[:, :, off:off + n].transpose(0, 2, 1))
+                        if s:
+                            part[0] += gk[:, :, i, j]
+                        gk[:, :, i, j] = part.sum(0)
+        return gx, gk, gb if need[2] else None
 
-    return _node(v, (x,), _bw, "norm_relu_pool")
+    return _node(v, (x, kernel, bias), _bw, "conv_block")
 
 
 def softmax_cross_entropy_mean(logits: Tensor, labels) -> Tensor:

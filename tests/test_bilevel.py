@@ -9,7 +9,7 @@ import condensery.tensor as T
 from condensery import bilevel, evaluate
 from condensery.bilevel import AccQueue, CondenseConfig, init_state, inner_step, \
     outer_lr_at, outer_step, query_accuracy, run_condense, sample_class_balanced
-from condensery.data import make_blobs
+from condensery.data import make_blob_split
 from condensery.errors import ConfigError, DivergenceError, UsageError
 from condensery.losses import cwfa, discrimination_logits, discrimination_loss, \
     feature_alignment_loss, total_loss
@@ -27,7 +27,7 @@ def tiny_cfg(**kw):
 
 
 def tiny_data(seed=0):
-    return make_blobs(3, 20, (1, 4, 4), spread=0.2, separation=5.0, seed=seed)
+    return make_blob_split(3, 20, 1, (1, 4, 4), spread=0.2, separation=5.0, seed=seed)[0]
 
 
 def test_config_validation():
@@ -37,6 +37,21 @@ def test_config_validation():
         CondenseConfig(ipc=1, gamma=1)
     with pytest.raises(ConfigError):
         CondenseConfig(ipc=0)
+    with pytest.raises(ConfigError, match="^beta must be positive$"):
+        CondenseConfig(beta=float("nan"))
+
+
+@pytest.mark.parametrize("name, least, below", [
+    ("n_per_class", 1, 0), ("query_size", 1, 0), ("l_out", 0, -1), ("l_in", 0, -1),
+    ("max_outer_iters", 0, -1), ("outer_lr", 0, -0.5), ("inner_lr", 0, -1.0),
+    ("inner_lr", 0, float("nan"))])
+def test_config_rejects_a_value_below_its_minimum(name, least, below):
+    # the library holds the ranges the CLI reports: n_per_class=0 would
+    # fail in the first outer step, and a negative inner_lr would run
+    # gradient ascent to the end
+    CondenseConfig(**{name: least})
+    with pytest.raises(ConfigError, match=f"^{name} must be >= {least}, got {below}$"):
+        CondenseConfig(**{name: below})
 
 
 def test_config_defaults_match_reported_values():
@@ -237,7 +252,7 @@ def test_outer_tape_is_freed_before_the_query(monkeypatch):
 
 
 def test_query_accuracy_random_theta_near_chance():
-    ds = make_blobs(4, 300, (1, 4, 4), spread=0.2, seed=2)
+    ds = make_blob_split(4, 300, 1, (1, 4, 4), spread=0.2, seed=2)[0]
     cfg = tiny_cfg(query_size=1200)
     arch = ConvNetSpec(blocks=1, channels=4, input_shape=(1, 4, 4), num_classes=4)
     accs = [query_accuracy(init_params(arch, seed=s), ds, cfg, np.random.default_rng(s))
@@ -257,7 +272,7 @@ def test_query_accuracy_memorizer_and_determinism():
 
 
 def test_query_accuracy_reads_in_bounded_batches(monkeypatch):
-    ds = make_blobs(3, 200, (1, 4, 4), spread=0.2, seed=4)
+    ds = make_blob_split(3, 200, 1, (1, 4, 4), spread=0.2, seed=4)[0]
     theta = init_params(TINY_ARCH, seed=4)
     cfg = tiny_cfg(query_size=600)
     sizes = []

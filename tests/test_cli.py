@@ -163,6 +163,8 @@ def test_diverged_training_exits_2(tmp_path, capsys, command, lr_key):
     ("condense", "dataset.shape=[-1,8,8]", None),
     ("condense", "dataset.shape=[8,8]", None),
     ("condense", "condense.n_per_class=-1", None),
+    ("condense", "condense.query_size=0", None),
+    ("condense", "condense.l_in=-1", None),
     ("condense", "seed=-1", None),
     ("condense", "dataset.train_images=0", None),
     ("condense", "dataset.train_images=[a]", None),
@@ -413,7 +415,7 @@ def test_export_proj(tmp_path):
 def test_gradcheck_clean(capsys):
     assert cli.main(["gradcheck"]) == 0
     out = capsys.readouterr().out
-    assert "conv2d" in out and "all gradient checks passed" in out
+    assert "conv_block" in out and "all gradient checks passed" in out
 
 
 def test_gradcheck_negative_seed_exits_2(capsys):
@@ -466,11 +468,11 @@ def test_training_step_keeps_its_pages_once_thresholds_are_set():
 
 
 def test_gradcheck_detects_injected_sign_flip(monkeypatch, capsys):
-    real_conv = T.conv2d
+    real_block = T.conv_block
 
-    @functools.wraps(real_conv)
-    def broken_conv(x, kernel, bias, *, pad=0):
-        out = real_conv(x, kernel, bias, pad=pad)
+    @functools.wraps(real_block)
+    def broken_block(x, kernel, bias):
+        out = real_block(x, kernel, bias)
         orig_bw = out._backward
 
         def bw(g, need):
@@ -479,24 +481,24 @@ def test_gradcheck_detects_injected_sign_flip(monkeypatch, capsys):
         out._backward = bw
         return out
 
-    monkeypatch.setattr(T, "conv2d", broken_conv)
+    monkeypatch.setattr(T, "conv_block", broken_block)
     assert cli.main(["gradcheck"]) == 1
     err = capsys.readouterr().err
-    assert "conv2d" in err
+    assert "FAIL conv_block[arg1]" in err
 
 
 def test_gradcheck_standalone_checks_catch_pool_and_norm_faults(monkeypatch, capsys):
-    real = T.norm_relu_pool
+    real = T.conv_block
     faults = (lambda bw: lambda g, need: bw(g.swapaxes(2, 3), need),    # transposed window map
-              lambda bw: lambda g, need: (bw(g, need)[0] * 1.01,))      # 1% too large
+              lambda bw: lambda g, need: bw(g * 1.01, need))            # 1% too large
     for fault in faults:
         @functools.wraps(real)
-        def broken(x, fault=fault):
-            out = real(x)
+        def broken(x, kernel, bias, fault=fault):
+            out = real(x, kernel, bias)
             out._backward = fault(out._backward)
             return out
 
-        monkeypatch.setattr(T, "norm_relu_pool", broken)
+        monkeypatch.setattr(T, "conv_block", broken)
         assert cli.main(["gradcheck"]) == 1
         # each fault fails the op's own check, not only the composed network's
-        assert "FAIL norm_relu_pool[arg0]" in capsys.readouterr().err
+        assert "FAIL conv_block[arg0]" in capsys.readouterr().err

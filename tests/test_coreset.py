@@ -7,7 +7,7 @@ import pytest
 
 from condensery.coreset import forgetting_events, materialize, select_forgetting, \
     select_herding, select_kcenter, select_random
-from condensery.data import make_blobs, make_dataset
+from condensery.data import make_blob_split, make_dataset
 from condensery.errors import InputError
 
 
@@ -29,21 +29,21 @@ def check_invariants(sel, ds):
 
 
 def test_random_full_class():
-    ds = make_blobs(2, 5, (1, 2, 2), seed=0)
+    ds = make_blob_split(2, 5, 1, (1, 2, 2), seed=0)[0]
     sel = select_random(ds, 5, seed=1)
     check_invariants(sel, ds)
     np.testing.assert_array_equal(np.sort(sel.per_class(0)), np.nonzero(ds.labels == 0)[0])
 
 
 def test_random_deterministic_per_seed():
-    ds = make_blobs(3, 10, (1, 2, 2), seed=0)
+    ds = make_blob_split(3, 10, 1, (1, 2, 2), seed=0)[0]
     a = select_random(ds, 2, seed=5)
     b = select_random(ds, 2, seed=5)
     np.testing.assert_array_equal(a.indices, b.indices)
 
 
 def test_random_histogram_uniform():
-    ds = make_blobs(2, 6, (1, 1, 1), seed=0)
+    ds = make_blob_split(2, 6, 1, (1, 1, 1), seed=0)[0]
     counts = np.zeros(len(ds))
     draws = 10_000
     for s in range(draws):
@@ -55,7 +55,7 @@ def test_random_histogram_uniform():
 
 
 def test_random_class_too_small():
-    ds = make_blobs(2, 3, (1, 1, 1), seed=0)
+    ds = make_blob_split(2, 3, 1, (1, 1, 1), seed=0)[0]
     with pytest.raises(InputError):
         select_random(ds, 4, seed=0)
 
@@ -158,7 +158,7 @@ def test_forgetting_selection_matches_recount_oracle():
 
 
 def test_materialize_is_class_major():
-    ds = make_blobs(3, 5, (1, 2, 2), seed=4)
+    ds = make_blob_split(3, 5, 1, (1, 2, 2), seed=4)[0]
     sel = select_random(ds, 2, seed=0)
     synth = materialize(ds, sel)
     np.testing.assert_array_equal(synth.labels, [0, 0, 1, 1, 2, 2])
@@ -166,7 +166,7 @@ def test_materialize_is_class_major():
 
 
 def test_selection_csv(tmp_path):
-    ds = make_blobs(2, 4, (1, 2, 2), seed=5)
+    ds = make_blob_split(2, 4, 1, (1, 2, 2), seed=5)[0]
     sel = select_random(ds, 2, seed=0)
     path = tmp_path / "sel.csv"
     sel.to_csv(path)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condensery.data import NormStats, denormalize, export_projection_csv, load_idx, \
-    load_synthetic, make_blob_split, make_blobs, make_dataset, new_synthetic, \
+    load_synthetic, make_blob_split, make_dataset, new_synthetic, \
     normalize, save_idx, save_synthetic, pca_fit, SyntheticSet
 from condensery.errors import InputError, ParseError
 from condensery.tensor import Tensor
@@ -131,13 +131,13 @@ def test_normalize_matches_two_pass_oracle():
 
 
 def test_dataset_normalized_space():
-    ds = make_blobs(3, 50, (2, 2, 2), seed=0)
+    ds = make_blob_split(3, 50, 1, (2, 2, 2), seed=0)[0]
     assert np.allclose(ds.images.mean(axis=(0, 2, 3)), 0.0, atol=1e-9)
     assert np.allclose(ds.images.std(axis=(0, 2, 3)), 1.0, atol=1e-6)
 
 
 def test_make_blobs_nearest_mean_classifies():
-    ds = make_blobs(3, 400, (1, 2, 2), spread=0.1, separation=5.0, seed=0)
+    ds = make_blob_split(3, 400, 1, (1, 2, 2), spread=0.1, separation=5.0, seed=0)[0]
     feats = ds.images.reshape(len(ds), -1)
     means = np.stack([feats[ds.labels == k].mean(0) for k in range(3)])
     pred = np.argmin(np.linalg.norm(feats[:, None] - means[None], axis=2), axis=1)
@@ -145,8 +145,8 @@ def test_make_blobs_nearest_mean_classifies():
 
 
 def test_make_blobs_deterministic():
-    a = make_blobs(3, 10, (1, 2, 2), seed=3)
-    b = make_blobs(3, 10, (1, 2, 2), seed=3)
+    a = make_blob_split(3, 10, 1, (1, 2, 2), seed=3)[0]
+    b = make_blob_split(3, 10, 1, (1, 2, 2), seed=3)[0]
     assert np.array_equal(a.images, b.images)
     assert np.array_equal(a.labels, b.labels)
 
@@ -155,7 +155,7 @@ def test_make_blobs_class_mean_concentration():
     # two disjoint halves of a class estimate the same cluster center;
     # their means must agree within 3 sigma of the half-sample error
     spread, n = 0.5, 2000
-    ds = make_blobs(2, n, (1, 1, 4), spread=spread, separation=5.0, seed=4)
+    ds = make_blob_split(2, n, 1, (1, 1, 4), spread=spread, separation=5.0, seed=4)[0]
     raw = denormalize(ds.images, ds.norm_stats).reshape(2 * n, -1)
     half_sigma = spread * np.sqrt(2.0 / (n / 2))
     for k in range(2):
@@ -166,7 +166,7 @@ def test_make_blobs_class_mean_concentration():
 
 def test_make_blobs_rejects_single_class():
     with pytest.raises(InputError):
-        make_blobs(1, 10, (1, 2, 2))
+        make_blob_split(1, 10, 1, (1, 2, 2))
 
 
 def test_blob_split_shares_stats():

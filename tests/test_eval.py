@@ -1,5 +1,7 @@
 """Train-on-synthetic evaluation protocol."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -166,3 +168,23 @@ def test_predict_forwards_constants_equal_to_a_taped_forward(monkeypatch, arch):
     taped = np.concatenate([t.values for t in taped])
     np.testing.assert_array_equal(np.concatenate([t.values for t in seen]), taped)
     np.testing.assert_array_equal(predicted, np.argmax(taped, axis=1))
+
+
+def test_training_step_tape_holds_no_full_size_conv_output():
+    # one batch-256 step of a 2-block, 16-channel ConvNet on 1x28x28 images:
+    # each block keeps its normalized conv output and its pooled output,
+    # not the conv output as well. Block 0's alone would lift the peak by
+    # one more conv-sized array, from about 2.1 of them to 3.1
+    params = init_params(ConvNetSpec(blocks=2, channels=16, input_shape=(1, 28, 28),
+                                     num_classes=10), seed=0)
+    rng = np.random.default_rng(0)
+    batch, labels = rng.standard_normal((256, 1, 28, 28)), rng.integers(0, 10, 256)
+    evaluate.train_step(params, batch, labels, 0.01)
+    conv_bytes = 256 * 16 * 28 * 28 * 8
+    tracemalloc.start()
+    try:
+        evaluate.train_step(params, batch, labels, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * conv_bytes, peak / conv_bytes

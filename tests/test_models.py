@@ -1,5 +1,7 @@
 """Model forward passes, taps, and initialization."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,21 @@ def test_convnet_last_tap_feeds_classifier():
     w, b = params.tensors[-2], params.tensors[-1]
     np.testing.assert_allclose(pyr.logits.values,
                                pyr.per_layer[-1].values @ w.values + b.values)
+
+
+def test_convnet_block_records_one_tape_node():
+    # the logits reach three conv_block nodes, one per block, each reading
+    # the previous block's output, then the last tap's reshape and the head
+    spec = ConvNetSpec(blocks=3, channels=4, input_shape=(1, 8, 8), num_classes=3)
+    batch = Tensor.constant(np.random.default_rng(5).standard_normal((2, 1, 8, 8)))
+    pyr = convnet_forward(init_params(spec, seed=0), batch)
+    ops = Counter(t._op for t in T._topo_order(pyr.logits) if t._parents)
+    assert ops == {"conv_block": 3, "reshape": 1, "linear": 1}
+    block = pyr.per_layer[-1]._parents[0]
+    for _ in range(3):
+        assert block._op == "conv_block"
+        block = block._parents[0]
+    assert block is batch
 
 
 def test_convnet_shape_mismatch():

@@ -11,119 +11,135 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import condensery.tensor as T
 from condensery.errors import DimensionError, InputError, UsageError
-from condensery.gradcheck import check_op, numeric_grad, run_suite
+from condensery.gradcheck import _block_leaves, check_op, numeric_grad, run_suite
 from condensery.tensor import Tensor
 
 
+def _identity(C):
+    """A centre-tap identity kernel and a zero bias: the block's conv then
+    copies its input bit for bit, which leaves the norm, ReLU and pool."""
+    k = np.zeros((C, C, 3, 3))
+    k[range(C), range(C), 1, 1] = 1.0
+    return Tensor.constant(k), Tensor.constant(np.zeros(C))
+
+
+def _norm_relu_pool(x):
+    """conv_block through the identity kernel: the norm, ReLU and pool of x."""
+    return T.conv_block(x, *_identity(x.shape[1]))
+
+
 def test_conv2d_identity_kernel():
-    x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
-    k = Tensor(np.ones((1, 1, 1, 1)))
-    b = Tensor(np.zeros(1))
-    out = T.conv2d(x, k, b, pad=0)
-    np.testing.assert_array_equal(out.values, x.values)
+    # a kernel whose one 1 sits at tap (i, j) reads the plane moved by
+    # (1 - i, 1 - j) with zeros shifted in, bit for bit: the conv pads by one
+    # pixel and moves one pixel at a time
+    x = np.random.default_rng(0).standard_normal((2, 3, 5, 6))
+    for i in range(3):
+        for j in range(3):
+            k = np.zeros((3, 3, 3, 3))
+            k[range(3), range(3), i, j] = 1.0
+            moved = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))[:, :, i:i + 5, j:j + 6]
+            out = T.conv_block(Tensor(x), Tensor(k), Tensor(np.zeros(3)))
+            np.testing.assert_array_equal(out.values, _norm_relu_pool(Tensor(moved)).values)
 
 
 def test_conv2d_bias_only():
+    # a zero kernel leaves each plane at its bias, which the norm centres
+    # to zero exactly
     x = Tensor(np.random.default_rng(0).standard_normal((2, 3, 4, 4)))
-    k = Tensor(np.zeros((2, 3, 3, 3)))
-    b = Tensor(np.array([5.0, 5.0]))
-    out = T.conv2d(x, k, b, pad=1)
-    np.testing.assert_array_equal(out.values, np.full((2, 2, 4, 4), 5.0))
+    out = T.conv_block(x, Tensor(np.zeros((2, 3, 3, 3))), Tensor(np.array([5.0, -3.0])))
+    np.testing.assert_array_equal(out.values, np.zeros((2, 2, 2, 2)))
 
 
 def test_conv2d_channel_mismatch():
     x = Tensor(np.zeros((1, 2, 4, 4)))
     k = Tensor(np.zeros((1, 3, 3, 3)))
     with pytest.raises(DimensionError):
-        T.conv2d(x, k, Tensor(np.zeros(1)), pad=1)
+        T.conv_block(x, k, Tensor(np.zeros(1)))
 
 
-def test_conv2d_pad_is_keyword_only():
-    x = Tensor(np.zeros((1, 1, 4, 4)))
-    with pytest.raises(TypeError):
-        T.conv2d(x, Tensor(np.zeros((1, 1, 3, 3))), Tensor(np.zeros(1)), 1, 1)
-
-
-@pytest.mark.parametrize("pad", [-1, 1.5, "1", None], ids=["negative", "float", "str", "None"])
-def test_conv2d_rejects_a_pad_that_is_not_a_nonnegative_integer(pad):
-    x = Tensor(np.zeros((1, 1, 4, 4)))
-    with pytest.raises(DimensionError, match="pad"):
-        T.conv2d(x, Tensor(np.zeros((1, 1, 3, 3))), Tensor(np.zeros(1)), pad=pad)
+@pytest.mark.parametrize("kshape", [(1, 1, 1, 1), (1, 1, 2, 3), (1, 1, 3), (1, 1, 5, 5)])
+def test_conv_block_rejects_a_kernel_that_is_not_3x3(kshape):
+    with pytest.raises(DimensionError, match="conv_block: kernel"):
+        T.conv_block(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros(kshape)), Tensor(np.zeros(1)))
 
 
 def test_conv2d_gradients_match_finite_differences():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((2, 3, 5, 5))
-    k = rng.standard_normal((4, 3, 3, 3))
-    b = rng.standard_normal(4)
-    for r in check_op("conv2d", lambda t: T.conv2d(t[0], t[1], t[2], pad=0), [x, k, b]):
+    leaves = _block_leaves(np.random.default_rng(1), (2, 3, 5, 5), 4)
+    for r in check_op("conv_block", lambda t: T.conv_block(t[0], t[1], t[2]), leaves):
         assert r.passed, r.detail
         assert r.worst_rel <= 1e-3
 
 
-def _conv2d_loop_oracle(x, k, b, pad, g):
-    """conv2d's output and its input and kernel gradients under upstream
-    gradient g, by explicit loops over every output pixel."""
+def _block_loop_oracle(x, k, b, g):
+    """conv_block's output and its input, kernel and bias gradients under
+    upstream gradient g: a 3x3, pad-1 conv by explicit loops over every
+    output pixel, a two-pass norm, ReLU and the window mean, then the
+    window spread of g masked by ReLU, the five-pass norm backward and the
+    conv's loops again."""
     B, C, H, W = x.shape
-    O, _, kh, kw = k.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    Ho, Wo = H + 2 * pad - kh + 1, W + 2 * pad - kw + 1
-    out = np.zeros((B, O, Ho, Wo))
+    O = k.shape[0]
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    conv = np.zeros((B, O, H, W))
+    for n in range(B):
+        for o in range(O):
+            for h in range(H):
+                for w in range(W):
+                    conv[n, o, h, w] = (xp[n, :, h:h + 3, w:w + 3] * k[o]).sum() + b[o]
+    inv = 1.0 / np.sqrt(conv.var(axis=(2, 3), keepdims=True) + 1e-5)
+    y = (conv - conv.mean(axis=(2, 3), keepdims=True)) * inv
+    gy = _window_loop_spread(g, y.shape) * (y > 0.0)
+    gc = (gy - gy.mean(axis=(2, 3), keepdims=True)
+          - y * (gy * y).mean(axis=(2, 3), keepdims=True)) * inv
     gxp = np.zeros_like(xp)
     gk = np.zeros_like(k)
     for n in range(B):
         for o in range(O):
-            for h in range(Ho):
-                for w in range(Wo):
-                    patch = xp[n, :, h:h + kh, w:w + kw]
-                    out[n, o, h, w] = (patch * k[o]).sum() + b[o]
-                    gk[o] += g[n, o, h, w] * patch
-                    gxp[n, :, h:h + kh, w:w + kw] += g[n, o, h, w] * k[o]
-    return out, gxp[:, :, pad:pad + H, pad:pad + W], gk
+            for h in range(H):
+                for w in range(W):
+                    gk[o] += gc[n, o, h, w] * xp[n, :, h:h + 3, w:w + 3]
+                    gxp[n, :, h:h + 3, w:w + 3] += gc[n, o, h, w] * k[o]
+    return _window_loop_pool(np.maximum(y, 0.0)), gxp[:, :, 1:-1, 1:-1], gk, gc.sum(axis=(0, 2, 3))
 
 
-# (input shape or maker, output channels, kernel shape, pad), keyed by test id
-ORACLE_CASES = {f"kshape{i}-{pad}": ((2, 2, 4, 5), 3, kshape, pad)
-                for i, kshape in enumerate([(1, 1), (3, 3), (2, 3)]) for pad in (0, 1, 2)}
-ORACLE_CASES["first_layer-1"] = ((2, 1, 6, 7), 4, (3, 3), 1)
-# a non-contiguous [2, 2, 5, 6] view: every other channel, all but one column
-ORACLE_CASES["view-0"] = (lambda rng: rng.standard_normal((2, 4, 5, 7))[:, ::2, :, 1:], 3, (3, 3), 0)
-# more samples than one of the kernels' chunks, so a chunk seam is crossed;
-# with one input and one output channel numpy sums the samples pairwise
-ORACLE_CASES["chunks-1"] = ((T.CHUNK + 1, 2, 4, 5), 3, (3, 3), 1)
-ORACLE_CASES["chunks_1to1-1"] = ((2 * T.CHUNK + 3, 1, 4, 5), 1, (3, 3), 1)
+# (input shape, output channels), keyed by test id: batches of 1, CHUNK - 1
+# and CHUNK samples, one beyond a chunk and two chunks and three beyond;
+# first_layer is the ConvNet's 1-channel input layer
+ORACLE_CASES = {
+    "one_sample-1": ((1, 2, 4, 5), 3),
+    "chunk_less_one-1": ((T.CHUNK - 1, 2, 4, 4), 3),
+    "one_chunk-1": ((T.CHUNK, 2, 5, 7), 3),
+    "chunks-1": ((T.CHUNK + 1, 2, 4, 5), 3),
+    "chunks_1to1-1": ((2 * T.CHUNK + 3, 1, 4, 5), 1),
+    "first_layer-1": ((2, 1, 6, 7), 4),
+}
 
 
 @pytest.mark.parametrize("case", list(ORACLE_CASES))
 def test_conv2d_matches_loop_oracle(case):
-    # pad=2 with a 1x1 or 2x3 kernel pads by at least the kernel height;
-    # first_layer is the ConvNet's 1-channel input layer, view an input
-    # that is a strided view, chunks a batch that spans two sample chunks
-    x_shape, O, kshape, pad = ORACLE_CASES[case]
+    x_shape, O = ORACLE_CASES[case]
     rng = np.random.default_rng(11)
-    x = Tensor(x_shape(rng) if callable(x_shape) else rng.standard_normal(x_shape))
-    k = Tensor(rng.standard_normal((O, x.shape[1]) + kshape))
+    x = Tensor(rng.standard_normal(x_shape))
+    k = Tensor(rng.standard_normal((O, x.shape[1], 3, 3)))
     b = Tensor(rng.standard_normal(O))
-    out = T.conv2d(x, k, b, pad=pad)
+    out = T.conv_block(x, k, b)
     g = rng.standard_normal(out.shape)
     T.backward(T.sum_all(T.mul(out, Tensor(g))))
-    ref_out, ref_gx, ref_gk = _conv2d_loop_oracle(x.values, k.values, b.values, pad, g)
-    # the kernels sum in another order than the loops: float64 round-off only
-    for got, ref in ((out.values, ref_out), (x.grad, ref_gx), (k.grad, ref_gk),
-                     (b.grad, g.sum(axis=(0, 2, 3)))):
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+    ref = _block_loop_oracle(x.values, k.values, b.values, g)
+    # the block sums in another order than the loops: float64 round-off only
+    for got, want in zip((out.values, x.grad, k.grad, b.grad), ref):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_conv2d_backward_peak_memory_is_a_few_inputs():
-    # both gradients of a ConvNet-sized layer allocate less than 6 times
-    # the input's bytes at their peak: no window-sized copy is made
+    # all three gradients of a ConvNet-sized block allocate less than 6
+    # times the input's bytes at their peak: no window-sized copy is made
     rng = np.random.default_rng(15)
     x = Tensor(rng.standard_normal((32, 16, 14, 14)))
-    out = T.conv2d(x, Tensor(rng.standard_normal((16, 16, 3, 3))), Tensor(np.zeros(16)), pad=1)
+    out = T.conv_block(x, Tensor(rng.standard_normal((16, 16, 3, 3))), Tensor(np.zeros(16)))
     g = rng.standard_normal(out.shape)
     tracemalloc.start()
     try:
-        gx, gk, _ = out._backward(g, (True, True, False))
+        gx, gk, _ = out._backward(g, (True, True, True))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -132,99 +148,76 @@ def test_conv2d_backward_peak_memory_is_a_few_inputs():
 
 
 def test_conv2d_forward_peak_memory_is_a_few_inputs():
-    # the forward copies one chunk's windows at a time, not the batch's:
-    # the padded input, the output and one chunk's im2col copy
+    # the forward pads and copies one chunk's windows at a time, not the
+    # batch's: the block keeps its normalized conv output and its output
     rng = np.random.default_rng(19)
     x = Tensor(rng.standard_normal((256, 16, 14, 14)))
     k, b = Tensor(rng.standard_normal((16, 16, 3, 3))), Tensor(np.zeros(16))
     tracemalloc.start()
     try:
-        out = T.conv2d(x, k, b, pad=1)
+        out = T.conv_block(x, k, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.shape == x.shape
+    assert out.shape == (256, 16, 7, 7)
     assert peak <= 5 * x.values.nbytes, peak / x.values.nbytes
 
 
-def _conv2d_whole_batch(x, k, b, pad, g):
-    """conv2d's output and its input, kernel and bias gradients under
+def _block_whole_batch(x, k, b, g):
+    """conv_block's output and its input, kernel and bias gradients under
     upstream gradient g, each formula run once over the whole batch."""
     B, C, H, W = x.shape
-    O, _, kh, kw = k.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    Ho, Wo = windows.shape[2:4]
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(B, C * kh * kw, Ho * Wo)
-    out = np.matmul(k.reshape(O, -1), cols)
-    out += b[:, None]
-    Hp, Wp = xp.shape[2:]
-    n = (Ho - 1) * Wp + Wo
-    gw = np.zeros((B, O, Ho, Wp))
-    gw[:, :, :, :Wo] = g
-    gw = gw.reshape(B, O, Ho * Wp)[:, :, :n]
-    kt = np.ascontiguousarray(k.transpose(2, 3, 1, 0))
-    xf = xp.reshape(B, C, Hp * Wp)
-    gxf = np.zeros((B, C, Hp * Wp))
-    gk = np.empty((O, C, kh, kw))
-    for i in range(kh):
-        for j in range(kw):
-            off = i * Wp + j
-            gxf[:, :, off:off + n] += np.matmul(kt[i, j], gw)
-            gk[:, :, i, j] = np.matmul(gw, xf[:, :, off:off + n].transpose(0, 2, 1)).sum(0)
-    gx = gxf.reshape(B, C, Hp, Wp)[:, :, pad:pad + H, pad:pad + W]
-    return out.reshape(B, O, Ho, Wo), gx, gk, g.sum(axis=(0, 2, 3))
-
-
-def _norm_relu_pool_whole_batch(x, g):
-    """norm_relu_pool's output and its input gradient under upstream
-    gradient g, each formula run once over the whole batch."""
-    B, C, H, W = x.shape
+    O = k.shape[0]
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    cols = sliding_window_view(xp, (3, 3), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+    conv = np.matmul(k.reshape(O, -1), cols.reshape(B, C * 9, H * W))
+    conv += b[:, None]
+    y, inv = _one_pass_norm(conv.reshape(B, O, H, W))
     Ho, Wo = H // 2, W // 2
-    y = x - x.mean(axis=(2, 3), keepdims=True)
-    inv = (1.0 / np.sqrt(np.einsum("bchw,bchw->bc", y, y) / (H * W) + 1e-5))[:, :, None, None]
-    y *= inv
     windows = [np.s_[:, :, i:2 * Ho:2, j:2 * Wo:2] for i in (0, 1) for j in (0, 1)]
-    v = np.zeros((B, C, Ho, Wo))
+    v = np.zeros((B, O, Ho, Wo))
     for w in windows:
         v += np.maximum(y[w], 0.0)
     v *= 0.25
-    gy = np.zeros((B, C, H, W))
+    gy = np.zeros((B, O, H, W))
     for w in windows:
         np.multiply(g * 0.25, y[w] > 0.0, out=gy[w])
-    gm = (gy.sum(axis=(2, 3)) / (H * W))[:, :, None, None]
-    gym = (np.einsum("bchw,bchw->bc", gy, y) / (H * W))[:, :, None, None]
-    gx = y * -gym
-    gx += gy
-    gx -= gm
-    gx *= inv
-    return v, gx
+    gc = _one_pass_norm_backward(y, inv, gy)
+    Hp, Wp = H + 2, W + 2
+    n = (H - 1) * Wp + W
+    gw = np.zeros((B, O, H, Wp))
+    gw[:, :, :, :W] = gc
+    gw = gw.reshape(B, O, H * Wp)[:, :, :n]
+    kt = np.ascontiguousarray(k.transpose(2, 3, 1, 0))
+    xf = xp.reshape(B, C, Hp * Wp)
+    gxf = np.zeros((B, C, Hp * Wp))
+    gk = np.empty((O, C, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            off = i * Wp + j
+            gxf[:, :, off:off + n] += np.matmul(kt[i, j], gw)
+            gk[:, :, i, j] = np.matmul(gw, xf[:, :, off:off + n].transpose(0, 2, 1)).sum(0)
+    return v, gxf.reshape(B, C, Hp, Wp)[:, :, 1:-1, 1:-1], gk, gc.sum(axis=(0, 2, 3))
 
 
 @pytest.mark.parametrize("B", [1, T.CHUNK - 1, T.CHUNK, T.CHUNK + 1, 2 * T.CHUNK + 3])
 def test_chunked_kernels_match_the_whole_batch_bit_for_bit(B):
-    # every result the kernels compute chunk by chunk is per sample, and
-    # the kernel gradient carries its running sum across the seams in the
-    # order of one sum over the batch: no bit may move. The input is a
-    # strided view, and the block op's 5x7 plane is pooled with a floor
+    # every result the block computes chunk by chunk is per sample, and
+    # the kernel and bias gradients carry their running sums across the
+    # seams in the order of one sum over the batch: no bit may move. The
+    # input is a strided view, and its 5x7 plane is pooled with a floor
     rng = np.random.default_rng(20)
     x = rng.standard_normal((B, 6, 5, 8))[:, ::2, :, 1:]
     k, b = rng.standard_normal((4, 3, 3, 3)), rng.standard_normal(4)
-    out = T.conv2d(Tensor(x), Tensor(k), Tensor(b), pad=1)
+    out = T.conv_block(Tensor(x), Tensor(k), Tensor(b))
     g = rng.standard_normal(out.shape)
-    ref = _conv2d_whole_batch(x, k, b, 1, g)
+    ref = _block_whole_batch(x, k, b, g)
     for got, want in zip((out.values,) + out._backward(g, (True, True, True)), ref):
         np.testing.assert_array_equal(got, want)
-    h = out.values * 3.0 + 1.0
-    pooled = T.norm_relu_pool(Tensor(h))
-    gp = rng.standard_normal(pooled.shape)
-    ref_v, ref_gx = _norm_relu_pool_whole_batch(h, gp)
-    np.testing.assert_array_equal(pooled.values, ref_v)
-    np.testing.assert_array_equal(pooled._backward(gp, (True,))[0], ref_gx)
 
 
 NEED_CASES = {
-    "conv2d": (lambda t: T.conv2d(t[0], t[1], t[2], pad=1), [(2, 2, 4, 4), (3, 2, 3, 3), (3,)]),
+    "conv_block": (lambda t: T.conv_block(t[0], t[1], t[2]), [(2, 2, 4, 4), (3, 2, 3, 3), (3,)]),
     "linear": (lambda t: T.linear(t[0], t[1], t[2]), [(3, 4), (4, 2), (2,)]),
     "matmul": (lambda t: T.matmul(t[0], t[1]), [(3, 4), (4, 2)]),
     "mul": (lambda t: T.mul(t[0], t[1]), [(3, 4), (3, 4)]),
@@ -307,9 +300,14 @@ def _window_loop_spread(g, shape):
     return gy
 
 
+def _input_grad(out, g):
+    """The input gradient of a block built by _norm_relu_pool."""
+    return out._backward(g, (True, False, False))[0]
+
+
 def test_instance_norm_constant_plane_is_zero():
     x = Tensor(np.full((1, 1, 3, 3), 3.0))
-    out = T.norm_relu_pool(x)
+    out = _norm_relu_pool(x)
     assert out.shape == (1, 1, 1, 1)
     assert np.all(np.abs(out.values) < 1e-6)
 
@@ -318,7 +316,7 @@ def test_instance_norm_unit_variance_preserved():
     # a mean-0, variance-1 plane comes out of the norm scaled only by eps,
     # so its two positive entries pool to 2 / sqrt(1 + eps) / 4
     x = Tensor(np.array([[[[-1.0, 1.0], [1.0, -1.0]]]]))
-    out = T.norm_relu_pool(x)
+    out = _norm_relu_pool(x)
     np.testing.assert_allclose(out.values, [[[[0.5 / np.sqrt(1.0 + 1e-5)]]]], atol=1e-12)
 
 
@@ -327,12 +325,12 @@ NORM_SHAPES = [(1, 1, 2, 2), (2, 3, 4, 4), (3, 2, 5, 7), (2, 16, 28, 28), (2, 3,
 
 @pytest.mark.parametrize("shape", NORM_SHAPES)
 def test_instance_norm_matches_two_pass_reference(shape):
-    # the op's norm sums the squares of one centred copy; np.var centres
-    # again. Composed here with ReLU and the window-loop pool
+    # the block's norm sums the squares of one centred copy; np.var
+    # centres again. Composed here with ReLU and the window-loop pool
     x = np.random.default_rng(14).standard_normal(shape) * 7.0 + 3.0
     y = (x - x.mean(axis=(2, 3), keepdims=True)) / np.sqrt(x.var(axis=(2, 3), keepdims=True) + 1e-5)
     ref = _window_loop_pool(np.maximum(y, 0.0))
-    np.testing.assert_allclose(T.norm_relu_pool(Tensor(x)).values, ref, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(_norm_relu_pool(Tensor(x)).values, ref, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("shape", NORM_SHAPES)
@@ -341,21 +339,20 @@ def test_instance_norm_backward_matches_reference(shape):
     # fed the window-loop spread of g masked by ReLU
     rng = np.random.default_rng(16)
     x = rng.standard_normal(shape) * 7.0 + 3.0
-    out = T.norm_relu_pool(Tensor(x))
+    out = _norm_relu_pool(Tensor(x))
     g = rng.standard_normal(out.shape)
     inv = 1.0 / np.sqrt(x.var(axis=(2, 3), keepdims=True) + 1e-5)
     y = (x - x.mean(axis=(2, 3), keepdims=True)) * inv
     gy = _window_loop_spread(g, shape) * (y > 0.0)
     ref = (gy - gy.mean(axis=(2, 3), keepdims=True)
            - y * (gy * y).mean(axis=(2, 3), keepdims=True)) * inv
-    (gx,) = out._backward(g, (True,))
-    np.testing.assert_allclose(gx, ref, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(_input_grad(out, g), ref, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 2, 2), (2, 3, 4, 4), (3, 2, 6, 10), (2, 16, 28, 28)])
 def test_norm_relu_pool_is_the_three_op_chain_bit_for_bit(shape):
-    # on even planes the block op does the arithmetic of instance_norm2d,
-    # relu and avg_pool2d in the same order: forward and input gradient
+    # on even planes the block does the arithmetic of instance_norm2d, relu
+    # and avg_pool2d in the same order: forward and input gradient
     rng = np.random.default_rng(18)
     x = rng.standard_normal(shape) * 7.0 + 3.0
     B, C, H, W = shape
@@ -366,20 +363,19 @@ def test_norm_relu_pool_is_the_three_op_chain_bit_for_bit(shape):
         for j in range(2):
             v += r[:, :, i::2, j::2]
     v *= 1.0 / 4
-    out = T.norm_relu_pool(Tensor(x))
+    out = _norm_relu_pool(Tensor(x))
     np.testing.assert_array_equal(out.values, v)
     g = rng.standard_normal(v.shape)
     gp = np.broadcast_to((g / 4)[:, :, :, None, :, None], (B, C, H // 2, 2, W // 2, 2))
     gr = gp.reshape(shape) * (y > 0.0)
-    (gx,) = out._backward(g, (True,))
-    np.testing.assert_array_equal(gx, _one_pass_norm_backward(y, inv, gr))
+    np.testing.assert_array_equal(_input_grad(out, g), _one_pass_norm_backward(y, inv, gr))
 
 
 def test_instance_norm_backward():
     x = np.random.default_rng(2).standard_normal((2, 2, 4, 4))
     y, _ = _one_pass_norm(x)
     assert np.abs(y).min() > 1e-3   # away from ReLU's kink
-    for r in check_op("instnorm", lambda t: T.norm_relu_pool(t[0]), [x]):
+    for r in check_op("instnorm", lambda t: _norm_relu_pool(t[0]), [x]):
         assert r.passed, r.detail
 
 
@@ -412,7 +408,7 @@ def test_relu_backward_away_from_kink():
 def test_avg_pool_mean():
     # plane mean 2.5 and variance 1.25; ReLU keeps the bottom row, whose
     # normalized values 0.5 and 1.5 (over sqrt(1.25 + eps)) the pool averages
-    out = T.norm_relu_pool(Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]])))
+    out = _norm_relu_pool(Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]])))
     np.testing.assert_allclose(out.values, [[[[0.5 / np.sqrt(1.25 + 1e-5)]]]], rtol=0, atol=1e-15)
 
 
@@ -420,8 +416,8 @@ def test_avg_pool_constant_preserved():
     # a plane tiled by one window has that window's mean and variance, so
     # every window pools to the value of the window alone, bit for bit
     window = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = T.norm_relu_pool(Tensor(np.tile(window, (1, 2, 2, 2))))
-    alone = T.norm_relu_pool(Tensor(window[None, None])).values.item()
+    out = _norm_relu_pool(Tensor(np.tile(window, (1, 2, 2, 2))))
+    alone = _norm_relu_pool(Tensor(window[None, None])).values.item()
     np.testing.assert_array_equal(out.values, np.full((1, 2, 2, 2), alone))
 
 
@@ -431,28 +427,28 @@ def test_norm_relu_pool_floors_an_odd_plane():
     rng = np.random.default_rng(19)
     x = rng.standard_normal((2, 3, 5, 7))
     y, _ = _one_pass_norm(x)
-    out = T.norm_relu_pool(Tensor(x))
+    out = _norm_relu_pool(Tensor(x))
     assert out.shape == (2, 3, 2, 3)
     np.testing.assert_allclose(out.values, _window_loop_pool(np.maximum(y, 0.0)), rtol=0, atol=1e-15)
     assert np.abs(y).min() > 1e-3   # away from ReLU's kink
-    for r in check_op("pool_odd", lambda t: T.norm_relu_pool(t[0]), [x]):
+    for r in check_op("pool_odd", lambda t: _norm_relu_pool(t[0]), [x]):
         assert r.passed, r.detail
     xt = Tensor(x)
-    T.backward(T.sum_all(T.norm_relu_pool(xt)))
+    T.backward(T.sum_all(_norm_relu_pool(xt)))
     assert np.all(xt.grad[:, :, 4, :] != 0.0) and np.all(xt.grad[:, :, :, 6] != 0.0)
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1, 4), (1, 1, 4, 1), (2, 4, 4)])
 def test_norm_relu_pool_rejects_a_plane_below_its_window(shape):
-    with pytest.raises(DimensionError, match="norm_relu_pool"):
-        T.norm_relu_pool(Tensor(np.zeros(shape)))
+    with pytest.raises(DimensionError, match="conv_block"):
+        _norm_relu_pool(Tensor(np.zeros(shape)))
 
 
 def test_avg_pool_backward():
     x = np.random.default_rng(4).standard_normal((2, 3, 4, 4))
     y, _ = _one_pass_norm(x)
     assert np.abs(y).min() > 1e-3   # away from ReLU's kink
-    for r in check_op("pool", lambda t: T.norm_relu_pool(t[0]), [x]):
+    for r in check_op("pool", lambda t: _norm_relu_pool(t[0]), [x]):
         assert r.passed, r.detail
 
 
@@ -464,12 +460,11 @@ def test_avg_pool_backward_matches_window_loop(k):
     rng = np.random.default_rng(7)
     shape = (2, 3, 2 * k + 1, 3 * k + 1)
     x = Tensor(rng.standard_normal(shape))
-    out = T.norm_relu_pool(x)
+    out = _norm_relu_pool(x)
     g = rng.standard_normal(out.shape)
     y, inv = _one_pass_norm(x.values)
     ref = _one_pass_norm_backward(y, inv, _window_loop_spread(g, shape) * (y > 0.0))
-    (gx,) = out._backward(g, (True,))
-    np.testing.assert_array_equal(gx, ref)
+    np.testing.assert_array_equal(_input_grad(out, g), ref)
 
 
 def test_linear_identity():
@@ -582,8 +577,7 @@ OP_CASES = {
     "matmul": (lambda t: T.matmul(t[0], t[1]), [(3, 4), (4, 2)]),
     "relu": (lambda t: T.relu(t[0]), [(3, 4)]),
     "linear": (lambda t: T.linear(t[0], t[1], t[2]), [(3, 4), (4, 2), (2,)]),
-    "conv2d": (lambda t: T.conv2d(t[0], t[1], t[2], pad=1), [(2, 2, 4, 4), (3, 2, 3, 3), (3,)]),
-    "norm_relu_pool": (lambda t: T.norm_relu_pool(t[0]), [(2, 2, 5, 4)]),
+    "conv_block": (lambda t: T.conv_block(t[0], t[1], t[2]), [(2, 2, 5, 4), (3, 2, 3, 3), (3,)]),
     "softmax_cross_entropy_mean": (lambda t: T.softmax_cross_entropy_mean(t[0], [0, 2, 1, 2]),
                                    [(4, 3)]),
 }
@@ -683,8 +677,8 @@ def test_ops_deterministic():
     x = rng.standard_normal((2, 3, 4, 4))
     k = rng.standard_normal((2, 3, 3, 3))
     b = rng.standard_normal(2)
-    o1 = T.conv2d(Tensor(x), Tensor(k), Tensor(b), pad=1).values
-    o2 = T.conv2d(Tensor(x), Tensor(k), Tensor(b), pad=1).values
+    o1 = T.conv_block(Tensor(x), Tensor(k), Tensor(b)).values
+    o2 = T.conv_block(Tensor(x), Tensor(k), Tensor(b)).values
     assert np.array_equal(o1, o2)
 
 
