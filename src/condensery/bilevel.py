@@ -20,8 +20,8 @@ from . import tensor as T
 from . import evaluate
 from .data import LabeledDataset, SyntheticSet, new_synthetic
 from .errors import ConfigError, InputError, UsageError
-from .losses import cwfa, discrimination_logits, discrimination_loss, feature_alignment_loss, \
-    total_loss
+from .losses import ClassMeans, class_average, cwfa, discrimination_logits, discrimination_loss, \
+    feature_alignment_loss, total_loss
 from .models import ArchSpec, ModelParams, forward, init_params
 from .tensor import Tensor
 
@@ -115,18 +115,20 @@ def outer_step(state: CondenseState, real: LabeledDataset,
     so the step's tape is freed on return, before the caller's query."""
     K = real.num_classes
     real_idx = sample_class_balanced(real, cfg.n_per_class, state.rng)
-    # only the pixels are trained: the weights enter both branches as
-    # constants, so the real branch records no tape at all
-    theta = state.theta.constants()
     real_labels = real.labels[real_idx]
     synth = state.synthetic
+    # only the pixels are trained; read_slices reads the real batch without a
+    # tape, and each slice adds A[:, s:s+b] @ F to sums and leaves its last tap
+    avg, sums = class_average(real_labels, K), []
 
-    real_pyr = forward(theta, Tensor.constant(real.images[real_idx]))
-    synth_pyr = forward(theta, synth.images)
-    real_means = cwfa(real_pyr, real_labels, K)
-    synth_means = cwfa(synth_pyr, synth.labels, K)
-    l_f = feature_alignment_loss(synth_means, real_means)
-    logits = discrimination_logits(real_pyr.per_layer[-1], synth_means.per_layer[-1])
+    def take(s, pyr):
+        parts = [avg[:, s:s + len(f.values)] @ f.values for f in pyr.per_layer]
+        sums[:] = [a + b for a, b in zip(sums, parts)] if sums else parts
+        return pyr.per_layer[-1].values
+    real_last = np.concatenate(evaluate.read_slices(state.theta, real.images[real_idx], take))
+    synth_means = cwfa(forward(state.theta.constants(), synth.images), synth.labels, K)
+    l_f = feature_alignment_loss(synth_means, ClassMeans(list(map(Tensor.constant, sums))))
+    logits = discrimination_logits(Tensor.constant(real_last), synth_means.per_layer[-1])
     l_d = discrimination_loss(logits, real_labels)
     total = total_loss(l_f, l_d, cfg.beta)
 

@@ -116,9 +116,9 @@ KEYS = {
                               f.default, None)
        for f in fields(CondenseConfig) if f.name != "seed"},
     "eval.protocol": (_one_of("desk", "paper"), "desk", None),
-    "eval.epochs": (_integer, None, 0),
-    "eval.lr": (_real, EvalConfig.lr, 0),
-    "eval.batch_size": (_integer, EvalConfig.batch_size, 1),
+    "eval.epochs": (_integer, None, None),
+    "eval.lr": (_real, EvalConfig.lr, None),
+    "eval.batch_size": (_integer, EvalConfig.batch_size, None),
     "eval.n_experiments": (_integer, None, 1),
     "eval.n_nets_per": (_integer, None, 1),
     "coreset.trace_epochs": (_integer, 10, 2),
@@ -146,8 +146,8 @@ def _resolve(key: str, given: dict):
 
 def load_config(path: str, overrides: list[str]) -> dict:
     """The config file with ``--set`` overrides applied, every key of KEYS
-    read, filled and range-checked and the condense section held to
-    CondenseConfig's rules, as a nested mapping."""
+    read, filled and range-checked and the condense and eval sections held
+    to CondenseConfig's and EvalConfig's rules, as a nested mapping."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             cfg = yaml.safe_load(f) or {}
@@ -183,10 +183,11 @@ def load_config(path: str, overrides: list[str]) -> dict:
     for key in KEYS:
         section, _, leaf = key.rpartition(".")
         (out.setdefault(section, {}) if section else out)[leaf] = _resolve(key, given)
-    try:
-        build_condense_config(out)
-    except ConfigError as e:
-        raise ConfigError(f"condense.{e}") from None
+    for section, build in (("condense", build_condense_config), ("eval", _eval_protocol_params)):
+        try:
+            build(out)
+        except ConfigError as e:
+            raise ConfigError(f"{section}.{e}") from None
     return out
 
 

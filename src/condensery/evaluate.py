@@ -1,12 +1,11 @@
 """Train-on-synthetic / test-on-real evaluation protocol, plus the SGD step
-and the accuracy read the whole library shares.
+and the constant read the whole library shares.
 
 ``train_step`` is every SGD step on cross-entropy (the bi-level inner
-step, evaluation training, the forgetting trace). ``predict`` is every
-accuracy read (bi-level queries, the test split); it forwards constants
-(``Tensor.constant``), so a read records no tape, and READ_BATCH images at
-a time, so a read's activations stay bounded whatever the number of
-images (conv_block bounds its own window copies).
+step, evaluation training, the forgetting trace). ``read_slices`` is every
+tape-free read: ``predict``'s (bi-level queries, the test split) and the
+outer step's real batch. It forwards constants READ_BATCH images at a
+time, so a read's activations stay bounded whatever the number of images.
 
 Each evaluation run trains a freshly initialized network on the synthetic
 images and reports held-out accuracy. The protocol repeats over
@@ -20,7 +19,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,9 +31,9 @@ from .tensor import Tensor
 
 DESK_PROTOCOL = {"n_experiments": 3, "n_nets_per": 5, "epochs": 100}
 PAPER_PROTOCOL = {"n_experiments": 5, "n_nets_per": 20, "epochs": 300}
-# Images per forward in predict; it bounds only the activations a read
-# holds, as conv_block pads and copies its windows one sample chunk at a
-# time.
+# Images per forward in read_slices, predict's and the outer step's real
+# batch alike; it bounds the activations a read holds (conv_block bounds
+# its window copies). A multiple of tensor.CHUNK, so slices split no chunk.
 READ_BATCH = 64
 
 
@@ -44,6 +43,13 @@ class EvalConfig:
     lr: float = 0.01
     batch_size: int = 256
     seed: int = 0
+
+    def __post_init__(self):
+        # each message starts with the field's name; cli.load_config
+        # prefixes it with "eval.". Each rule is a range, so a NaN is refused
+        for name, least in (("epochs", 0), ("lr", 0), ("batch_size", 1)):
+            if not getattr(self, name) >= least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -92,14 +98,19 @@ def train_step(params: ModelParams, images: np.ndarray, labels: np.ndarray,
     return loss.item(), logits.values
 
 
-def predict(params: ModelParams, images: np.ndarray) -> np.ndarray:
-    """Argmax class of each image, READ_BATCH images per forward; ties go to
-    the lowest class. The weights and images enter as constants, so the
-    forwards record no tape."""
+def read_slices(params: ModelParams, images: np.ndarray, take: Callable) -> list:
+    """``[take(s, forward(images[s:s + READ_BATCH])) for s ...]``, through
+    the weights' constants, so no tape is recorded; each slice's pyramid is
+    freed when its ``take`` returns, before the next slice is forwarded."""
     consts = params.constants()
-    return np.concatenate([
-        np.argmax(forward(consts, Tensor.constant(images[s:s + READ_BATCH])).logits.values, axis=1)
-        for s in range(0, len(images), READ_BATCH)])
+    return [take(s, forward(consts, Tensor.constant(images[s:s + READ_BATCH])))
+            for s in range(0, len(images), READ_BATCH)]
+
+
+def predict(params: ModelParams, images: np.ndarray) -> np.ndarray:
+    """Argmax class of each image; ties go to the lowest class."""
+    return np.concatenate(read_slices(params, images,
+                                      lambda s, pyr: np.argmax(pyr.logits.values, axis=1)))
 
 
 def _sgd_fit(arch_spec: ArchSpec, images: np.ndarray, labels: np.ndarray, epochs: int,

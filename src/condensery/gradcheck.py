@@ -58,24 +58,17 @@ def numeric_grad(f: Callable[[], float], x: np.ndarray, h: float = H_STEP) -> np
 
 
 def compare(analytic: np.ndarray, numeric: np.ndarray, name: str) -> CheckResult:
-    a = analytic.reshape(-1)
-    n = numeric.reshape(-1)
-    worst_rel = 0.0
-    detail = ""
-    passed = True
-    for i in range(a.size):
-        if abs(a[i]) < ZERO_CUT and abs(n[i]) < ZERO_CUT:
-            err = abs(a[i] - n[i])
-            if err > ABS_TOL:
-                passed = False
-                detail = detail or f"flat index {i}: analytic {a[i]:.3e} vs numeric {n[i]:.3e} (abs)"
-        else:
-            err = abs(a[i] - n[i]) / max(abs(a[i]), abs(n[i]))
-            worst_rel = max(worst_rel, err)
-            if err > REL_TOL:
-                passed = False
-                detail = detail or f"flat index {i}: analytic {a[i]:.6e} vs numeric {n[i]:.6e} (rel {err:.2e})"
-    return CheckResult(name, worst_rel, passed, detail)
+    """Every entry not within its tolerance fails, so a NaN or Inf fails."""
+    a, n = analytic.reshape(-1), numeric.reshape(-1)
+    scale = np.maximum(np.abs(a), np.abs(n))
+    tiny = scale < ZERO_CUT
+    with np.errstate(invalid="ignore"):     # inf - inf and inf / inf are NaN
+        err = np.abs(a - n) / np.where(tiny, 1.0, scale)
+    bad = np.flatnonzero(~(err <= np.where(tiny, ABS_TOL, REL_TOL)))
+    i = bad[0] if bad.size else None
+    detail = "" if i is None else (f"flat index {i}: analytic {a[i]:.6e} vs numeric {n[i]:.6e} "
+                                   f"({'abs' if tiny[i] else 'rel'} {err[i]:.2e})")
+    return CheckResult(name, float(err[~tiny].max(initial=0.0)), i is None, detail)
 
 
 def check_op(name: str, build: Callable[[Sequence[T.Tensor]], T.Tensor],

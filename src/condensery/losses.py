@@ -34,20 +34,20 @@ class ClassMeans:
         return len(self.per_layer)
 
 
-def cwfa(pyramid: FeaturePyramid, labels, num_classes: int) -> ClassMeans:
-    """Per-layer, per-class arithmetic mean of flattened features.
-
-    Every class must be present in the batch. The averaging matrix is a
-    constant, so the means are on the tape, and pass gradients back to the
-    features, exactly when the features are.
-    """
-    labels = np.asarray(labels, dtype=np.intp)
-    onehot = labels[None, :] == np.arange(num_classes)[:, None]
+def class_average(labels, num_classes: int) -> np.ndarray:
+    """The [K, B] class-averaging matrix A; every class must be present."""
+    onehot = np.asarray(labels, dtype=np.intp)[None, :] == np.arange(num_classes)[:, None]
     counts = onehot.sum(axis=1)
     missing = np.flatnonzero(counts == 0)
     if missing.size:
         raise InputError(f"class {missing[0]} has no samples in the batch")
-    avg = Tensor.constant(onehot / counts[:, None])
+    return onehot / counts[:, None]
+
+
+def cwfa(pyramid: FeaturePyramid, labels, num_classes: int) -> ClassMeans:
+    """Per-layer, per-class arithmetic mean of flattened features. A is a
+    constant, so the means are on the tape exactly when the features are."""
+    avg = Tensor.constant(class_average(labels, num_classes))
     return ClassMeans([T.matmul(avg, feats) for feats in pyramid.per_layer])
 
 

@@ -1,6 +1,7 @@
 """Dynamic bi-level loop: queues, break conditions, schedules, termination."""
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,27 +129,29 @@ def test_outer_steps_reduce_alignment_on_blobs():
     assert drops >= 0.9 * (len(losses) - 1)
 
 
-def test_outer_step_equals_a_reference_with_a_taped_real_branch(monkeypatch):
-    # outer_step forwards the real batch from constants; its losses and its
-    # pixel update equal the same step's with the real branch on the tape
-    ds = tiny_data(2)
-    cfg = tiny_cfg(ipc=2, n_per_class=8)   # the synthetic batch is the whole set
-    state = init_state(ds, TINY_ARCH, cfg)
-    ref = init_state(ds, TINY_ARCH, cfg)   # the same draws, pixels and weights
-    pyramids = []
-    real_forward = bilevel.forward
+def step_and_reference(monkeypatch, ds, arch, cfg):
+    """One outer step and the same step with the whole real batch forwarded
+    once, on the tape, each as (losses, stepped pixels); and the logits of
+    the step's forwards: {"real": one per slice, "synth": ...}."""
+    state = init_state(ds, arch, cfg)
+    ref = init_state(ds, arch, cfg)   # the same draws, pixels and weights
+    seen = {"real": [], "synth": []}
 
-    def recording(params, x):
-        pyramids.append(real_forward(params, x))
-        return pyramids[-1]
-    monkeypatch.setattr(bilevel, "forward", recording)
+    def recording(kind):
+        def run(params, x):
+            pyramid = forward(params, x)
+            seen[kind].append(pyramid.logits)
+            return pyramid
+        return run
+    monkeypatch.setattr(evaluate, "forward", recording("real"))
+    monkeypatch.setattr(bilevel, "forward", recording("synth"))
     losses = outer_step(state, ds, cfg)
-    assert pyramids[0].logits._op == "const" and pyramids[1].logits._backward is not None
+    monkeypatch.undo()
 
     real_idx = sample_class_balanced(ds, cfg.n_per_class, ref.rng)
     real_labels = ds.labels[real_idx]
-    real_pyr = real_forward(ref.theta, Tensor(ds.images[real_idx]))
-    synth_pyr = real_forward(ref.theta, ref.synthetic.images)
+    real_pyr = forward(ref.theta, Tensor(ds.images[real_idx]))
+    synth_pyr = forward(ref.theta, ref.synthetic.images)
     assert real_pyr.logits._backward is not None
     real_means = cwfa(real_pyr, real_labels, ds.num_classes)
     synth_means = cwfa(synth_pyr, ref.synthetic.labels, ds.num_classes)
@@ -157,10 +160,70 @@ def test_outer_step_equals_a_reference_with_a_taped_real_branch(monkeypatch):
                                                     synth_means.per_layer[-1]), real_labels)
     total = total_loss(l_f, l_d, cfg.beta)
     T.backward(total)
-    assert losses == (l_f.item(), l_d.item(), total.item())
-    np.testing.assert_array_equal(
-        state.synthetic.images.values,
-        ref.synthetic.images.values - outer_lr_at(cfg, 0) * ref.synthetic.images.grad)
+    ref_pixels = ref.synthetic.images.values - outer_lr_at(cfg, 0) * ref.synthetic.images.grad
+    return ((losses, state.synthetic.images.values),
+            ((l_f.item(), l_d.item(), total.item()), ref_pixels), seen)
+
+
+def test_outer_step_equals_a_reference_with_a_taped_real_branch(monkeypatch):
+    # outer_step reads the real batch through evaluate.read_slices, from
+    # constants; its losses and its pixel update equal the same step's with
+    # the real branch on the tape. Its 24 real images are one slice
+    cfg = tiny_cfg(ipc=2, n_per_class=8)   # the synthetic batch is the whole set
+    step, ref, seen = step_and_reference(monkeypatch, tiny_data(2), TINY_ARCH, cfg)
+    assert [(t.shape[0], t._op) for t in seen["real"]] == [(24, "const")]
+    assert [t._backward is not None for t in seen["synth"]] == [True]
+    assert step[0] == ref[0]
+    np.testing.assert_array_equal(step[1], ref[1])
+
+
+@pytest.mark.parametrize("K, n_per_class, slices", [(3, 32, [64, 32]), (8, 16, [64, 64])])
+def test_outer_step_over_slices_that_split_no_class_is_exact(monkeypatch, K, n_per_class,
+                                                             slices):
+    # each class's rows fall inside one slice, so every other slice adds an
+    # exact zero to its class sums, and the step equals the taped reference
+    # bit for bit
+    ds = make_blob_split(K, 40, 1, (1, 4, 4), spread=0.2, separation=5.0, seed=5)[0]
+    arch = ConvNetSpec(blocks=1, channels=4, input_shape=(1, 4, 4), num_classes=K)
+    step, ref, seen = step_and_reference(monkeypatch, ds, arch,
+                                         tiny_cfg(ipc=2, n_per_class=n_per_class))
+    assert [t.shape[0] for t in seen["real"]] == slices
+    assert step[0] == ref[0]
+    np.testing.assert_array_equal(step[1], ref[1])
+
+
+def test_outer_step_over_a_class_split_by_a_slice_seam_is_within_rounding(monkeypatch):
+    # rows 40..79 are class 1 and the seam is at row 64, so class 1's sum is
+    # two partial sums added: the step moves by rounding only
+    step, ref, seen = step_and_reference(monkeypatch, tiny_data(2), TINY_ARCH,
+                                         tiny_cfg(ipc=2, n_per_class=40))
+    assert [t.shape[0] for t in seen["real"]] == [64, 56]
+    np.testing.assert_allclose(step[0], ref[0], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(step[1], ref[1], rtol=0, atol=1e-14 * np.abs(ref[1]).max())
+
+
+def test_outer_step_peak_memory_barely_grows_with_the_real_batch():
+    # the real batch is read READ_BATCH images at a time, and each slice's
+    # activations are freed once its class sums and last tap are taken. So
+    # going from 1 slice to 8 adds at most twice each added image's pixels
+    # and last tap (the taps of the slices and their concatenation); a
+    # whole-batch forward added about 13 times that here
+    arch = ConvNetSpec(blocks=2, channels=32, input_shape=(1, 16, 16), num_classes=4)
+    ds = make_blob_split(4, 128, 1, (1, 16, 16), spread=0.2, seed=0)[0]
+    peaks = []
+    for n_per_class in (16, 128):
+        cfg = tiny_cfg(n_per_class=n_per_class)
+        state = init_state(ds, arch, cfg)
+        outer_step(state, ds, cfg)
+        tracemalloc.start()
+        try:
+            outer_step(state, ds, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    added = 4 * (128 - 16)
+    per_image = 8 * (16 * 16 + arch.embed_dim)
+    assert peaks[1] - peaks[0] < 2 * added * per_image, (peaks[1] - peaks[0]) / (added * per_image)
 
 
 def test_inner_step_zero_lr_keeps_theta():

@@ -152,6 +152,8 @@ def test_diverged_training_exits_2(tmp_path, capsys, command, lr_key):
     ("condense", "condense.ipc=2.7", None),
     ("condense", "output_dir=5", None),
     ("eval", "eval.batch_size=0", None),
+    ("condense", "eval.batch_size=-4", None),
+    ("eval", "eval.epochs=-3", None),
     ("eval", "eval.n_experiments=0", None),
     ("eval", "eval.n_nets_per=0", None),
     ("export-proj", "projection.n_real=0", None),

@@ -33,6 +33,22 @@ def test_zero_epochs_returns_initialization(blob_sets):
         assert np.array_equal(a.values, b.values)
 
 
+@pytest.mark.parametrize("name, value, least", [
+    ("epochs", -3, 0), ("lr", -1.0, 0), ("lr", float("nan"), 0), ("batch_size", 0, 1),
+    ("batch_size", -4, 1)])
+def test_eval_config_refuses_a_value_outside_its_range(name, value, least):
+    # a negative epoch count or batch size trained nothing and reported the
+    # untrained accuracy, a zero batch size raised from range(), and a
+    # negative rate ran gradient ascent
+    with pytest.raises(ConfigError, match=f"^{name} must be >= {least}, got {value!r}$"):
+        EvalConfig(**{name: value})
+
+
+def test_eval_config_takes_the_least_value_of_each_range():
+    cfg = EvalConfig(epochs=0, lr=0.0, batch_size=1)
+    assert (cfg.epochs, cfg.lr, cfg.batch_size) == (0, 0.0, 1)
+
+
 def test_training_fits_separable_set(blob_sets):
     train, _, synth = blob_sets
     params = train_on_synthetic(synth, ARCH, epochs=150, lr=0.05, seed=4)
@@ -168,6 +184,25 @@ def test_predict_forwards_constants_equal_to_a_taped_forward(monkeypatch, arch):
     taped = np.concatenate([t.values for t in taped])
     np.testing.assert_array_equal(np.concatenate([t.values for t in seen]), taped)
     np.testing.assert_array_equal(predicted, np.argmax(taped, axis=1))
+
+
+def test_predict_peak_memory_does_not_grow_with_the_number_of_images():
+    # read_slices frees each slice's pyramid before it forwards the next, so
+    # 8 slices peak as 1 does; a reader that still held the previous slice
+    # while forwarding the next would read about 1.2 here
+    params = init_params(ConvNetSpec(blocks=2, channels=32, input_shape=(1, 16, 16),
+                                     num_classes=3), seed=0)
+    images = np.random.default_rng(0).standard_normal((8 * evaluate.READ_BATCH, 1, 16, 16))
+    peaks = []
+    for n in (evaluate.READ_BATCH, len(images)):
+        evaluate.predict(params, images[:n])
+        tracemalloc.start()
+        try:
+            evaluate.predict(params, images[:n])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0], peaks[1] / peaks[0]
 
 
 def test_training_step_tape_holds_no_full_size_conv_output():

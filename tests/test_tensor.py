@@ -11,7 +11,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import condensery.tensor as T
 from condensery.errors import DimensionError, InputError, UsageError
-from condensery.gradcheck import _block_leaves, check_op, numeric_grad, run_suite
+from condensery.gradcheck import REL_TOL, _block_leaves, check_op, compare, numeric_grad, \
+    run_suite
 from condensery.tensor import Tensor
 
 
@@ -687,6 +688,32 @@ def test_numeric_grad_on_quadratic():
     x = np.array([1.0, -2.0, 0.5])
     g = numeric_grad(lambda: float((x ** 2).sum()), x)
     np.testing.assert_allclose(g, 2 * x, atol=1e-6)
+
+
+def test_compare_passes_within_and_fails_beyond_each_tolerance():
+    # entries below ZERO_CUT on both sides are compared absolutely, the rest
+    # relatively, and the worst relative error is reported
+    r = compare(np.array([0.0, 1e-9, 1.0]), np.array([5e-9, 0.0, 1.0005]), "x")
+    assert r.passed and r.worst_rel == pytest.approx(0.0005 / 1.0005)
+    r = compare(np.array([0.0, 1.0]), np.array([2e-9, 1.1]), "x")
+    assert not r.passed and r.detail.startswith("flat index 1:") and "(rel" in r.detail
+    r = compare(np.array([1.0, -5e-9]), np.array([1.0, 5e-9]), "x")   # abs 1e-8
+    assert r.passed and r.worst_rel == 0.0
+
+
+@pytest.mark.parametrize("analytic, numeric", [
+    ([np.nan, 1.0], [0.5, 1.0]),
+    ([np.inf, 1.0], [0.5, 1.0]),
+    ([0.5, 1.0], [np.nan, 1.0]),
+    ([0.5, 1.0], [-np.inf, 1.0]),
+    ([np.inf, 1.0], [np.inf, 1.0]),
+], ids=["nan-analytic", "inf-analytic", "nan-numeric", "inf-numeric", "inf-both"])
+def test_compare_fails_a_non_finite_gradient(analytic, numeric):
+    # a NaN fails every comparison, so an entry passes only if its error is
+    # within tolerance, never merely because it is not beyond it
+    r = compare(np.array(analytic), np.array(numeric), "x")
+    assert not r.passed and r.detail.startswith("flat index 0:")
+    assert not r.worst_rel <= REL_TOL
 
 
 def test_gradcheck_suite_covers_every_public_op():
