@@ -30,11 +30,10 @@ print("d(a^2 + a)/da =", a.grad)
 rng = np.random.default_rng(0)
 img = Tensor.constant(rng.standard_normal((2, 1, 7, 7)))
 kernel = Tensor(rng.standard_normal((4, 1, 3, 3)) * 0.5)
-kbias = Tensor(np.zeros(4))
 w = Tensor(rng.standard_normal((4 * 3 * 3, 3)) * 0.1)
 b = Tensor(np.zeros(3))
 
-h = T.conv_block(img, kernel, kbias)
+h = T.conv_block(img, kernel)
 print("pooled block output:", h.shape)
 h = T.reshape(h, (2, 4 * 3 * 3))
 logits = T.linear(h, w, b)
@@ -45,6 +44,6 @@ print("kernel grad norm =", np.linalg.norm(kernel.grad))
 
 # One SGD step moves parameters against the gradient and clears it.
 before = w.values.copy()
-T.sgd_step([kernel, kbias, w, b], lr=0.1)
+T.sgd_step([kernel, w, b], lr=0.1)
 print("weight moved by", np.linalg.norm(w.values - before))
 print("grads cleared:", w.grad is None)

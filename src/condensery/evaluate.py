@@ -115,14 +115,18 @@ def predict(params: ModelParams, images: np.ndarray) -> np.ndarray:
 
 def _sgd_fit(arch_spec: ArchSpec, images: np.ndarray, labels: np.ndarray, epochs: int,
              lr: float, seed: int, batch_size: int,
-             trace: Optional[np.ndarray] = None) -> ModelParams:
+             record: bool = False) -> tuple[ModelParams, Optional[np.ndarray]]:
     """Minibatch SGD on cross-entropy from a fresh init; batches are shuffled
-    each epoch only when there is more than one. ``trace[e, i]`` records
-    whether sample i was classified correctly in epoch e, before its step.
-    Raises DivergenceError at the first step whose loss or weights hold a
-    NaN or Inf."""
+    each epoch only when there is more than one. With ``record``, the trace
+    returned beside the weights holds at ``[e, i]`` whether sample i was
+    classified correctly in epoch e, before its step. EvalConfig refuses
+    an out-of-range epochs, lr or batch_size with ConfigError. Raises
+    DivergenceError at the first step whose loss or weights hold a NaN or
+    Inf."""
+    EvalConfig(epochs=epochs, lr=lr, batch_size=batch_size)
     params = init_params(arch_spec, seed)
     n = len(labels)
+    trace = np.zeros((epochs, n), dtype=np.uint8) if record else None
     rng = np.random.default_rng(seed + 1)
     step = 0
     for e in range(epochs):
@@ -135,14 +139,14 @@ def _sgd_fit(arch_spec: ArchSpec, images: np.ndarray, labels: np.ndarray, epochs
                             weights=[p.values for p in params.tensors])
             if trace is not None:
                 trace[e, idx] = np.argmax(logits, axis=1) == labels[idx]
-    return params
+    return params, trace
 
 
 def train_on_synthetic(synth: SyntheticSet, arch_spec: ArchSpec, epochs: int,
                        lr: float, seed: int, batch_size: int = 256) -> ModelParams:
     """SGD on cross-entropy over the synthetic images; fresh init per seed."""
     return _sgd_fit(arch_spec, synth.images.values, synth.labels, epochs, lr, seed,
-                    batch_size)
+                    batch_size)[0]
 
 
 def test_accuracy(params: ModelParams, test_ds: LabeledDataset) -> float:
@@ -179,6 +183,4 @@ def record_training_trace(ds: LabeledDataset, arch_spec: ArchSpec, epochs: int,
 
     Feeds the forgetting-events selector.
     """
-    trace = np.zeros((epochs, len(ds)), dtype=np.uint8)
-    _sgd_fit(arch_spec, ds.images, ds.labels, epochs, lr, seed, 256, trace)
-    return trace
+    return _sgd_fit(arch_spec, ds.images, ds.labels, epochs, lr, seed, 256, record=True)[1]

@@ -3,7 +3,9 @@
 The ConvNet is a stack of Conv(3x3, stride 1, pad 1) -> InstanceNorm ->
 ReLU -> AvgPool(2x2, flooring) blocks (Zhao et al., ICLR 2021, as CAFE
 uses), one ``tensor.conv_block`` call and one tape node each, so 28x28
-pools to 14, 7 and 3, and one linear output layer. A flattened feature tap is
+pools to 14, 7 and 3, and one linear output layer. Its parameters are
+one kernel per block (no conv bias: the norm would cancel it), then the
+output layer's weight and bias. A flattened feature tap is
 recorded after each block; the last tap is exactly the input to the
 output layer, and the tap list excludes the output layer itself. The MLP
 mirrors this with taps after each hidden ReLU.
@@ -90,7 +92,6 @@ def init_params(spec: ArchSpec, seed: int) -> ModelParams:
             fan_in = c_in * 9
             k = rng.standard_normal((spec.channels, c_in, 3, 3)) * np.sqrt(2.0 / fan_in)
             tensors.append(Tensor(k))
-            tensors.append(Tensor(np.zeros(spec.channels)))
             c_in = spec.channels
         d = spec.embed_dim
         tensors.append(Tensor(rng.standard_normal((d, spec.num_classes)) * np.sqrt(2.0 / d)))
@@ -116,8 +117,7 @@ def convnet_forward(params: ModelParams, batch: Tensor) -> FeaturePyramid:
     h = batch
     taps = []
     for b in range(spec.blocks):
-        k, bias = params.tensors[2 * b], params.tensors[2 * b + 1]
-        h = T.conv_block(h, k, bias)
+        h = T.conv_block(h, params.tensors[b])
         taps.append(T.reshape(h, (B, int(np.prod(h.shape[1:])))))
     w, wb = params.tensors[-2], params.tensors[-1]
     logits = T.linear(taps[-1], w, wb)

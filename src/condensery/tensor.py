@@ -21,14 +21,15 @@ A leaf made with ``Tensor(values)`` is not a constant.
 
 Only the primitives needed by the condensation networks and losses are
 provided, in the forms those use: ``conv_block`` is a whole ConvNet block
-(3x3 conv with padding 1, instance norm, ReLU and 2x2 pool) as one node,
-and there is no broadcasting beyond what they need. The block works
-through a batch ``CHUNK`` samples at a time, forward and backward, so each
-pass over a chunk stays in cache, and its conv output never leaves the
-chunk: the forward normalizes it in place and keeps only the normalized
-planes for the backward. Any batch gives the bits one pass over it would,
-save the bias gradient of a block with one output channel and the kernel
-gradient of one with one input and one output channel.
+(3x3 conv with padding 1 and no bias, instance norm, ReLU and 2x2 pool) as
+one node, and there is no broadcasting beyond what they need. The block
+works through a batch ``CHUNK`` samples at a time, forward and backward,
+so each pass over a chunk stays in cache. It centres its conv output in
+place and scales only the pooled output by the norm's inverse deviation.
+A taped block keeps the centred planes for its backward; a read from
+constants reuses one chunk's buffer. Any batch gives the bits one pass
+over it would, save the kernel gradient of a block with one input and one
+output channel.
 """
 
 from __future__ import annotations
@@ -252,94 +253,87 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _node(x.values @ weight.values + bias.values, (x, weight, bias), _bw, "linear")
 
 
-def conv_block(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """One ConvNet block as one node: a 3x3 cross-correlation with bias,
-    stride 1 and zero padding 1, then instance norm over each (sample,
-    channel) plane (population variance, eps 1e-5, no affine), ReLU, and
-    the mean over non-overlapping 2x2 windows.
+def conv_block(x: Tensor, kernel: Tensor) -> Tensor:
+    """One ConvNet block as one node: a 3x3 cross-correlation with stride
+    1, zero padding 1 and no bias (the norm would cancel one), then
+    instance norm over each (sample, channel) plane (population variance,
+    eps 1e-5, no affine), ReLU, and the mean over non-overlapping 2x2
+    windows. The norm's scale is positive, so it is applied after both.
 
-    x[B,C,H,W], kernel[O,C,3,3], bias[O] -> [B,O,H//2,W//2]. The pool
-    floors, as PyTorch's ``AvgPool2d``: an odd last row or column is
-    normalized with its plane but pooled into nothing.
+    x[B,C,H,W], kernel[O,C,3,3] -> [B,O,H//2,W//2]. The pool floors, as
+    PyTorch's ``AvgPool2d``: an odd last row or column is normalized with
+    its plane but pooled into nothing.
     """
     if x.values.ndim != 4:
         raise DimensionError(f"conv_block: expected [B,C,H,W], got {x.shape}")
     B, C, H, W = x.shape
     if kernel.values.ndim != 4 or kernel.shape[1:] != (C, 3, 3):
         raise DimensionError(f"conv_block: kernel {kernel.shape} is not [O,{C},3,3] for input {x.shape}")
-    O = kernel.shape[0]
-    if bias.shape != (O,):
-        raise DimensionError(f"conv_block: bias {bias.shape} vs {O} output channels")
     if H < 2 or W < 2:
         raise DimensionError(f"conv_block: plane {H}x{W} is smaller than the 2x2 pool window")
-    Hp, Wp, Ho, Wo = H + 2, W + 2, H // 2, W // 2
+    O = kernel.shape[0]
+    Hp, Wp, Ho, Wo, m = H + 2, W + 2, H // 2, W // 2, min(B, CHUNK)
     kv = kernel.values
+    read = x._op == kernel._op == "const"   # _node's test: the output is a constant
     # offset (i, j) of every pool window as a strided view: four strided
     # adds, as a mean over the strided window axes runs 5x slower
-    windows = [np.s_[:, :, i:2 * Ho:2, j:2 * Wo:2] for i in (0, 1) for j in (0, 1)]
-    # one chunk of x, zero-padded by a pixel; its border is never written
-    xp = np.zeros((min(B, CHUNK), C, Hp, Wp))
-    y = np.empty((B, O, H, W))
+    w0, w1, w2, w3 = [np.s_[:, :, i:2 * Ho:2, j:2 * Wo:2] for i in (0, 1) for j in (0, 1)]
+    # one chunk of x, zero-padded by a pixel; its border is never written.
+    # cols[b, (c, i, j), (h, w)] = xp[b, c, h + i, w + j]: one GEMM per
+    # sample leaves the conv in [B, O, H, W] order, straight in y
+    xp = np.zeros((m, C, Hp, Wp))
+    cols = sliding_window_view(xp, (3, 3), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+    # a taped block keeps each plane's centred conv for the backward and
+    # takes ReLU into a chunk scratch; a read keeps one chunk's conv and
+    # takes ReLU in place
+    y = np.empty((m if read else B, O, H, W))
+    r = y if read else np.empty((m, O, H, W))
     inv = np.empty((B, O, 1, 1))
-    v = np.zeros((B, O, Ho, Wo))
+    v = np.empty((B, O, Ho, Wo))
     for s in range(0, B, CHUNK):
         c = min(CHUNK, B - s)
-        ys, vs, invs = y[s:s + c], v[s:s + c], inv[s:s + c]
+        ys, vs, invs = y[:c] if read else y[s:s + c], v[s:s + c], inv[s:s + c]
         xp[:c, :, 1:-1, 1:-1] = x.values[s:s + c]
-        # cols[b, (c, i, j), (h, w)] = xp[b, c, h + i, w + j]: one GEMM per
-        # sample leaves the conv in [B, O, H, W] order, straight in y
-        cols = sliding_window_view(xp[:c], (3, 3), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
-        np.matmul(kv.reshape(O, -1), cols.reshape(c, C * 9, H * W), out=ys.reshape(c, O, H * W))
-        ys += bias.values[:, None, None]
-        # one mean, the centring in place, its sum of squares, then the
-        # scaling in place: np.var would take the mean and centre again
-        ys -= ys.mean(axis=(2, 3), keepdims=True)
+        yf = ys.reshape(c, O, H * W)
+        np.matmul(kv.reshape(O, -1), cols[:c].reshape(c, C * 9, H * W), out=yf)
+        # one mean, the centring in place and its sum of squares: np.var
+        # would take the mean and centre again
+        yf -= np.add.reduce(yf, axis=2, keepdims=True) / (H * W)
         invs[...] = (1.0 / np.sqrt(np.einsum("bchw,bchw->bc", ys, ys) / (H * W) + 1e-5))[:, :, None, None]
-        ys *= invs
-        for w in windows:
-            vs += np.maximum(ys[w], 0.0)
-        vs *= 0.25
+        rs = np.maximum(ys, 0.0, out=r[:c])
+        np.add(rs[w0], rs[w1], out=vs)
+        vs += rs[w2]
+        vs += rs[w3]
+        vs *= invs * 0.25
 
     def _bw(g, need):
-        # Per chunk: g / 4 onto each window position where y > 0, then the
-        # norm's (gy - mean(gy) - y * mean(gy * y)) * inv into the
-        # contiguous buffer gc (einsum sums gy * y without a full-size
-        # product). gc is copied once into gw, laid out on Wp columns (the
-        # last two zero) and cut to its first n positions: in the flattened
-        # padded plane, output pixel (h, w) reads xp at h*Wp + w + off for
-        # tap (i, j), with off = i*Wp + j, so gw meets each tap's slice of
-        # xp in one GEMM, and the last tap's slice ends at Hp*Wp exactly
+        # Per chunk: g * inv / 4 onto each window position, masked where
+        # y > 0, then the norm's gy - mean(gy) - y * inv**2 * mean(gy * y)
+        # straight into gw, laid out on Wp columns (the last two zero) and
+        # cut to its first n positions: in the flattened padded plane,
+        # output pixel (h, w) reads xp at h*Wp + w + off for tap (i, j),
+        # with off = i*Wp + j, so gw meets each tap's slice of xp in one
+        # GEMM, and the last tap's slice ends at Hp*Wp exactly
         n = (H - 1) * Wp + W
         # kt[i, j] is the contiguous [C, O] slice that BLAS takes
         kt = np.ascontiguousarray(kv.transpose(2, 3, 1, 0))
         gx = np.empty((B, C, H, W)) if need[0] else None
         gk = np.zeros((O, C, 3, 3)) if need[1] else None
-        gb = np.zeros(O)
-        gy, gc = np.zeros((2, len(xp), O, H, W))
-        gw = np.zeros((len(xp), O, H, Wp))
+        gy = np.zeros((m, O, H, W))
+        gw = np.zeros((m, O, H, Wp))
         for s in range(0, B, CHUNK):
             c = min(CHUNK, B - s)
-            ys, gys, gcs = y[s:s + c], gy[:c], gc[:c]
-            g4 = g[s:s + c] * 0.25
-            for w in windows:
-                np.multiply(g4, ys[w] > 0.0, out=gys[w])
+            ys, gys, gcs, invs = y[s:s + c], gy[:c], gw[:c, :, :, :W], inv[s:s + c]
+            g4 = g[s:s + c] * (invs * 0.25)
+            for w in (w0, w1, w2, w3):
+                gys[w] = g4
+            gys *= ys > 0.0
             gm = (gys.sum(axis=(2, 3)) / (H * W))[:, :, None, None]
             gym = (np.einsum("bchw,bchw->bc", gys, ys) / (H * W))[:, :, None, None]
-            np.multiply(ys, -gym, out=gcs)
+            np.multiply(ys, -(invs * invs * gym), out=gcs)
             gcs += gys
             gcs -= gm
-            gcs *= inv[s:s + c]
-            gw[:c, :, :, :W] = gcs
             gwn = gw[:c].reshape(c, O, H * Wp)[:, :, :n]
-            # each running sum over samples enters as the chunk's first row,
-            # so it keeps the order of one sum over the batch; the last bits
-            # differ only where numpy sums the batch pairwise: the bias
-            # gradient of a block with one output channel, and the kernel
-            # gradient of one with one input and one output channel
-            gbs = gcs.sum(axis=(2, 3))
-            if s:
-                gbs[0] += gb
-            gb = gbs.sum(0)
             if need[0]:
                 gxf = np.zeros((c, C, Hp * Wp))
                 tap = np.empty((c, C, n))
@@ -349,6 +343,10 @@ def conv_block(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
                         gxf[:, :, off:off + n] += np.matmul(kt[i, j], gwn, out=tap)
                 gx[s:s + c] = gxf.reshape(c, C, Hp, Wp)[:, :, 1:-1, 1:-1]
             if need[1]:
+                # each running sum over samples enters as the chunk's first
+                # row, so it keeps the order of one sum over the batch; the
+                # last bits differ only where numpy sums the batch
+                # pairwise: a block with one input and one output channel
                 xp[:c, :, 1:-1, 1:-1] = x.values[s:s + c]
                 xf = xp[:c].reshape(c, C, Hp * Wp)
                 for i in range(3):
@@ -358,9 +356,9 @@ def conv_block(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
                         if s:
                             part[0] += gk[:, :, i, j]
                         gk[:, :, i, j] = part.sum(0)
-        return gx, gk, gb if need[2] else None
+        return gx, gk
 
-    return _node(v, (x, kernel, bias), _bw, "conv_block")
+    return _node(v, (x, kernel), _bw, "conv_block")
 
 
 def softmax_cross_entropy_mean(logits: Tensor, labels) -> Tensor:

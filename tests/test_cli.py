@@ -473,13 +473,13 @@ def test_gradcheck_detects_injected_sign_flip(monkeypatch, capsys):
     real_block = T.conv_block
 
     @functools.wraps(real_block)
-    def broken_block(x, kernel, bias):
-        out = real_block(x, kernel, bias)
+    def broken_block(x, kernel):
+        out = real_block(x, kernel)
         orig_bw = out._backward
 
         def bw(g, need):
-            gx, gk, gb = orig_bw(g, need)
-            return gx, -gk, gb   # injected fault
+            gx, gk = orig_bw(g, need)
+            return gx, -gk   # injected fault
         out._backward = bw
         return out
 
@@ -495,8 +495,8 @@ def test_gradcheck_standalone_checks_catch_pool_and_norm_faults(monkeypatch, cap
               lambda bw: lambda g, need: bw(g * 1.01, need))            # 1% too large
     for fault in faults:
         @functools.wraps(real)
-        def broken(x, kernel, bias, fault=fault):
-            out = real(x, kernel, bias)
+        def broken(x, kernel, fault=fault):
+            out = real(x, kernel)
             out._backward = fault(out._backward)
             return out
 

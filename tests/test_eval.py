@@ -142,6 +142,15 @@ def test_record_training_trace_shape(blob_sets):
     assert set(np.unique(trace)).issubset({0, 1})
 
 
+@pytest.mark.parametrize("field, epochs, lr", [("epochs", -3, 0.05), ("lr", 3, -1.0)])
+def test_record_training_trace_refuses_a_value_outside_its_range(blob_sets, field, epochs, lr):
+    # EvalConfig owns the training ranges, so the trace refuses them before
+    # any array is made or any step is taken
+    train, _, _ = blob_sets
+    with pytest.raises(ConfigError, match=f"^{field} must be >= 0"):
+        record_training_trace(train, ARCH, epochs=epochs, lr=lr, seed=13)
+
+
 def test_accuracy_reads_in_bounded_batches(monkeypatch):
     _, test = make_blob_split(3, 10, 200, (1, 8, 8), spread=0.15, seed=1)
     params = train_on_synthetic(materialize(test, select_random(test, 2, seed=1)), ARCH,

@@ -17,16 +17,16 @@ from condensery.tensor import Tensor
 
 
 def _identity(C):
-    """A centre-tap identity kernel and a zero bias: the block's conv then
-    copies its input bit for bit, which leaves the norm, ReLU and pool."""
+    """A centre-tap identity kernel: the block's conv then copies its input
+    bit for bit, which leaves the norm, ReLU and pool."""
     k = np.zeros((C, C, 3, 3))
     k[range(C), range(C), 1, 1] = 1.0
-    return Tensor.constant(k), Tensor.constant(np.zeros(C))
+    return Tensor.constant(k)
 
 
 def _norm_relu_pool(x):
     """conv_block through the identity kernel: the norm, ReLU and pool of x."""
-    return T.conv_block(x, *_identity(x.shape[1]))
+    return T.conv_block(x, _identity(x.shape[1]))
 
 
 def test_conv2d_identity_kernel():
@@ -39,40 +39,32 @@ def test_conv2d_identity_kernel():
             k = np.zeros((3, 3, 3, 3))
             k[range(3), range(3), i, j] = 1.0
             moved = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))[:, :, i:i + 5, j:j + 6]
-            out = T.conv_block(Tensor(x), Tensor(k), Tensor(np.zeros(3)))
+            out = T.conv_block(Tensor(x), Tensor(k))
             np.testing.assert_array_equal(out.values, _norm_relu_pool(Tensor(moved)).values)
-
-
-def test_conv2d_bias_only():
-    # a zero kernel leaves each plane at its bias, which the norm centres
-    # to zero exactly
-    x = Tensor(np.random.default_rng(0).standard_normal((2, 3, 4, 4)))
-    out = T.conv_block(x, Tensor(np.zeros((2, 3, 3, 3))), Tensor(np.array([5.0, -3.0])))
-    np.testing.assert_array_equal(out.values, np.zeros((2, 2, 2, 2)))
 
 
 def test_conv2d_channel_mismatch():
     x = Tensor(np.zeros((1, 2, 4, 4)))
     k = Tensor(np.zeros((1, 3, 3, 3)))
     with pytest.raises(DimensionError):
-        T.conv_block(x, k, Tensor(np.zeros(1)))
+        T.conv_block(x, k)
 
 
 @pytest.mark.parametrize("kshape", [(1, 1, 1, 1), (1, 1, 2, 3), (1, 1, 3), (1, 1, 5, 5)])
 def test_conv_block_rejects_a_kernel_that_is_not_3x3(kshape):
     with pytest.raises(DimensionError, match="conv_block: kernel"):
-        T.conv_block(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros(kshape)), Tensor(np.zeros(1)))
+        T.conv_block(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros(kshape)))
 
 
 def test_conv2d_gradients_match_finite_differences():
     leaves = _block_leaves(np.random.default_rng(1), (2, 3, 5, 5), 4)
-    for r in check_op("conv_block", lambda t: T.conv_block(t[0], t[1], t[2]), leaves):
+    for r in check_op("conv_block", lambda t: T.conv_block(t[0], t[1]), leaves):
         assert r.passed, r.detail
         assert r.worst_rel <= 1e-3
 
 
-def _block_loop_oracle(x, k, b, g):
-    """conv_block's output and its input, kernel and bias gradients under
+def _block_loop_oracle(x, k, g):
+    """conv_block's output and its input and kernel gradients under
     upstream gradient g: a 3x3, pad-1 conv by explicit loops over every
     output pixel, a two-pass norm, ReLU and the window mean, then the
     window spread of g masked by ReLU, the five-pass norm backward and the
@@ -85,7 +77,7 @@ def _block_loop_oracle(x, k, b, g):
         for o in range(O):
             for h in range(H):
                 for w in range(W):
-                    conv[n, o, h, w] = (xp[n, :, h:h + 3, w:w + 3] * k[o]).sum() + b[o]
+                    conv[n, o, h, w] = (xp[n, :, h:h + 3, w:w + 3] * k[o]).sum()
     inv = 1.0 / np.sqrt(conv.var(axis=(2, 3), keepdims=True) + 1e-5)
     y = (conv - conv.mean(axis=(2, 3), keepdims=True)) * inv
     gy = _window_loop_spread(g, y.shape) * (y > 0.0)
@@ -99,7 +91,7 @@ def _block_loop_oracle(x, k, b, g):
                 for w in range(W):
                     gk[o] += gc[n, o, h, w] * xp[n, :, h:h + 3, w:w + 3]
                     gxp[n, :, h:h + 3, w:w + 3] += gc[n, o, h, w] * k[o]
-    return _window_loop_pool(np.maximum(y, 0.0)), gxp[:, :, 1:-1, 1:-1], gk, gc.sum(axis=(0, 2, 3))
+    return _window_loop_pool(np.maximum(y, 0.0)), gxp[:, :, 1:-1, 1:-1], gk
 
 
 # (input shape, output channels), keyed by test id: batches of 1, CHUNK - 1
@@ -121,13 +113,12 @@ def test_conv2d_matches_loop_oracle(case):
     rng = np.random.default_rng(11)
     x = Tensor(rng.standard_normal(x_shape))
     k = Tensor(rng.standard_normal((O, x.shape[1], 3, 3)))
-    b = Tensor(rng.standard_normal(O))
-    out = T.conv_block(x, k, b)
+    out = T.conv_block(x, k)
     g = rng.standard_normal(out.shape)
     T.backward(T.sum_all(T.mul(out, Tensor(g))))
-    ref = _block_loop_oracle(x.values, k.values, b.values, g)
+    ref = _block_loop_oracle(x.values, k.values, g)
     # the block sums in another order than the loops: float64 round-off only
-    for got, want in zip((out.values, x.grad, k.grad, b.grad), ref):
+    for got, want in zip((out.values, x.grad, k.grad), ref):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -136,11 +127,11 @@ def test_conv2d_backward_peak_memory_is_a_few_inputs():
     # times the input's bytes at their peak: no window-sized copy is made
     rng = np.random.default_rng(15)
     x = Tensor(rng.standard_normal((32, 16, 14, 14)))
-    out = T.conv_block(x, Tensor(rng.standard_normal((16, 16, 3, 3))), Tensor(np.zeros(16)))
+    out = T.conv_block(x, Tensor(rng.standard_normal((16, 16, 3, 3))))
     g = rng.standard_normal(out.shape)
     tracemalloc.start()
     try:
-        gx, gk, _ = out._backward(g, (True, True, True))
+        gx, gk = out._backward(g, (True, True))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -150,13 +141,13 @@ def test_conv2d_backward_peak_memory_is_a_few_inputs():
 
 def test_conv2d_forward_peak_memory_is_a_few_inputs():
     # the forward pads and copies one chunk's windows at a time, not the
-    # batch's: the block keeps its normalized conv output and its output
+    # batch's: the block keeps its centred conv output and its output
     rng = np.random.default_rng(19)
     x = Tensor(rng.standard_normal((256, 16, 14, 14)))
-    k, b = Tensor(rng.standard_normal((16, 16, 3, 3))), Tensor(np.zeros(16))
+    k = Tensor(rng.standard_normal((16, 16, 3, 3)))
     tracemalloc.start()
     try:
-        out = T.conv_block(x, k, b)
+        out = T.conv_block(x, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -164,22 +155,22 @@ def test_conv2d_forward_peak_memory_is_a_few_inputs():
     assert peak <= 5 * x.values.nbytes, peak / x.values.nbytes
 
 
-def _block_whole_batch(x, k, b, g):
-    """conv_block's output and its input, kernel and bias gradients under
+def _block_whole_batch(x, k, g):
+    """conv_block's output and its input and kernel gradients under
     upstream gradient g, each formula run once over the whole batch."""
     B, C, H, W = x.shape
     O = k.shape[0]
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     cols = sliding_window_view(xp, (3, 3), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
     conv = np.matmul(k.reshape(O, -1), cols.reshape(B, C * 9, H * W))
-    conv += b[:, None]
     y, inv = _one_pass_norm(conv.reshape(B, O, H, W))
     Ho, Wo = H // 2, W // 2
     windows = [np.s_[:, :, i:2 * Ho:2, j:2 * Wo:2] for i in (0, 1) for j in (0, 1)]
+    r = np.maximum(y, 0.0)
     v = np.zeros((B, O, Ho, Wo))
     for w in windows:
-        v += np.maximum(y[w], 0.0)
-    v *= 0.25
+        v += r[w]
+    v *= inv * 0.25
     gy = np.zeros((B, O, H, W))
     for w in windows:
         np.multiply(g * 0.25, y[w] > 0.0, out=gy[w])
@@ -198,27 +189,60 @@ def _block_whole_batch(x, k, b, g):
             off = i * Wp + j
             gxf[:, :, off:off + n] += np.matmul(kt[i, j], gw)
             gk[:, :, i, j] = np.matmul(gw, xf[:, :, off:off + n].transpose(0, 2, 1)).sum(0)
-    return v, gxf.reshape(B, C, Hp, Wp)[:, :, 1:-1, 1:-1], gk, gc.sum(axis=(0, 2, 3))
+    return v, gxf.reshape(B, C, Hp, Wp)[:, :, 1:-1, 1:-1], gk
 
 
 @pytest.mark.parametrize("B", [1, T.CHUNK - 1, T.CHUNK, T.CHUNK + 1, 2 * T.CHUNK + 3])
 def test_chunked_kernels_match_the_whole_batch_bit_for_bit(B):
     # every result the block computes chunk by chunk is per sample, and
-    # the kernel and bias gradients carry their running sums across the
-    # seams in the order of one sum over the batch: no bit may move. The
-    # input is a strided view, and its 5x7 plane is pooled with a floor
+    # the kernel gradient carries its running sum across the seams in the
+    # order of one sum over the batch: no bit may move. The input is a
+    # strided view, and its 5x7 plane is pooled with a floor
     rng = np.random.default_rng(20)
     x = rng.standard_normal((B, 6, 5, 8))[:, ::2, :, 1:]
-    k, b = rng.standard_normal((4, 3, 3, 3)), rng.standard_normal(4)
-    out = T.conv_block(Tensor(x), Tensor(k), Tensor(b))
+    k = rng.standard_normal((4, 3, 3, 3))
+    out = T.conv_block(Tensor(x), Tensor(k))
     g = rng.standard_normal(out.shape)
-    ref = _block_whole_batch(x, k, b, g)
-    for got, want in zip((out.values,) + out._backward(g, (True, True, True)), ref):
+    ref = _block_whole_batch(x, k, g)
+    for got, want in zip((out.values,) + out._backward(g, (True, True)), ref):
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("B", [1, T.CHUNK - 1, T.CHUNK + 1, 2 * T.CHUNK + 3])
+def test_a_read_gives_the_taped_output_bit_for_bit(B):
+    # a block of constants reuses one chunk's conv buffer and takes ReLU in
+    # place; a taped one keeps every chunk's centred conv. Same bits, also
+    # on a 5x7 plane that the pool floors
+    rng = np.random.default_rng(21)
+    x, k = rng.standard_normal((B, 2, 5, 7)), rng.standard_normal((3, 2, 3, 3))
+    taped = T.conv_block(Tensor(x), Tensor(k))
+    read = T.conv_block(Tensor.constant(x), Tensor.constant(k))
+    assert taped._op == "conv_block" and read._op == "const"
+    np.testing.assert_array_equal(read.values, taped.values)
+
+
+def test_a_read_holds_no_batch_sized_conv_output():
+    # a read from constants keeps one chunk's conv output, so on 4 chunks
+    # its peak stays below one [B, O, H, W] array; a taped block keeps the
+    # whole batch's for its backward and goes above it
+    B, O, H, W = 4 * T.CHUNK, 16, 28, 28
+    rng = np.random.default_rng(22)
+    x, k = rng.standard_normal((B, 1, H, W)), rng.standard_normal((O, 1, 3, 3))
+    peaks = []
+    for wrap in (Tensor.constant, Tensor):
+        tracemalloc.start()
+        try:
+            out = T.conv_block(wrap(x), wrap(k))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del out
+    full = B * O * H * W * 8
+    assert peaks[0] < full < peaks[1], (peaks, full)
+
+
 NEED_CASES = {
-    "conv_block": (lambda t: T.conv_block(t[0], t[1], t[2]), [(2, 2, 4, 4), (3, 2, 3, 3), (3,)]),
+    "conv_block": (lambda t: T.conv_block(t[0], t[1]), [(2, 2, 4, 4), (3, 2, 3, 3)]),
     "linear": (lambda t: T.linear(t[0], t[1], t[2]), [(3, 4), (4, 2), (2,)]),
     "matmul": (lambda t: T.matmul(t[0], t[1]), [(3, 4), (4, 2)]),
     "mul": (lambda t: T.mul(t[0], t[1]), [(3, 4), (3, 4)]),
@@ -260,23 +284,26 @@ def test_gradient_asked_alone_matches_full_gradient(op):
 
 
 def _one_pass_norm(x):
-    """instance_norm2d's forward as the three-op chain computed it: (y, inv)."""
+    """The block's norm in one pass: the centred planes y and their inverse
+    deviation inv. The block never forms y * inv; it scales its pooled
+    output by inv."""
     H, W = x.shape[2:]
     y = x - x.mean(axis=(2, 3), keepdims=True)
     inv = (1.0 / np.sqrt(np.einsum("bchw,bchw->bc", y, y) / (H * W) + 1e-5))[:, :, None, None]
-    y *= inv
     return y, inv
 
 
 def _one_pass_norm_backward(y, inv, gy):
-    """instance_norm2d's one-pass backward of the three-op chain."""
+    """The norm's one-pass backward from the centred planes y, given gy,
+    the gradient of y * inv: inv folded into gy first, then
+    gy - mean(gy) - y * inv**2 * mean(gy * y)."""
     H, W = y.shape[2:]
+    gy = gy * inv
     gm = (gy.sum(axis=(2, 3)) / (H * W))[:, :, None, None]
     gym = (np.einsum("bchw,bchw->bc", gy, y) / (H * W))[:, :, None, None]
-    gx = y * -gym
+    gx = y * -(inv * inv * gym)
     gx += gy
     gx -= gm
-    gx *= inv
     return gx
 
 
@@ -303,7 +330,7 @@ def _window_loop_spread(g, shape):
 
 def _input_grad(out, g):
     """The input gradient of a block built by _norm_relu_pool."""
-    return out._backward(g, (True, False, False))[0]
+    return out._backward(g, (True, False))[0]
 
 
 def test_instance_norm_constant_plane_is_zero():
@@ -351,9 +378,11 @@ def test_instance_norm_backward_matches_reference(shape):
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 2, 2), (2, 3, 4, 4), (3, 2, 6, 10), (2, 16, 28, 28)])
-def test_norm_relu_pool_is_the_three_op_chain_bit_for_bit(shape):
-    # on even planes the block does the arithmetic of instance_norm2d, relu
-    # and avg_pool2d in the same order: forward and input gradient
+def test_norm_relu_pool_scales_after_the_pool_bit_for_bit(shape):
+    # on even planes the block centres each plane, takes ReLU, sums each
+    # window and only then scales by inv / 4, in that order: forward and
+    # input gradient. inv > 0 commutes with ReLU and the mean, so this is
+    # the norm, ReLU and pool in exact arithmetic
     rng = np.random.default_rng(18)
     x = rng.standard_normal(shape) * 7.0 + 3.0
     B, C, H, W = shape
@@ -363,7 +392,7 @@ def test_norm_relu_pool_is_the_three_op_chain_bit_for_bit(shape):
     for i in range(2):
         for j in range(2):
             v += r[:, :, i::2, j::2]
-    v *= 1.0 / 4
+    v *= inv * 0.25
     out = _norm_relu_pool(Tensor(x))
     np.testing.assert_array_equal(out.values, v)
     g = rng.standard_normal(v.shape)
@@ -374,8 +403,8 @@ def test_norm_relu_pool_is_the_three_op_chain_bit_for_bit(shape):
 
 def test_instance_norm_backward():
     x = np.random.default_rng(2).standard_normal((2, 2, 4, 4))
-    y, _ = _one_pass_norm(x)
-    assert np.abs(y).min() > 1e-3   # away from ReLU's kink
+    y, inv = _one_pass_norm(x)
+    assert np.abs(y * inv).min() > 1e-3   # away from ReLU's kink
     for r in check_op("instnorm", lambda t: _norm_relu_pool(t[0]), [x]):
         assert r.passed, r.detail
 
@@ -427,11 +456,12 @@ def test_norm_relu_pool_floors_an_odd_plane():
     # nothing: they move the output, and get gradient, only through the norm
     rng = np.random.default_rng(19)
     x = rng.standard_normal((2, 3, 5, 7))
-    y, _ = _one_pass_norm(x)
+    y, inv = _one_pass_norm(x)
     out = _norm_relu_pool(Tensor(x))
     assert out.shape == (2, 3, 2, 3)
-    np.testing.assert_allclose(out.values, _window_loop_pool(np.maximum(y, 0.0)), rtol=0, atol=1e-15)
-    assert np.abs(y).min() > 1e-3   # away from ReLU's kink
+    np.testing.assert_allclose(out.values, _window_loop_pool(np.maximum(y * inv, 0.0)),
+                               rtol=0, atol=1e-15)
+    assert np.abs(y * inv).min() > 1e-3   # away from ReLU's kink
     for r in check_op("pool_odd", lambda t: _norm_relu_pool(t[0]), [x]):
         assert r.passed, r.detail
     xt = Tensor(x)
@@ -447,8 +477,8 @@ def test_norm_relu_pool_rejects_a_plane_below_its_window(shape):
 
 def test_avg_pool_backward():
     x = np.random.default_rng(4).standard_normal((2, 3, 4, 4))
-    y, _ = _one_pass_norm(x)
-    assert np.abs(y).min() > 1e-3   # away from ReLU's kink
+    y, inv = _one_pass_norm(x)
+    assert np.abs(y * inv).min() > 1e-3   # away from ReLU's kink
     for r in check_op("pool", lambda t: _norm_relu_pool(t[0]), [x]):
         assert r.passed, r.detail
 
@@ -578,7 +608,7 @@ OP_CASES = {
     "matmul": (lambda t: T.matmul(t[0], t[1]), [(3, 4), (4, 2)]),
     "relu": (lambda t: T.relu(t[0]), [(3, 4)]),
     "linear": (lambda t: T.linear(t[0], t[1], t[2]), [(3, 4), (4, 2), (2,)]),
-    "conv_block": (lambda t: T.conv_block(t[0], t[1], t[2]), [(2, 2, 5, 4), (3, 2, 3, 3), (3,)]),
+    "conv_block": (lambda t: T.conv_block(t[0], t[1]), [(2, 2, 5, 4), (3, 2, 3, 3)]),
     "softmax_cross_entropy_mean": (lambda t: T.softmax_cross_entropy_mean(t[0], [0, 2, 1, 2]),
                                    [(4, 3)]),
 }
@@ -677,9 +707,8 @@ def test_ops_deterministic():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((2, 3, 4, 4))
     k = rng.standard_normal((2, 3, 3, 3))
-    b = rng.standard_normal(2)
-    o1 = T.conv_block(Tensor(x), Tensor(k), Tensor(b)).values
-    o2 = T.conv_block(Tensor(x), Tensor(k), Tensor(b)).values
+    o1 = T.conv_block(Tensor(x), Tensor(k)).values
+    o2 = T.conv_block(Tensor(x), Tensor(k)).values
     assert np.array_equal(o1, o2)
 
 
@@ -691,14 +720,22 @@ def test_numeric_grad_on_quadratic():
 
 
 def test_compare_passes_within_and_fails_beyond_each_tolerance():
-    # entries below ZERO_CUT on both sides are compared absolutely, the rest
-    # relatively, and the worst relative error is reported
+    # entries below ZERO_CUT on both sides are not compared, the rest are
+    # compared relatively, and the worst relative error is reported
     r = compare(np.array([0.0, 1e-9, 1.0]), np.array([5e-9, 0.0, 1.0005]), "x")
     assert r.passed and r.worst_rel == pytest.approx(0.0005 / 1.0005)
     r = compare(np.array([0.0, 1.0]), np.array([2e-9, 1.1]), "x")
     assert not r.passed and r.detail.startswith("flat index 1:") and "(rel" in r.detail
-    r = compare(np.array([1.0, -5e-9]), np.array([1.0, 5e-9]), "x")   # abs 1e-8
+    r = compare(np.array([1.0, -5e-9]), np.array([1.0, 5e-9]), "x")   # gap 1e-8, not compared
     assert r.passed and r.worst_rel == 0.0
+
+
+def test_compare_fails_a_check_that_compares_no_entry():
+    # a leaf whose entries all lie below ZERO_CUT would pass whatever its
+    # gradient, so its check fails as vacuous, even on equal values
+    for analytic, numeric in (([0.0, 1e-9], [5e-9, -2e-9]), ([0.0, 0.0], [0.0, 0.0])):
+        r = compare(np.array(analytic), np.array(numeric), "x")
+        assert not r.passed and r.detail.startswith("no entry compared")
 
 
 @pytest.mark.parametrize("analytic, numeric", [
