@@ -2,7 +2,11 @@
 
 All selectors return exactly ipc indices per class, unique, with ties
 broken deterministically by lowest dataset index. Herding and k-center
-measure distances between flattened pixel vectors.
+measure distances between flattened pixel vectors through the expansion
+||a - b||**2 = ||a||**2 - 2 a . b + ||b||**2: each row's squared norm is
+taken once per class, and each greedy pick is one matvec of the class
+matrix instead of a norm over it. Each row is summed by one loop in one
+order, so equal rows score equal bits and tie, and the lowest index wins.
 """
 
 from __future__ import annotations
@@ -51,43 +55,66 @@ def select_random(ds: LabeledDataset, ipc: int, seed: int) -> SelectionResult:
     return SelectionResult(np.concatenate(picks), "random", ipc, ds.num_classes)
 
 
+def _row_dots(feats: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """feats @ v, each row summed by the same loop as ``_sq_norms``: equal
+    rows give equal bits, so their scores tie exactly, and a row's product
+    with itself is its squared norm. BLAS's matvec sums a row in an order
+    that depends on its position, and gives neither."""
+    return np.einsum("ij,j->i", feats, v)
+
+
+def _sq_norms(feats: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", feats, feats)
+
+
 def select_herding(ds: LabeledDataset, ipc: int) -> SelectionResult:
-    """Greedy herding: grow the subset whose mean best tracks the class mean."""
+    """Greedy herding: grow the subset whose mean best tracks the class mean.
+
+    Pick t minimises ||mu - (running + x) / t|| over the unpicked rows x.
+    Times t it is ||w - x|| with w = t * mu - running, and
+    ||w - x||**2 = ||w||**2 - 2 x . w + ||x||**2, so the pick is the
+    argmin of sq - 2 feats @ w with sq the rows' squared norms: one
+    matvec per pick.
+    """
     groups = _check_class_sizes(ds, ipc)
     picks = []
     for idx in groups:
         feats = ds.images[idx].reshape(len(idx), -1)
+        sq = _sq_norms(feats)
         mu = feats.mean(axis=0)
         chosen: list[int] = []
         running = np.zeros_like(mu)
-        avail = np.ones(len(idx), dtype=bool)
         for t in range(1, ipc + 1):
-            # candidate subset mean if x joins: (running + x) / t
-            gaps = np.linalg.norm(mu[None, :] - (running[None, :] + feats) / t, axis=1)
-            gaps[~avail] = np.inf
-            best = int(np.argmin(gaps))   # argmin takes the lowest index on ties
+            score = sq - 2.0 * _row_dots(feats, t * mu - running)
+            score[chosen] = np.inf
+            best = int(np.argmin(score))   # argmin takes the lowest index on ties
             chosen.append(best)
-            avail[best] = False
             running += feats[best]
         picks.append(idx[np.array(chosen)])
     return SelectionResult(np.concatenate(picks), "herding", ipc, ds.num_classes)
 
 
 def select_kcenter(ds: LabeledDataset, ipc: int) -> SelectionResult:
-    """Greedy k-center: start nearest the class mean, then farthest-point."""
+    """Greedy k-center: start nearest the class mean, then farthest-point.
+
+    Distances are squared, which keeps their order: the distance from row
+    x to centre c is sq[x] + sq[c] - 2 x . c, one matvec per pick, and a
+    running minimum over the centres. A row equal to a centre is exactly
+    0 away from it.
+    """
     groups = _check_class_sizes(ds, ipc)
     picks = []
     for idx in groups:
         feats = ds.images[idx].reshape(len(idx), -1)
-        mu = feats.mean(axis=0)
-        first = int(np.argmin(np.linalg.norm(feats - mu, axis=1)))
+        sq = _sq_norms(feats)
+        first = int(np.argmin(sq - 2.0 * _row_dots(feats, feats.mean(axis=0))))
         chosen = [first]
-        mind = np.linalg.norm(feats - feats[first], axis=1)
+        mind = sq + sq[first] - 2.0 * _row_dots(feats, feats[first])
         for _ in range(1, ipc):
-            mind[chosen] = -np.inf
-            nxt = int(np.argmax(mind))
+            mind[chosen[-1]] = -np.inf
+            nxt = int(np.argmax(mind))   # argmax takes the lowest index on ties
             chosen.append(nxt)
-            mind = np.minimum(mind, np.linalg.norm(feats - feats[nxt], axis=1))
+            np.minimum(mind, sq + sq[nxt] - 2.0 * _row_dots(feats, feats[nxt]), out=mind)
         picks.append(idx[np.array(chosen)])
     return SelectionResult(np.concatenate(picks), "kcenter", ipc, ds.num_classes)
 

@@ -10,8 +10,10 @@ against a central difference with step h = 1e-5, relatively (tolerance
 entry fails, as its check would pass whatever the gradient. The suite
 checks every public op of ``tensor``, away from ReLU's kink; the ConvNet
 block also on an odd plane, a 1-channel input and a batch that spans two
-of its sample chunks; and a one-block ConvNet built by ``models.forward``,
-each on every coordinate of every leaf.
+of its sample chunks; and a one-block ConvNet built by ``models.forward``
+on a constant input, whose block takes its kernel gradient from moments,
+also on an odd 1-channel plane across two chunks; each on every
+coordinate of every leaf.
 """
 
 from __future__ import annotations
@@ -124,8 +126,11 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
                     lambda t: T.softmax_cross_entropy_mean(t[0], lab), [lg])
 
     # one ConvNet block and its linear head under mean cross-entropy, built
-    # by models.forward: the oracle checks the model's own code
-    out += _check_composed(rng)
+    # by models.forward: the oracle checks the model's own code. Its input
+    # is a constant, so the block's kernel gradient comes from moments;
+    # the second case puts that on an odd 1-channel plane across two chunks
+    out += _check_composed(rng, "composed_convnet", (2, 2, 4, 4), 3)
+    out += _check_composed(rng, "composed_convnet_c1_chunked", (T.CHUNK + 1, 1, 5, 7), 3)
 
     # the tape's plumbing ops
     p, q = rng.standard_normal((2, 3, 4))
@@ -162,11 +167,13 @@ def _block_leaves(rng: np.random.Generator, x_shape: tuple, out_channels: int) -
             return [x, k]
 
 
-def _check_composed(rng: np.random.Generator) -> list[CheckResult]:
-    B, C, Hh, Ww, O, K = 2, 2, 4, 4, 3, 2
-    spec = ConvNetSpec(blocks=1, channels=O, input_shape=(C, Hh, Ww), num_classes=K)
-    x = T.Tensor.constant(rng.standard_normal((B, C, Hh, Ww)))
-    kern = rng.standard_normal((O, C, 3, 3)) * 0.5
+def _check_composed(rng: np.random.Generator, name: str, x_shape: tuple,
+                    out_channels: int) -> list[CheckResult]:
+    B, C, Hh, Ww = x_shape
+    K = 2
+    spec = ConvNetSpec(blocks=1, channels=out_channels, input_shape=(C, Hh, Ww), num_classes=K)
+    x, kern = _block_leaves(rng, x_shape, out_channels)
+    x = T.Tensor.constant(x)
     w = rng.standard_normal((spec.embed_dim, K)) * 0.5
     wb = rng.standard_normal(K) * 0.1
     labels = rng.integers(0, K, size=B)
@@ -175,4 +182,4 @@ def _check_composed(rng: np.random.Generator) -> list[CheckResult]:
         logits = forward(ModelParams(spec, list(t)), x).logits
         return T.softmax_cross_entropy_mean(logits, labels)
 
-    return check_op("composed_convnet", build, [kern, w, wb])
+    return check_op(name, build, [kern, w, wb])

@@ -27,9 +27,14 @@ works through a batch ``CHUNK`` samples at a time, forward and backward,
 so each pass over a chunk stays in cache. It centres its conv output in
 place and scales only the pooled output by the norm's inverse deviation.
 A taped block keeps the centred planes for its backward; a read from
-constants reuses one chunk's buffer. Any batch gives the bits one pass
-over it would, save the kernel gradient of a block with one input and one
-output channel.
+constants reuses one chunk's buffer. The output and the input gradient
+of any batch have the bits one pass over it would; so has the kernel
+gradient of a taped input, save on a block with one input and one output
+channel. A constant input, such as the images under the first block of
+every training step, takes its kernel gradient from moments of each
+sample's centred im2col columns instead: no norm gradient plane and no
+per-tap GEMM. It is the same sum in another order, within 1e-13 of the
+largest entry of the taps' kernel gradient.
 """
 
 from __future__ import annotations
@@ -263,6 +268,13 @@ def conv_block(x: Tensor, kernel: Tensor) -> Tensor:
     x[B,C,H,W], kernel[O,C,3,3] -> [B,O,H//2,W//2]. The pool floors, as
     PyTorch's ``AvgPool2d``: an odd last row or column is normalized with
     its plane but pooled into nothing.
+
+    The backward spreads the output gradient onto the ReLU mask. With the
+    input taped, it runs the norm's backward over each plane and meets it
+    with the kernel's and the input's nine taps. With the input a constant
+    only the kernel gradient is asked for, and it comes from per-sample
+    products of the masked gradient and of the kernel with the centred
+    im2col columns; the forward and the input gradient keep their bits.
     """
     if x.values.ndim != 4:
         raise DimensionError(f"conv_block: expected [B,C,H,W], got {x.shape}")
@@ -307,41 +319,72 @@ def conv_block(x: Tensor, kernel: Tensor) -> Tensor:
         vs *= invs * 0.25
 
     def _bw(g, need):
-        # Per chunk: g * inv / 4 onto each window position, masked where
-        # y > 0, then the norm's gy - mean(gy) - y * inv**2 * mean(gy * y)
-        # straight into gw, laid out on Wp columns (the last two zero) and
-        # cut to its first n positions: in the flattened padded plane,
-        # output pixel (h, w) reads xp at h*Wp + w + off for tap (i, j),
-        # with off = i*Wp + j, so gw meets each tap's slice of xp in one
-        # GEMM, and the last tap's slice ends at Hp*Wp exactly
-        n = (H - 1) * Wp + W
-        # kt[i, j] is the contiguous [C, O] slice that BLAS takes
-        kt = np.ascontiguousarray(kv.transpose(2, 3, 1, 0))
-        gx = np.empty((B, C, H, W)) if need[0] else None
-        gk = np.zeros((O, C, 3, 3)) if need[1] else None
         gy = np.zeros((m, O, H, W))
-        gw = np.zeros((m, O, H, Wp))
-        for s in range(0, B, CHUNK):
-            c = min(CHUNK, B - s)
-            ys, gys, gcs, invs = y[s:s + c], gy[:c], gw[:c, :, :, :W], inv[s:s + c]
+
+        def spread(s, c):
+            # the chunk's g * inv / 4 onto each window position of gy,
+            # masked where y > 0; a floored row or column stays 0
+            ys, gys, invs = y[s:s + c], gy[:c], inv[s:s + c]
             g4 = g[s:s + c] * (invs * 0.25)
             for w in (w0, w1, w2, w3):
                 gys[w] = g4
             gys *= ys > 0.0
+            return ys, gys, invs
+
+        if not need[0]:
+            # a constant input: gk from moments of each sample's centred
+            # im2col columns xc, which give y = K xc. The norm's gradient
+            # gy - mean(gy) - y * inv**2 * mean(gy * y) sums to 0 on each
+            # plane and xc is centred, so its product with the columns is
+            # M - inv**2 * mean(gy * y) * K xc xc^T with M = gy xc^T, and
+            # mean(gy * y) = <M, K> / (H*W) per plane: no full-size pass
+            # but the mask's, and no tap GEMM
+            kf = kv.reshape(O, C * 9)
+            xc = np.empty((m, C * 9, H * W))
+            gk = np.zeros((O, C * 9))
+            for s in range(0, B, CHUNK):
+                c = min(CHUNK, B - s)
+                _, gys, invs = spread(s, c)
+                xcs = xc[:c]
+                xp[:c, :, 1:-1, 1:-1] = x.values[s:s + c]
+                xcs.reshape(c, C, 3, 3, H, W)[...] = cols[:c]
+                xcs -= np.add.reduce(xcs, axis=2, keepdims=True) / (H * W)
+                mo = np.matmul(gys.reshape(c, O, H * W), xcs.transpose(0, 2, 1))
+                kg = np.matmul(kf, np.matmul(xcs, xcs.transpose(0, 2, 1)))
+                gym = np.einsum("bok,ok->bo", mo, kf)[:, :, None] / (H * W)
+                mo -= (invs[:, :, :, 0] * invs[:, :, :, 0] * gym) * kg
+                gk += mo.sum(0)
+            return None, gk.reshape(O, C, 3, 3)
+
+        # a taped input: the norm's backward goes straight into gw, laid
+        # out on Wp columns (the last two zero) and cut to its first n
+        # positions: in the flattened padded plane, output pixel (h, w)
+        # reads xp at h*Wp + w + off for tap (i, j), with off = i*Wp + j,
+        # so gw meets each tap's slice of xp in one GEMM, and the last
+        # tap's slice ends at Hp*Wp exactly
+        n = (H - 1) * Wp + W
+        # kt[i, j] is the contiguous [C, O] slice that BLAS takes
+        kt = np.ascontiguousarray(kv.transpose(2, 3, 1, 0))
+        gx = np.empty((B, C, H, W))
+        gk = np.zeros((O, C, 3, 3)) if need[1] else None
+        gw = np.zeros((m, O, H, Wp))
+        for s in range(0, B, CHUNK):
+            c = min(CHUNK, B - s)
+            ys, gys, invs = spread(s, c)
+            gcs = gw[:c, :, :, :W]
             gm = (gys.sum(axis=(2, 3)) / (H * W))[:, :, None, None]
             gym = (np.einsum("bchw,bchw->bc", gys, ys) / (H * W))[:, :, None, None]
             np.multiply(ys, -(invs * invs * gym), out=gcs)
             gcs += gys
             gcs -= gm
             gwn = gw[:c].reshape(c, O, H * Wp)[:, :, :n]
-            if need[0]:
-                gxf = np.zeros((c, C, Hp * Wp))
-                tap = np.empty((c, C, n))
-                for i in range(3):
-                    for j in range(3):
-                        off = i * Wp + j
-                        gxf[:, :, off:off + n] += np.matmul(kt[i, j], gwn, out=tap)
-                gx[s:s + c] = gxf.reshape(c, C, Hp, Wp)[:, :, 1:-1, 1:-1]
+            gxf = np.zeros((c, C, Hp * Wp))
+            tap = np.empty((c, C, n))
+            for i in range(3):
+                for j in range(3):
+                    off = i * Wp + j
+                    gxf[:, :, off:off + n] += np.matmul(kt[i, j], gwn, out=tap)
+            gx[s:s + c] = gxf.reshape(c, C, Hp, Wp)[:, :, 1:-1, 1:-1]
             if need[1]:
                 # each running sum over samples enters as the chunk's first
                 # row, so it keeps the order of one sum over the batch; the

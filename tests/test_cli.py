@@ -491,7 +491,9 @@ def test_gradcheck_detects_injected_sign_flip(monkeypatch, capsys):
 
 def test_gradcheck_standalone_checks_catch_pool_and_norm_faults(monkeypatch, capsys):
     real = T.conv_block
-    faults = (lambda bw: lambda g, need: bw(g.swapaxes(2, 3), need),    # transposed window map
+    # the transposed window map keeps g's shape, so it also reaches the
+    # suite's blocks whose pooled planes are not square
+    faults = (lambda bw: lambda g, need: bw(g.swapaxes(2, 3).reshape(g.shape), need),
               lambda bw: lambda g, need: bw(g * 1.01, need))            # 1% too large
     for fault in faults:
         @functools.wraps(real)

@@ -126,6 +126,64 @@ def test_kcenter_two_approximation():
     assert greedy_r <= 2 * best_r + 1e-12
 
 
+def _herding_norm_loop(ds, ipc):
+    """Herding as a norm over the whole class matrix per pick."""
+    picks = []
+    for idx in ds.class_indices():
+        feats = ds.images[idx].reshape(len(idx), -1)
+        mu = feats.mean(axis=0)
+        chosen, running = [], np.zeros_like(mu)
+        avail = np.ones(len(idx), dtype=bool)
+        for t in range(1, ipc + 1):
+            gaps = np.linalg.norm(mu[None, :] - (running[None, :] + feats) / t, axis=1)
+            gaps[~avail] = np.inf
+            best = int(np.argmin(gaps))
+            chosen.append(best)
+            avail[best] = False
+            running += feats[best]
+        picks.append(idx[np.array(chosen)])
+    return np.concatenate(picks)
+
+
+def _kcenter_norm_loop(ds, ipc):
+    """K-center as a norm over the whole class matrix per pick."""
+    picks = []
+    for idx in ds.class_indices():
+        feats = ds.images[idx].reshape(len(idx), -1)
+        first = int(np.argmin(np.linalg.norm(feats - feats.mean(axis=0), axis=1)))
+        chosen = [first]
+        mind = np.linalg.norm(feats - feats[first], axis=1)
+        for _ in range(1, ipc):
+            mind[chosen] = -np.inf
+            nxt = int(np.argmax(mind))
+            chosen.append(nxt)
+            mind = np.minimum(mind, np.linalg.norm(feats - feats[nxt], axis=1))
+        picks.append(idx[np.array(chosen)])
+    return np.concatenate(picks)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_selectors_match_the_norm_loops(seed):
+    # one matvec per pick on the squared-distance expansion picks what a
+    # norm over the class matrix picks
+    ds = make_blob_split(3, 40, 1, (1, 8, 8), seed=seed)[0]
+    for ipc in (1, 7, 40):
+        np.testing.assert_array_equal(select_herding(ds, ipc).indices, _herding_norm_loop(ds, ipc))
+        np.testing.assert_array_equal(select_kcenter(ds, ipc).indices, _kcenter_norm_loop(ds, ipc))
+
+
+def test_selectors_give_equal_rows_to_the_lowest_index():
+    # five distinct rows, each repeated: equal rows tie exactly, so herding
+    # takes the lowest of them, and once every row left equals a centre,
+    # all are 0 away and k-center takes the lowest
+    rng = np.random.default_rng(7)
+    base = rng.standard_normal((5, 9))
+    ds = dataset_from_features(base[rng.integers(0, 5, size=30)], [0, 1] * 15, 2)
+    for ipc in (1, 4, 9, 15):
+        np.testing.assert_array_equal(select_herding(ds, ipc).indices, _herding_norm_loop(ds, ipc))
+        np.testing.assert_array_equal(select_kcenter(ds, ipc).indices, _kcenter_norm_loop(ds, ipc))
+
+
 def test_forgetting_event_counts():
     assert forgetting_events(np.array([[1], [1], [1]]))[0] == 0
     assert forgetting_events(np.array([[1], [0], [1], [0]]))[0] == 2

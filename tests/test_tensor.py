@@ -241,6 +241,42 @@ def test_a_read_holds_no_batch_sized_conv_output():
     assert peaks[0] < full < peaks[1], (peaks, full)
 
 
+@pytest.mark.parametrize("C, O", [(1, 16), (3, 8), (16, 16)])
+@pytest.mark.parametrize("H, W", [(28, 28), (5, 7)])
+@pytest.mark.parametrize("B", [1, T.CHUNK - 1, T.CHUNK + 1, 2 * T.CHUNK + 3])
+def test_constant_input_kernel_gradient_from_moments_matches_the_taps(B, H, W, C, O):
+    # with the input a constant the block asks for the kernel gradient
+    # alone and takes it from im2col moments; the taps' sum over the norm
+    # gradient gives the same numbers, to float64 round-off
+    rng = np.random.default_rng(23)
+    out = T.conv_block(Tensor(rng.standard_normal((B, C, H, W))),
+                       Tensor(rng.standard_normal((O, C, 3, 3))))
+    g = rng.standard_normal(out.shape)
+    _, taps = out._backward(g, (True, True))
+    gx, moments = out._backward(g, (False, True))
+    assert gx is None and moments.shape == (O, C, 3, 3)
+    np.testing.assert_allclose(moments, taps, rtol=0, atol=1e-13 * np.abs(taps).max())
+
+
+def test_constant_input_kernel_gradient_makes_no_padded_gradient_buffer():
+    # the moment branch holds the masked window gradient gy and one chunk's
+    # im2col columns, never gy and the [m, O, H, Wp] buffer the taps spread
+    # the norm gradient into: its peak stays below that pair
+    B, C, O, H, W = 4 * T.CHUNK, 1, 32, 28, 28
+    rng = np.random.default_rng(24)
+    out = T.conv_block(Tensor(rng.standard_normal((B, C, H, W))),
+                       Tensor(rng.standard_normal((O, C, 3, 3))))
+    g = rng.standard_normal(out.shape)
+    tracemalloc.start()
+    try:
+        out._backward(g, (False, True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gy, gw = T.CHUNK * O * H * W * 8, T.CHUNK * O * H * (W + 2) * 8
+    assert peak < gy + gw, (peak, gy + gw)
+
+
 NEED_CASES = {
     "conv_block": (lambda t: T.conv_block(t[0], t[1]), [(2, 2, 4, 4), (3, 2, 3, 3)]),
     "linear": (lambda t: T.linear(t[0], t[1], t[2]), [(3, 4), (4, 2), (2,)]),
@@ -249,11 +285,21 @@ NEED_CASES = {
 }
 
 
+def _assert_same_gradient(op, i, got, want):
+    """Bit for bit, save conv_block's kernel gradient under a constant
+    input: that one comes from moments, the same sum in another order,
+    within 1e-13 of its largest entry."""
+    if (op, i) == ("conv_block", 1):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("op", sorted(NEED_CASES))
 def test_gradient_asked_alone_matches_full_gradient(op):
     # backward tells the closure which parents it needs: those that are not
-    # constants. One parent asked for alone gets the same bits as with all
-    # parents asked for, and the closure returns None for every constant
+    # constants. One parent asked for alone gets the same gradient as with
+    # all parents asked for, and the closure returns None for every constant
     build, shapes = NEED_CASES[op]
     rng = np.random.default_rng(12)
     arrays = [rng.standard_normal(s) for s in shapes]
@@ -280,7 +326,7 @@ def test_gradient_asked_alone_matches_full_gradient(op):
         (alone,), calls = grads([i])
         need = tuple(j == i for j in range(n))
         assert calls == [(need, list(need))]
-        np.testing.assert_array_equal(alone, full[i])
+        _assert_same_gradient(op, i, alone, full[i])
 
 
 def _one_pass_norm(x):
@@ -625,7 +671,7 @@ def test_constant_cases_cover_every_public_op():
 def test_constant_parents_give_a_constant(op):
     # all-constant parents: a constant with no parents and no closure, with
     # the taped output's values; one non-constant parent: a tape node whose
-    # backward gives that parent the taped gradient bit for bit
+    # backward gives that parent the taped gradient
     build, shapes = OP_CASES[op]
     rng = np.random.default_rng(13)
     arrays = [rng.standard_normal(s) for s in shapes]
@@ -642,7 +688,7 @@ def test_constant_parents_give_a_constant(op):
         assert out._op == op and out._backward is not None
         assert all(p is q for p, q in zip(out._parents, mixed))
         T.backward(T.sum_all(T.mul(out, weights)))
-        np.testing.assert_array_equal(mixed[i].grad, leaves[i].grad)
+        _assert_same_gradient(op, i, mixed[i].grad, leaves[i].grad)
 
 
 def test_backward_walks_and_fills_only_what_wrt_needs():
