@@ -37,7 +37,7 @@ print(f"condensed {len(train)} real images to {len(synth.labels)} "
       f"in {time.monotonic() - t0:.1f}s")
 
 # Evaluate: train fresh networks on the 3 synthetic images only.
-report = evaluate_protocol(synth, arch, test, n_experiments=1, n_nets_per=3,
-                           cfg=EvalConfig(epochs=60, lr=0.05, seed=0))
+report = evaluate_protocol(synth, arch, test,
+                           EvalConfig(epochs=60, lr=0.05, n_experiments=1, n_nets_per=3, seed=0))
 print(f"test accuracy from 3 synthetic images: "
       f"{100 * report.mean:.1f} ± {100 * report.std:.1f}%")

@@ -23,13 +23,13 @@ selections = {
     "herding": select_herding(train, ipc),
     "kcenter": select_kcenter(train, ipc),
 }
-trace = record_training_trace(train, arch, epochs=8, lr=0.05, seed=0)
+trace = record_training_trace(train, arch, EvalConfig(epochs=8, lr=0.05), seed=0)
 selections["forgetting"] = select_forgetting(train, ipc, trace)
 
-ecfg = EvalConfig(epochs=60, lr=0.05, seed=0)
+ecfg = EvalConfig(epochs=60, lr=0.05, n_experiments=1, n_nets_per=3, seed=0)
 print(f"{'method':<12} {'indices':<28} accuracy")
 for name, sel in selections.items():
     subset = materialize(train, sel)
-    report = evaluate_protocol(subset, arch, test, 1, 3, ecfg)
+    report = evaluate_protocol(subset, arch, test, ecfg)
     print(f"{name:<12} {str([int(i) for i in sel.indices]):<28} "
           f"{100 * report.mean:.1f} ± {100 * report.std:.1f}%")

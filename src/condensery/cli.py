@@ -35,8 +35,7 @@ from .coreset import materialize, select_forgetting, select_herding, select_kcen
 from .data import LabeledDataset, load_idx, load_synthetic, make_blob_split, \
     save_synthetic, export_projection_csv
 from .errors import CondenseryError, ConfigError, ParseError
-from .evaluate import DESK_PROTOCOL, PAPER_PROTOCOL, EvalConfig, evaluate_protocol, \
-    record_training_trace
+from .evaluate import EvalConfig, evaluate_protocol, record_training_trace
 from .models import ConvNetSpec, MLPSpec
 
 EXIT_OK = 0
@@ -95,8 +94,9 @@ def _one_of(*names):
 
 # dotted key -> (reader, default, least). A key with a None default may be
 # unset or null; a list with a least is non-empty, each entry >= least.
-# Unset, dataset.num_classes is 3 for blobs or the IDX labels' count, and
-# eval.epochs, n_experiments and n_nets_per take the protocol's preset.
+# Unset, dataset.num_classes is 3 for blobs or the IDX labels' count. The
+# condense and eval keys are CondenseConfig's and EvalConfig's fields, whose
+# ranges those classes check.
 KEYS = {
     "output_dir": (_string, "runs/out", None),
     "seed": (_integer, 0, 0),
@@ -112,15 +112,10 @@ KEYS = {
     "arch.blocks": (_integer, ConvNetSpec.blocks, 1),
     "arch.channels": (_integer, ConvNetSpec.channels, 1),
     "arch.hidden": (_integers, MLPSpec.hidden, 1),
-    **{"condense." + f.name: ({float: _real, tuple: _integers}.get(type(f.default), _integer),
-                              f.default, None)
-       for f in fields(CondenseConfig) if f.name != "seed"},
-    "eval.protocol": (_one_of("desk", "paper"), "desk", None),
-    "eval.epochs": (_integer, None, None),
-    "eval.lr": (_real, EvalConfig.lr, None),
-    "eval.batch_size": (_integer, EvalConfig.batch_size, None),
-    "eval.n_experiments": (_integer, None, 1),
-    "eval.n_nets_per": (_integer, None, 1),
+    **{f"{section}.{f.name}": ({float: _real, tuple: _integers}.get(type(f.default), _integer),
+                               f.default, None)
+       for section, config in (("condense", CondenseConfig), ("eval", EvalConfig))
+       for f in fields(config) if f.name != "seed"},
     "coreset.trace_epochs": (_integer, 10, 2),
     "coreset.trace_lr": (_real, 0.01, 0),
     "projection.n_real": (_integer, 500, 2),
@@ -183,7 +178,7 @@ def load_config(path: str, overrides: list[str]) -> dict:
     for key in KEYS:
         section, _, leaf = key.rpartition(".")
         (out.setdefault(section, {}) if section else out)[leaf] = _resolve(key, given)
-    for section, build in (("condense", build_condense_config), ("eval", _eval_protocol_params)):
+    for section, build in (("condense", build_condense_config), ("eval", build_eval_config)):
         try:
             build(out)
         except ConfigError as e:
@@ -222,6 +217,10 @@ def build_arch(cfg: dict, image_shape: tuple, num_classes: int):
 
 def build_condense_config(cfg: dict) -> CondenseConfig:
     return CondenseConfig(seed=cfg["seed"], **cfg["condense"])
+
+
+def build_eval_config(cfg: dict) -> EvalConfig:
+    return EvalConfig(seed=cfg["seed"], **cfg["eval"])
 
 
 def _keep_freed_memory() -> bool:
@@ -297,15 +296,6 @@ def cmd_condense(args) -> int:
     return EXIT_OK
 
 
-def _eval_protocol_params(cfg: dict) -> tuple[int, int, EvalConfig]:
-    e = cfg["eval"]
-    preset = DESK_PROTOCOL if e["protocol"] == "desk" else PAPER_PROTOCOL
-    n_exp, n_nets, epochs = (preset[k] if e.get(k) is None else e[k]
-                             for k in ("n_experiments", "n_nets_per", "epochs"))
-    return n_exp, n_nets, EvalConfig(epochs=epochs, lr=e["lr"], batch_size=e["batch_size"],
-                                     seed=cfg["seed"])
-
-
 def cmd_eval(args) -> int:
     cfg = load_config(args.config, args.set or [])
     synth = _load_container(args.synthetic)
@@ -315,8 +305,7 @@ def cmd_eval(args) -> int:
                           f"shape {synth.image_shape}, but the test split has "
                           f"{test.num_classes} classes of shape {test.image_shape}")
     arch = build_arch(cfg, test.image_shape, test.num_classes)
-    n_exp, n_nets, ecfg = _eval_protocol_params(cfg)
-    report = evaluate_protocol(synth, arch, test, n_exp, n_nets, ecfg)
+    report = evaluate_protocol(synth, arch, test, build_eval_config(cfg))
     with _run_dir(cfg, "eval", ["eval.csv"], args.malloc_thresholds) as out, \
             open(out / "eval.csv", "w", encoding="utf-8") as f:
         f.write("run,accuracy\n")
@@ -344,8 +333,8 @@ def cmd_coreset(args) -> int:
     else:
         co = cfg["coreset"]
         arch = build_arch(cfg, train.image_shape, train.num_classes)
-        trace = record_training_trace(train, arch, co["trace_epochs"], co["trace_lr"],
-                                      cfg["seed"])
+        trace = record_training_trace(
+            train, arch, EvalConfig(epochs=co["trace_epochs"], lr=co["trace_lr"]), cfg["seed"])
         sel = select_forgetting(train, ccfg.ipc, trace)
     with _run_dir(cfg, f"coreset:{args.method}", ["synthetic.cnd", "selection.csv"],
                   args.malloc_thresholds) as out:

@@ -24,7 +24,6 @@ from .tensor import Tensor
 @dataclass
 class SelectionResult:
     indices: np.ndarray      # class-major, ipc per class
-    method: str
     ipc: int
     num_classes: int
 
@@ -52,7 +51,7 @@ def select_random(ds: LabeledDataset, ipc: int, seed: int) -> SelectionResult:
     rng = np.random.default_rng(seed)
     groups = _check_class_sizes(ds, ipc)
     picks = [np.sort(rng.choice(idx, size=ipc, replace=False)) for idx in groups]
-    return SelectionResult(np.concatenate(picks), "random", ipc, ds.num_classes)
+    return SelectionResult(np.concatenate(picks), ipc, ds.num_classes)
 
 
 def _row_dots(feats: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -91,7 +90,7 @@ def select_herding(ds: LabeledDataset, ipc: int) -> SelectionResult:
             chosen.append(best)
             running += feats[best]
         picks.append(idx[np.array(chosen)])
-    return SelectionResult(np.concatenate(picks), "herding", ipc, ds.num_classes)
+    return SelectionResult(np.concatenate(picks), ipc, ds.num_classes)
 
 
 def select_kcenter(ds: LabeledDataset, ipc: int) -> SelectionResult:
@@ -116,7 +115,7 @@ def select_kcenter(ds: LabeledDataset, ipc: int) -> SelectionResult:
             chosen.append(nxt)
             np.minimum(mind, sq + sq[nxt] - 2.0 * _row_dots(feats, feats[nxt]), out=mind)
         picks.append(idx[np.array(chosen)])
-    return SelectionResult(np.concatenate(picks), "kcenter", ipc, ds.num_classes)
+    return SelectionResult(np.concatenate(picks), ipc, ds.num_classes)
 
 
 def forgetting_events(trace: np.ndarray) -> np.ndarray:
@@ -143,7 +142,7 @@ def select_forgetting(ds: LabeledDataset, ipc: int, training_trace: np.ndarray) 
         # stable sort on negated counts keeps lowest-index-first among ties
         order = np.argsort(-events[idx], kind="stable")[:ipc]
         picks.append(idx[order])
-    return SelectionResult(np.concatenate(picks), "forgetting", ipc, ds.num_classes)
+    return SelectionResult(np.concatenate(picks), ipc, ds.num_classes)
 
 
 def materialize(ds: LabeledDataset, sel: SelectionResult) -> SyntheticSet:

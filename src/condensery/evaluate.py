@@ -29,8 +29,6 @@ from .errors import ConfigError, DivergenceError
 from .models import ArchSpec, ModelParams, forward, init_params
 from .tensor import Tensor
 
-DESK_PROTOCOL = {"n_experiments": 3, "n_nets_per": 5, "epochs": 100}
-PAPER_PROTOCOL = {"n_experiments": 5, "n_nets_per": 20, "epochs": 300}
 # Images per forward in read_slices, predict's and the outer step's real
 # batch alike; it bounds the activations a read holds (conv_block bounds
 # its window copies). A multiple of tensor.CHUNK, so slices split no chunk.
@@ -42,14 +40,22 @@ class EvalConfig:
     epochs: int = 100
     lr: float = 0.01
     batch_size: int = 256
+    n_experiments: int = 3
+    n_nets_per: int = 5             # networks per experiment
     seed: int = 0
 
     def __post_init__(self):
         # each message starts with the field's name; cli.load_config
         # prefixes it with "eval.". Each rule is a range, so a NaN is refused
-        for name, least in (("epochs", 0), ("lr", 0), ("batch_size", 1)):
+        for name, least in (("epochs", 0), ("lr", 0), ("batch_size", 1), ("n_experiments", 1),
+                            ("n_nets_per", 1)):
             if not getattr(self, name) >= least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+        # network seeds are seed * 1_000_000 + e * 1000 + j, so with a count
+        # above 1000 network (e=0, j=1000) would be network (e=1, j=0)
+        for name in ("n_experiments", "n_nets_per"):
+            if getattr(self, name) > 1000:
+                raise ConfigError(f"{name} must be <= 1000, got {getattr(self, name)}")
 
 
 @dataclass
@@ -113,27 +119,25 @@ def predict(params: ModelParams, images: np.ndarray) -> np.ndarray:
                                       lambda s, pyr: np.argmax(pyr.logits.values, axis=1)))
 
 
-def _sgd_fit(arch_spec: ArchSpec, images: np.ndarray, labels: np.ndarray, epochs: int,
-             lr: float, seed: int, batch_size: int,
-             record: bool = False) -> tuple[ModelParams, Optional[np.ndarray]]:
-    """Minibatch SGD on cross-entropy from a fresh init; batches are shuffled
+def _sgd_fit(arch_spec: ArchSpec, images: np.ndarray, labels: np.ndarray, cfg: EvalConfig,
+             seed: int, record: bool = False) -> tuple[ModelParams, Optional[np.ndarray]]:
+    """Minibatch SGD on cross-entropy from a fresh init, for ``cfg``'s
+    epochs at its lr in batches of its batch_size; batches are shuffled
     each epoch only when there is more than one. With ``record``, the trace
     returned beside the weights holds at ``[e, i]`` whether sample i was
-    classified correctly in epoch e, before its step. EvalConfig refuses
-    an out-of-range epochs, lr or batch_size with ConfigError. Raises
+    classified correctly in epoch e, before its step. Raises
     DivergenceError at the first step whose loss or weights hold a NaN or
     Inf."""
-    EvalConfig(epochs=epochs, lr=lr, batch_size=batch_size)
     params = init_params(arch_spec, seed)
     n = len(labels)
-    trace = np.zeros((epochs, n), dtype=np.uint8) if record else None
+    trace = np.zeros((cfg.epochs, n), dtype=np.uint8) if record else None
     rng = np.random.default_rng(seed + 1)
     step = 0
-    for e in range(epochs):
-        order = rng.permutation(n) if n > batch_size else np.arange(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            loss, logits = train_step(params, images[idx], labels[idx], lr)
+    for e in range(cfg.epochs):
+        order = rng.permutation(n) if n > cfg.batch_size else np.arange(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            loss, logits = train_step(params, images[idx], labels[idx], cfg.lr)
             step += 1
             _require_finite("training", step, loss=loss,
                             weights=[p.values for p in params.tensors])
@@ -142,11 +146,10 @@ def _sgd_fit(arch_spec: ArchSpec, images: np.ndarray, labels: np.ndarray, epochs
     return params, trace
 
 
-def train_on_synthetic(synth: SyntheticSet, arch_spec: ArchSpec, epochs: int,
-                       lr: float, seed: int, batch_size: int = 256) -> ModelParams:
+def train_on_synthetic(synth: SyntheticSet, arch_spec: ArchSpec, cfg: EvalConfig,
+                       seed: int) -> ModelParams:
     """SGD on cross-entropy over the synthetic images; fresh init per seed."""
-    return _sgd_fit(arch_spec, synth.images.values, synth.labels, epochs, lr, seed,
-                    batch_size)[0]
+    return _sgd_fit(arch_spec, synth.images.values, synth.labels, cfg, seed)[0]
 
 
 def test_accuracy(params: ModelParams, test_ds: LabeledDataset) -> float:
@@ -155,19 +158,14 @@ def test_accuracy(params: ModelParams, test_ds: LabeledDataset) -> float:
 
 
 def evaluate_protocol(synth: SyntheticSet, arch_spec: ArchSpec, test_ds: LabeledDataset,
-                      n_experiments: int, n_nets_per: int, cfg: EvalConfig) -> EvalReport:
-    """Train n_experiments x n_nets_per fresh networks, aggregate mean/std.
-    Each count is at most 1000, so no two networks share a seed."""
-    for name, count in (("n_experiments", n_experiments), ("n_nets_per", n_nets_per)):
-        if count > 1000:
-            raise ConfigError(f"{name} must be <= 1000, got {count}")
+                      cfg: EvalConfig) -> EvalReport:
+    """Train cfg.n_experiments x cfg.n_nets_per fresh networks, aggregate
+    mean/std."""
     seeds = [cfg.seed * 1_000_000 + e * 1000 + j
-             for e in range(n_experiments) for j in range(n_nets_per)]
+             for e in range(cfg.n_experiments) for j in range(cfg.n_nets_per)]
 
     def one(seed: int) -> float:
-        params = train_on_synthetic(synth, arch_spec, cfg.epochs, cfg.lr, seed,
-                                    cfg.batch_size)
-        return test_accuracy(params, test_ds)
+        return test_accuracy(train_on_synthetic(synth, arch_spec, cfg, seed), test_ds)
 
     # the pool starts a thread only when a task finds none idle, so one
     # seed or CONDENSERY_THREADS=1 runs on a single worker
@@ -176,11 +174,8 @@ def evaluate_protocol(synth: SyntheticSet, arch_spec: ArchSpec, test_ds: Labeled
     return EvalReport.from_runs(accs)
 
 
-def record_training_trace(ds: LabeledDataset, arch_spec: ArchSpec, epochs: int,
-                          lr: float, seed: int) -> np.ndarray:
-    """Per-sample correctness over one real-data training run ([epochs, n])
-    in batches of 256.
-
-    Feeds the forgetting-events selector.
-    """
-    return _sgd_fit(arch_spec, ds.images, ds.labels, epochs, lr, seed, 256, record=True)[1]
+def record_training_trace(ds: LabeledDataset, arch_spec: ArchSpec, cfg: EvalConfig,
+                          seed: int) -> np.ndarray:
+    """Per-sample correctness over one real-data training run
+    ([cfg.epochs, n]). Feeds the forgetting-events selector."""
+    return _sgd_fit(arch_spec, ds.images, ds.labels, cfg, seed, record=True)[1]

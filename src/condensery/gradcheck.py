@@ -7,10 +7,12 @@ gradient. It runs backward and compares every analytic gradient entry
 against a central difference with step h = 1e-5, relatively (tolerance
 1e-3). An entry whose analytic and numeric values are both below
 ``ZERO_CUT`` (1e-8) in magnitude is not compared, and a leaf with no other
-entry fails, as its check would pass whatever the gradient. The suite
-checks every public op of ``tensor``, away from ReLU's kink; the ConvNet
-block also on an odd plane, a 1-channel input and a batch that spans two
-of its sample chunks; and a one-block ConvNet built by ``models.forward``
+entry fails, as its check would pass whatever the gradient. So does a
+leaf left with no gradient, and one whose graph, backward or finite
+differences raise; its detail names the exception. The suite checks
+every public op of ``tensor``, away from ReLU's kink; the ConvNet block
+also on an odd plane, a 1-channel input and a batch that spans two of
+its sample chunks; and a one-block ConvNet built by ``models.forward``
 on a constant input, whose block takes its kernel gradient from moments,
 also on an odd 1-channel plane across two chunks; each on every
 coordinate of every leaf.
@@ -19,7 +21,7 @@ coordinate of every leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -35,9 +37,9 @@ ZERO_CUT = 1e-8
 @dataclass
 class CheckResult:
     name: str
-    worst_rel: float      # worst relative error among non-tiny entries
+    worst_rel: float      # worst relative error among non-tiny entries; inf if unchecked
     passed: bool
-    detail: str = ""      # coordinates of the worst offender on failure
+    detail: str = ""      # the worst offender's coordinates, or the exception, on failure
 
 
 def numeric_grad(f: Callable[[], float], x: np.ndarray, h: float = H_STEP) -> np.ndarray:
@@ -59,9 +61,12 @@ def numeric_grad(f: Callable[[], float], x: np.ndarray, h: float = H_STEP) -> np
     return g
 
 
-def compare(analytic: np.ndarray, numeric: np.ndarray, name: str) -> CheckResult:
+def compare(analytic: Optional[np.ndarray], numeric: np.ndarray, name: str) -> CheckResult:
     """Every compared entry not within REL_TOL fails, so a NaN or Inf fails;
-    so does a check that compares no entry."""
+    so do a check that compares no entry and a leaf that backward left with
+    no gradient."""
+    if analytic is None:
+        return CheckResult(name, float("inf"), False, "backward left no gradient")
     a, n = analytic.reshape(-1), numeric.reshape(-1)
     scale = np.maximum(np.abs(a), np.abs(n))
     tiny = scale < ZERO_CUT
@@ -82,19 +87,27 @@ def check_op(name: str, build: Callable[[Sequence[T.Tensor]], T.Tensor],
 
     ``build`` receives freshly wrapped leaf tensors and returns the graph
     output of any shape. W is drawn from its own generator, so the
-    caller's draws do not depend on the output shapes.
+    caller's draws do not depend on the output shapes. An exception fails
+    each leaf it keeps from being compared, with its type and message as
+    detail.
     """
     ts = [T.Tensor(x.copy()) for x in leaves]
-    out = build(ts)
-    weights = T.Tensor.constant(np.random.default_rng(0).standard_normal(out.shape))
-    T.backward(T.sum_all(T.mul(out, weights)))
-    results = []
-    arrs = [l.values for l in ts]
-    for i, leaf in enumerate(ts):
+    results: list[CheckResult] = []
+    try:
+        out = build(ts)
+        weights = T.Tensor.constant(np.random.default_rng(0).standard_normal(out.shape))
+        T.backward(T.sum_all(T.mul(out, weights)))
+        arrs = [l.values for l in ts]
+
         def f():
             return T.sum_all(T.mul(build([T.Tensor(x) for x in arrs]), weights)).item()
-        num = numeric_grad(f, leaf.values)
-        results.append(compare(leaf.grad, num, f"{name}[arg{i}]"))
+        for i, leaf in enumerate(ts):
+            results.append(compare(leaf.grad, numeric_grad(f, leaf.values), f"{name}[arg{i}]"))
+    except Exception as e:
+        # fails the leaf under check and every leaf after it
+        results += [CheckResult(f"{name}[arg{i}]", float("inf"), False,
+                                f"raised {type(e).__name__}: {e}")
+                    for i in range(len(results), len(ts))]
     return results
 
 

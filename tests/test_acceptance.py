@@ -142,11 +142,12 @@ def test_criterion_5_blobs_end_to_end():
     cfg = CondenseConfig(ipc=1, n_per_class=16, gamma=5, l_out=5, l_in=10,
                          max_outer_iters=30, query_size=30, seed=0)
     synth = run_condense(train, arch, cfg)
-    ecfg = EvalConfig(epochs=60, lr=0.05, seed=0)
-    rep = evaluate_protocol(synth, arch, test, 1, 2, ecfg)
+    ecfg = EvalConfig(epochs=60, lr=0.05, n_experiments=1, n_nets_per=2, seed=0)
+    rep = evaluate_protocol(synth, arch, test, ecfg)
     # brute-force oracle: the same training recipe on the full real set
     full = materialize(train, select_random(train, 40, seed=0))
-    oracle = accuracy_on(train_on_synthetic(full, arch, 60, 0.05, seed=1), test)
+    oracle = accuracy_on(train_on_synthetic(full, arch, EvalConfig(epochs=60, lr=0.05), seed=1),
+                         test)
     elapsed = time.monotonic() - t0
     ok = rep.mean >= 0.95 and oracle >= 0.99 and elapsed < 60.0
     report(5, ok, f"condensed {100 * rep.mean:.1f}% vs full-data oracle "
@@ -174,10 +175,10 @@ def test_criterion_6_mnist_directional():
     arch = ConvNetSpec(blocks=2, channels=32, input_shape=train.image_shape, num_classes=10)
     cfg = CondenseConfig(ipc=1, n_per_class=64, max_outer_iters=500, seed=0)
     synth = run_condense(train, arch, cfg)
-    ecfg = EvalConfig(epochs=100, lr=0.01, seed=0)
-    condensed = evaluate_protocol(synth, arch, test, 3, 5, ecfg)
+    ecfg = EvalConfig(epochs=100, lr=0.01, n_experiments=3, n_nets_per=5, seed=0)
+    condensed = evaluate_protocol(synth, arch, test, ecfg)
     baseline = evaluate_protocol(materialize(train, select_random(train, 1, seed=0)),
-                                 arch, test, 3, 5, ecfg)
+                                 arch, test, ecfg)
     gap = condensed.mean - baseline.mean
     elapsed = time.monotonic() - t0
     ok = gap >= 0.10 and elapsed <= 1800.0
@@ -271,7 +272,8 @@ def test_criterion_9_cross_architecture():
                          max_outer_iters=20, query_size=30, seed=1)
     synth = run_condense(train, conv, cfg)
     mlp = MLPSpec(input_shape=(1, 8, 8), hidden=(64,), num_classes=3)
-    rep = evaluate_protocol(synth, mlp, test, 1, 2, EvalConfig(epochs=100, lr=0.05, seed=2))
+    ecfg = EvalConfig(epochs=100, lr=0.05, n_experiments=1, n_nets_per=2, seed=2)
+    rep = evaluate_protocol(synth, mlp, test, ecfg)
     ok = rep.mean >= 1 / 3 + 0.20
     report(9, ok, f"ConvNet-condensed set trains an MLP to {100 * rep.mean:.1f}% "
                   f"(threshold {100 * (1 / 3 + 0.20):.1f}%)")

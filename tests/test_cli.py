@@ -20,6 +20,7 @@ from condensery import cli
 from condensery.bilevel import CondenseConfig, run_condense
 from condensery.data import load_synthetic, new_synthetic, save_idx, save_synthetic
 from condensery.errors import ConfigError, DivergenceError
+from condensery.evaluate import EvalConfig
 from condensery.models import ConvNetSpec
 
 
@@ -32,8 +33,7 @@ def blob_config(tmp_path, **extra):
         "arch": {"type": "convnet", "blocks": 2, "channels": 4},
         "condense": {"ipc": 1, "n_per_class": 8, "gamma": 2, "l_out": 3, "l_in": 3,
                      "max_outer_iters": 5, "query_size": 12},
-        "eval": {"protocol": "desk", "epochs": 5, "lr": 0.05,
-                 "n_experiments": 1, "n_nets_per": 2},
+        "eval": {"epochs": 5, "lr": 0.05, "n_experiments": 1, "n_nets_per": 2},
     }
     cfg.update(extra)
     path = tmp_path / "cfg.yaml"
@@ -245,7 +245,7 @@ def test_resolved_config_fills_every_default(tmp_path):
     cfg = cli.load_config(str(path), [])
     assert cfg["seed"] == 0 and cfg["output_dir"] == "runs/out"
     assert cfg["arch"]["channels"] == ConvNetSpec.channels == 128
-    assert cfg["dataset"]["num_classes"] is None and cfg["eval"]["epochs"] is None
+    assert cfg["dataset"]["num_classes"] is None and cfg["eval"]["epochs"] == 100
     assert cfg["condense"]["outer_lr_milestones"] == CondenseConfig.outer_lr_milestones
     assert cfg["projection"]["n_real"] == 500
 
@@ -302,13 +302,12 @@ def test_eval_round_trip_matches_memory(tmp_path, capsys):
     assert cli.main(["eval", str(synth_path), "--config", str(path)]) == 0
     out1 = (tmp_path / "run" / "eval.csv").read_text()
     # in-memory evaluation of the same loaded container is bit-identical
-    from condensery.cli import build_arch, build_datasets, _eval_protocol_params
+    from condensery.cli import build_arch, build_datasets, build_eval_config
     full = cli.load_config(str(path), [])
     _, test = build_datasets(full)
     arch = build_arch(full, test.image_shape, test.num_classes)
-    n_exp, n_nets, ecfg = _eval_protocol_params(full)
     from condensery.evaluate import evaluate_protocol
-    rep = evaluate_protocol(load_synthetic(synth_path), arch, test, n_exp, n_nets, ecfg)
+    rep = evaluate_protocol(load_synthetic(synth_path), arch, test, build_eval_config(full))
     for i, acc in enumerate(rep.accuracies):
         assert f"{i},{acc!r}" in out1
 
@@ -331,31 +330,20 @@ def test_eval_of_zero_sized_container_exits_3(tmp_path, capsys):
     assert "offset 16" in capsys.readouterr().err
 
 
-def test_eval_protocol_flags(tmp_path):
-    path, _ = blob_config(tmp_path)
-    cfg = cli.load_config(str(path), [])
-    cfg["eval"].pop("n_experiments")
-    cfg["eval"].pop("n_nets_per")
-    from condensery.cli import _eval_protocol_params
-    cfg["eval"]["protocol"] = "desk"
-    n_exp, n_nets, _ = _eval_protocol_params(cfg)
-    assert (n_exp, n_nets) == (3, 5)
-    cfg["eval"]["protocol"] = "paper"
-    cfg["eval"].pop("epochs")
-    n_exp, n_nets, ecfg = _eval_protocol_params(cfg)
-    assert (n_exp, n_nets) == (5, 20)
-    assert ecfg.epochs == 300
-
-
-def test_eval_protocol_set_override(tmp_path):
+def test_eval_config_defaults_and_the_removed_protocol_key(tmp_path, capsys):
+    # every eval key defaults to EvalConfig's field, the paper's counts are
+    # three overrides, and eval.protocol is an unknown key
     path, _ = blob_config(tmp_path, eval={})
-    n_exp, n_nets, ecfg = cli._eval_protocol_params(
-        cli.load_config(str(path), ["eval.protocol=paper"]))
-    assert (n_exp, n_nets, ecfg.epochs) == (5, 20, 300)
+    assert cli.build_eval_config(cli.load_config(str(path), [])) == EvalConfig(seed=3)
+    paper = ["eval.n_experiments=5", "eval.n_nets_per=20", "eval.epochs=300"]
+    assert cli.build_eval_config(cli.load_config(str(path), paper)) == \
+        EvalConfig(epochs=300, n_experiments=5, n_nets_per=20, seed=3)
     container = tmp_path / "s.cnd"
     save_synthetic(new_synthetic(3, 1, (1, 8, 8), np.random.default_rng(0)), container)
     assert cli.main(["eval", str(container), "--config", str(path),
-                     "--set", "eval.protocol=bogus"]) == 2
+                     "--set", "eval.protocol=paper"]) == 2
+    assert "unknown config key 'eval.protocol'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_eval_empty_idx_test_split_exits_3(tmp_path, capsys):
@@ -418,6 +406,38 @@ def test_gradcheck_clean(capsys):
     assert cli.main(["gradcheck"]) == 0
     out = capsys.readouterr().out
     assert "conv_block" in out and "all gradient checks passed" in out
+
+
+def _fail(*args):
+    raise ValueError("injected fault")
+
+
+@pytest.mark.parametrize("phase, detail", [
+    ("build", "raised ValueError: injected fault"),
+    ("backward", "raised ValueError: injected fault"),
+    ("difference", "raised ValueError: injected fault"),
+    ("no_gradient", "backward left no gradient")])
+def test_gradcheck_reports_a_faulty_check_as_failed(monkeypatch, capsys, phase, detail):
+    # a check whose graph, backward or finite differences raise, or whose
+    # leaf gets no gradient, fails with the cause named, and the suite
+    # still runs every other check
+    real_relu = T.relu
+    calls = []
+
+    def broken_relu(a):
+        calls.append(a)
+        if phase == "build" or phase == "difference" and len(calls) > 1:
+            _fail()
+        out = real_relu(a)
+        if phase == "backward":
+            out._backward = _fail
+        return T.Tensor.constant(out.values) if phase == "no_gradient" else out
+
+    monkeypatch.setattr(T, "relu", broken_relu)
+    assert cli.main(["gradcheck"]) == 1
+    err = capsys.readouterr().err
+    assert f"FAIL relu[arg0]: {detail}" in err
+    assert err.count("FAIL") == 1
 
 
 def test_gradcheck_negative_seed_exits_2(capsys):

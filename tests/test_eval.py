@@ -27,7 +27,7 @@ def blob_sets():
 
 def test_zero_epochs_returns_initialization(blob_sets):
     _, _, synth = blob_sets
-    trained = train_on_synthetic(synth, ARCH, epochs=0, lr=0.05, seed=3)
+    trained = train_on_synthetic(synth, ARCH, EvalConfig(epochs=0, lr=0.05), seed=3)
     reference = init_params(ARCH, seed=3)
     for a, b in zip(trained.tensors, reference.tensors):
         assert np.array_equal(a.values, b.values)
@@ -35,7 +35,7 @@ def test_zero_epochs_returns_initialization(blob_sets):
 
 @pytest.mark.parametrize("name, value, least", [
     ("epochs", -3, 0), ("lr", -1.0, 0), ("lr", float("nan"), 0), ("batch_size", 0, 1),
-    ("batch_size", -4, 1)])
+    ("batch_size", -4, 1), ("n_experiments", 0, 1), ("n_nets_per", 0, 1)])
 def test_eval_config_refuses_a_value_outside_its_range(name, value, least):
     # a negative epoch count or batch size trained nothing and reported the
     # untrained accuracy, a zero batch size raised from range(), and a
@@ -45,21 +45,22 @@ def test_eval_config_refuses_a_value_outside_its_range(name, value, least):
 
 
 def test_eval_config_takes_the_least_value_of_each_range():
-    cfg = EvalConfig(epochs=0, lr=0.0, batch_size=1)
-    assert (cfg.epochs, cfg.lr, cfg.batch_size) == (0, 0.0, 1)
+    cfg = EvalConfig(epochs=0, lr=0.0, batch_size=1, n_experiments=1, n_nets_per=1)
+    assert (cfg.epochs, cfg.lr, cfg.batch_size, cfg.n_experiments, cfg.n_nets_per) == \
+        (0, 0.0, 1, 1, 1)
 
 
 def test_training_fits_separable_set(blob_sets):
     train, _, synth = blob_sets
-    params = train_on_synthetic(synth, ARCH, epochs=150, lr=0.05, seed=4)
+    params = train_on_synthetic(synth, ARCH, EvalConfig(epochs=150, lr=0.05), seed=4)
     synth_ds_acc = accuracy_on(params, train)
     assert synth_ds_acc > 0.9
 
 
 def test_training_deterministic(blob_sets):
     _, _, synth = blob_sets
-    a = train_on_synthetic(synth, ARCH, epochs=5, lr=0.05, seed=5)
-    b = train_on_synthetic(synth, ARCH, epochs=5, lr=0.05, seed=5)
+    a = train_on_synthetic(synth, ARCH, EvalConfig(epochs=5, lr=0.05), seed=5)
+    b = train_on_synthetic(synth, ARCH, EvalConfig(epochs=5, lr=0.05), seed=5)
     for ta, tb in zip(a.tensors, b.tensors):
         assert np.array_equal(ta.values, tb.values)
 
@@ -76,7 +77,7 @@ def test_accuracy_constant_logits_tie_rule(blob_sets):
 
 def test_accuracy_matches_recount_oracle(blob_sets):
     _, test, synth = blob_sets
-    params = train_on_synthetic(synth, ARCH, epochs=30, lr=0.05, seed=7)
+    params = train_on_synthetic(synth, ARCH, EvalConfig(epochs=30, lr=0.05), seed=7)
     acc = accuracy_on(params, test)
     correct = 0
     for i in range(len(test)):
@@ -88,14 +89,16 @@ def test_accuracy_matches_recount_oracle(blob_sets):
 
 def test_protocol_single_run_zero_std(blob_sets):
     _, test, synth = blob_sets
-    rep = evaluate_protocol(synth, ARCH, test, 1, 1, EvalConfig(epochs=5, lr=0.05, seed=8))
+    cfg = EvalConfig(epochs=5, lr=0.05, n_experiments=1, n_nets_per=1, seed=8)
+    rep = evaluate_protocol(synth, ARCH, test, cfg)
     assert rep.std == 0.0
     assert len(rep.accuracies) == 1
 
 
 def test_protocol_mean_std_recomputable(blob_sets):
     _, test, synth = blob_sets
-    rep = evaluate_protocol(synth, ARCH, test, 2, 2, EvalConfig(epochs=5, lr=0.05, seed=9))
+    cfg = EvalConfig(epochs=5, lr=0.05, n_experiments=2, n_nets_per=2, seed=9)
+    rep = evaluate_protocol(synth, ARCH, test, cfg)
     arr = np.asarray(rep.accuracies)
     # spreadsheet-style oracle
     mean = arr.sum() / arr.size
@@ -107,15 +110,16 @@ def test_protocol_mean_std_recomputable(blob_sets):
 def test_protocol_does_not_mutate_synthetic(blob_sets):
     _, test, synth = blob_sets
     before = synth.images.values.copy()
-    evaluate_protocol(synth, ARCH, test, 1, 2, EvalConfig(epochs=5, lr=0.05, seed=10))
+    cfg = EvalConfig(epochs=5, lr=0.05, n_experiments=1, n_nets_per=2, seed=10)
+    evaluate_protocol(synth, ARCH, test, cfg)
     assert np.array_equal(synth.images.values, before)
 
 
 def test_protocol_seed_determinism(blob_sets):
     _, test, synth = blob_sets
-    cfg = EvalConfig(epochs=5, lr=0.05, seed=11)
-    r1 = evaluate_protocol(synth, ARCH, test, 1, 2, cfg)
-    r2 = evaluate_protocol(synth, ARCH, test, 1, 2, cfg)
+    cfg = EvalConfig(epochs=5, lr=0.05, n_experiments=1, n_nets_per=2, seed=11)
+    r1 = evaluate_protocol(synth, ARCH, test, cfg)
+    r2 = evaluate_protocol(synth, ARCH, test, cfg)
     assert r1.accuracies == r2.accuracies
 
 
@@ -124,37 +128,36 @@ def test_protocol_counts_are_bounded_so_no_two_networks_share_a_seed(blob_sets, 
     # 1000, network (e=0, j=1000) would be network (e=1, j=0)
     _, test, synth = blob_sets
     seeds = []
-    monkeypatch.setattr(evaluate, "train_on_synthetic", lambda *args: seeds.append(args[4]))
+    monkeypatch.setattr(evaluate, "train_on_synthetic", lambda *args: seeds.append(args[3]))
     monkeypatch.setattr(evaluate, "test_accuracy", lambda params, ds: 0.5)
-    cfg = EvalConfig(epochs=1, lr=0.05, seed=2)
-    evaluate_protocol(synth, ARCH, test, 2, 1000, cfg)
+    evaluate_protocol(synth, ARCH, test,
+                      EvalConfig(epochs=1, lr=0.05, n_experiments=2, n_nets_per=1000, seed=2))
     assert sorted(seeds) == [2_000_000 + e * 1000 + j for e in range(2) for j in range(1000)]
-    for counts, name in (((1001, 1), "n_experiments"), ((1, 1001), "n_nets_per")):
+    for name in ("n_experiments", "n_nets_per"):
         with pytest.raises(ConfigError, match=f"^{name} must be <= 1000, got 1001$"):
-            evaluate_protocol(synth, ARCH, test, *counts, cfg)
-    assert len(seeds) == 2000   # refused before any network trains
+            EvalConfig(**{name: 1001})
 
 
 def test_record_training_trace_shape(blob_sets):
     train, _, _ = blob_sets
-    trace = record_training_trace(train, ARCH, epochs=3, lr=0.05, seed=13)
+    trace = record_training_trace(train, ARCH, EvalConfig(epochs=3, lr=0.05), seed=13)
     assert trace.shape == (3, len(train))
     assert set(np.unique(trace)).issubset({0, 1})
 
 
 @pytest.mark.parametrize("field, epochs, lr", [("epochs", -3, 0.05), ("lr", 3, -1.0)])
 def test_record_training_trace_refuses_a_value_outside_its_range(blob_sets, field, epochs, lr):
-    # EvalConfig owns the training ranges, so the trace refuses them before
+    # the trace takes its ranges from EvalConfig, which refuses them before
     # any array is made or any step is taken
     train, _, _ = blob_sets
     with pytest.raises(ConfigError, match=f"^{field} must be >= 0"):
-        record_training_trace(train, ARCH, epochs=epochs, lr=lr, seed=13)
+        record_training_trace(train, ARCH, EvalConfig(epochs=epochs, lr=lr), seed=13)
 
 
 def test_accuracy_reads_in_bounded_batches(monkeypatch):
     _, test = make_blob_split(3, 10, 200, (1, 8, 8), spread=0.15, seed=1)
     params = train_on_synthetic(materialize(test, select_random(test, 2, seed=1)), ARCH,
-                                epochs=10, lr=0.05, seed=14)
+                                EvalConfig(epochs=10, lr=0.05), seed=14)
     sizes = []
     real_forward = evaluate.forward
 
