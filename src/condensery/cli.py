@@ -96,7 +96,8 @@ def _one_of(*names):
 # unset or null; a list with a least is non-empty, each entry >= least.
 # Unset, dataset.num_classes is 3 for blobs or the IDX labels' count. The
 # condense and eval keys are CondenseConfig's and EvalConfig's fields, whose
-# ranges those classes check.
+# ranges those classes check; so does EvalConfig for coreset.trace_lr. The
+# trace's least 2 epochs is the forgetting rule, which EvalConfig does not hold.
 KEYS = {
     "output_dir": (_string, "runs/out", None),
     "seed": (_integer, 0, 0),
@@ -117,7 +118,7 @@ KEYS = {
        for section, config in (("condense", CondenseConfig), ("eval", EvalConfig))
        for f in fields(config) if f.name != "seed"},
     "coreset.trace_epochs": (_integer, 10, 2),
-    "coreset.trace_lr": (_real, 0.01, 0),
+    "coreset.trace_lr": (_real, 0.01, None),
     "projection.n_real": (_integer, 500, 2),
 }
 SECTIONS = {key.partition(".")[0] for key in KEYS if "." in key}
@@ -141,8 +142,9 @@ def _resolve(key: str, given: dict):
 
 def load_config(path: str, overrides: list[str]) -> dict:
     """The config file with ``--set`` overrides applied, every key of KEYS
-    read, filled and range-checked and the condense and eval sections held
-    to CondenseConfig's and EvalConfig's rules, as a nested mapping."""
+    read, filled and range-checked and the condense, eval and forgetting
+    trace sections held to CondenseConfig's and EvalConfig's rules, as a
+    nested mapping."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             cfg = yaml.safe_load(f) or {}
@@ -178,11 +180,13 @@ def load_config(path: str, overrides: list[str]) -> dict:
     for key in KEYS:
         section, _, leaf = key.rpartition(".")
         (out.setdefault(section, {}) if section else out)[leaf] = _resolve(key, given)
-    for section, build in (("condense", build_condense_config), ("eval", build_eval_config)):
+    # each config's messages start with the field's name
+    for prefix, build in (("condense.", build_condense_config), ("eval.", build_eval_config),
+                          ("coreset.trace_", build_trace_config)):
         try:
             build(out)
         except ConfigError as e:
-            raise ConfigError(f"{section}.{e}") from None
+            raise ConfigError(f"{prefix}{e}") from None
     return out
 
 
@@ -221,6 +225,11 @@ def build_condense_config(cfg: dict) -> CondenseConfig:
 
 def build_eval_config(cfg: dict) -> EvalConfig:
     return EvalConfig(seed=cfg["seed"], **cfg["eval"])
+
+
+def build_trace_config(cfg: dict) -> EvalConfig:
+    """The forgetting trace's training: ``coreset.trace_*`` over EvalConfig."""
+    return EvalConfig(epochs=cfg["coreset"]["trace_epochs"], lr=cfg["coreset"]["trace_lr"])
 
 
 def _keep_freed_memory() -> bool:
@@ -331,10 +340,8 @@ def cmd_coreset(args) -> int:
     elif args.method == "kcenter":
         sel = select_kcenter(train, ccfg.ipc)
     else:
-        co = cfg["coreset"]
         arch = build_arch(cfg, train.image_shape, train.num_classes)
-        trace = record_training_trace(
-            train, arch, EvalConfig(epochs=co["trace_epochs"], lr=co["trace_lr"]), cfg["seed"])
+        trace = record_training_trace(train, arch, build_trace_config(cfg), cfg["seed"])
         sel = select_forgetting(train, ccfg.ipc, trace)
     with _run_dir(cfg, f"coreset:{args.method}", ["synthetic.cnd", "selection.csv"],
                   args.malloc_thresholds) as out:

@@ -92,7 +92,9 @@ def normalize(raw: np.ndarray, stats: Optional[NormStats] = None) -> tuple[np.nd
     """Per-channel (x - mean) / std. Stats are computed if not given."""
     if stats is None:
         stats = NormStats.from_raw(raw)
-    out = (raw - stats.mean[None, :, None, None]) / stats.std[None, :, None, None]
+    # one new array, divided in place: the caller's raw is never written
+    out = raw - stats.mean[None, :, None, None]
+    out /= stats.std[None, :, None, None]
     return out, stats
 
 
@@ -153,7 +155,8 @@ def load_idx(images_path, labels_path, num_classes: Optional[int] = None,
     if n != n_lab:
         raise ParseError(f"image count {n} != label count {n_lab}")
     k = num_classes if num_classes is not None else int(labels.max()) + 1
-    raw = images.astype(np.float64) / 255.0
+    raw = images.astype(np.float64)
+    raw /= 255.0
     return make_dataset(raw, labels, k, stats)
 
 

@@ -46,7 +46,8 @@ class EvalConfig:
 
     def __post_init__(self):
         # each message starts with the field's name; cli.load_config
-        # prefixes it with "eval.". Each rule is a range, so a NaN is refused
+        # prefixes it with "eval." or, for the forgetting trace's epochs and
+        # lr, "coreset.trace_". Each rule is a range, so a NaN is refused
         for name, least in (("epochs", 0), ("lr", 0), ("batch_size", 1), ("n_experiments", 1),
                             ("n_nets_per", 1)):
             if not getattr(self, name) >= least:

@@ -26,8 +26,10 @@ one node, and there is no broadcasting beyond what they need. The block
 works through a batch ``CHUNK`` samples at a time, forward and backward,
 so each pass over a chunk stays in cache. It centres its conv output in
 place and scales only the pooled output by the norm's inverse deviation.
-A taped block keeps the centred planes for its backward; a read from
-constants reuses one chunk's buffer. The output and the input gradient
+A taped block keeps its ReLU mask as bools, one byte a pixel, and only a
+block whose input is taped also keeps its float64 centred planes, for the
+norm's backward. Any other block, a read from constants included, reuses
+one chunk's conv buffer. The output and the input gradient
 of any batch have the bits one pass over it would; so has the kernel
 gradient of a taped input, save on a block with one input and one output
 channel. A constant input, such as the images under the first block of
@@ -269,10 +271,12 @@ def conv_block(x: Tensor, kernel: Tensor) -> Tensor:
     PyTorch's ``AvgPool2d``: an odd last row or column is normalized with
     its plane but pooled into nothing.
 
-    The backward spreads the output gradient onto the ReLU mask. With the
-    input taped, it runs the norm's backward over each plane and meets it
-    with the kernel's and the input's nine taps. With the input a constant
-    only the kernel gradient is asked for, and it comes from per-sample
+    A taped block keeps its ReLU mask, a bool [B,O,H,W], and the backward
+    spreads the output gradient onto it. With the input taped, the block
+    also keeps its centred conv output; the backward runs the norm's
+    backward over each plane and meets it with the kernel's and the input's
+    nine taps. With the input a constant the block keeps no conv output.
+    Only the kernel gradient is asked for, and it comes from per-sample
     products of the masked gradient and of the kernel with the centred
     im2col columns; the forward and the input gradient keep their bits.
     """
@@ -286,7 +290,8 @@ def conv_block(x: Tensor, kernel: Tensor) -> Tensor:
     O = kernel.shape[0]
     Hp, Wp, Ho, Wo, m = H + 2, W + 2, H // 2, W // 2, min(B, CHUNK)
     kv = kernel.values
-    read = x._op == kernel._op == "const"   # _node's test: the output is a constant
+    taped = x._op != "const"
+    read = not taped and kernel._op == "const"   # _node's test: the output is a constant
     # offset (i, j) of every pool window as a strided view: four strided
     # adds, as a mean over the strided window axes runs 5x slower
     w0, w1, w2, w3 = [np.s_[:, :, i:2 * Ho:2, j:2 * Wo:2] for i in (0, 1) for j in (0, 1)]
@@ -295,16 +300,18 @@ def conv_block(x: Tensor, kernel: Tensor) -> Tensor:
     # sample leaves the conv in [B, O, H, W] order, straight in y
     xp = np.zeros((m, C, Hp, Wp))
     cols = sliding_window_view(xp, (3, 3), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
-    # a taped block keeps each plane's centred conv for the backward and
-    # takes ReLU into a chunk scratch; a read keeps one chunk's conv and
-    # takes ReLU in place
-    y = np.empty((m if read else B, O, H, W))
-    r = y if read else np.empty((m, O, H, W))
+    # a block on a taped input keeps each plane's centred conv for the
+    # norm's backward and takes ReLU into a chunk scratch; any other block
+    # reuses one chunk's conv and takes ReLU in place. Every taped block
+    # keeps its ReLU mask, one byte a pixel
+    y = np.empty((B if taped else m, O, H, W))
+    r = np.empty((m, O, H, W)) if taped else y
+    mask = None if read else np.empty((B, O, H, W), dtype=bool)
     inv = np.empty((B, O, 1, 1))
     v = np.empty((B, O, Ho, Wo))
     for s in range(0, B, CHUNK):
         c = min(CHUNK, B - s)
-        ys, vs, invs = y[:c] if read else y[s:s + c], v[s:s + c], inv[s:s + c]
+        ys, vs, invs = y[s:s + c] if taped else y[:c], v[s:s + c], inv[s:s + c]
         xp[:c, :, 1:-1, 1:-1] = x.values[s:s + c]
         yf = ys.reshape(c, O, H * W)
         np.matmul(kv.reshape(O, -1), cols[:c].reshape(c, C * 9, H * W), out=yf)
@@ -312,24 +319,28 @@ def conv_block(x: Tensor, kernel: Tensor) -> Tensor:
         # would take the mean and centre again
         yf -= np.add.reduce(yf, axis=2, keepdims=True) / (H * W)
         invs[...] = (1.0 / np.sqrt(np.einsum("bchw,bchw->bc", ys, ys) / (H * W) + 1e-5))[:, :, None, None]
+        if mask is not None:
+            np.greater(ys, 0.0, out=mask[s:s + c])
         rs = np.maximum(ys, 0.0, out=r[:c])
         np.add(rs[w0], rs[w1], out=vs)
         vs += rs[w2]
         vs += rs[w3]
         vs *= invs * 0.25
+    if not taped:
+        y = None    # the backward of a constant input reads the mask and x
 
     def _bw(g, need):
         gy = np.zeros((m, O, H, W))
 
         def spread(s, c):
             # the chunk's g * inv / 4 onto each window position of gy,
-            # masked where y > 0; a floored row or column stays 0
-            ys, gys, invs = y[s:s + c], gy[:c], inv[s:s + c]
+            # times the kept ReLU mask; a floored row or column stays 0
+            gys, invs = gy[:c], inv[s:s + c]
             g4 = g[s:s + c] * (invs * 0.25)
             for w in (w0, w1, w2, w3):
                 gys[w] = g4
-            gys *= ys > 0.0
-            return ys, gys, invs
+            gys *= mask[s:s + c]
+            return gys, invs
 
         if not need[0]:
             # a constant input: gk from moments of each sample's centred
@@ -344,7 +355,7 @@ def conv_block(x: Tensor, kernel: Tensor) -> Tensor:
             gk = np.zeros((O, C * 9))
             for s in range(0, B, CHUNK):
                 c = min(CHUNK, B - s)
-                _, gys, invs = spread(s, c)
+                gys, invs = spread(s, c)
                 xcs = xc[:c]
                 xp[:c, :, 1:-1, 1:-1] = x.values[s:s + c]
                 xcs.reshape(c, C, 3, 3, H, W)[...] = cols[:c]
@@ -370,7 +381,8 @@ def conv_block(x: Tensor, kernel: Tensor) -> Tensor:
         gw = np.zeros((m, O, H, Wp))
         for s in range(0, B, CHUNK):
             c = min(CHUNK, B - s)
-            ys, gys, invs = spread(s, c)
+            ys = y[s:s + c]
+            gys, invs = spread(s, c)
             gcs = gw[:c, :, :, :W]
             gm = (gys.sum(axis=(2, 3)) / (H * W))[:, :, None, None]
             gym = (np.einsum("bchw,bchw->bc", gys, ys) / (H * W))[:, :, None, None]

@@ -346,6 +346,19 @@ def test_eval_config_defaults_and_the_removed_protocol_key(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_negative_trace_lr_is_refused_by_eval_config_before_any_data_loads(tmp_path, monkeypatch,
+                                                                          capsys):
+    # the forgetting trace's lr has one range owner, EvalConfig, checked
+    # with the other sections when the config is read: its message has the
+    # eval section's form, and no data loads and no artifact is written
+    path, _ = blob_config(tmp_path)
+    monkeypatch.setattr(cli, "build_datasets", lambda cfg: pytest.fail("data loaded"))
+    assert cli.main(["coreset", "forgetting", "--config", str(path),
+                     "--set", "coreset.trace_lr=-1"]) == 2
+    assert capsys.readouterr().err == "error: coreset.trace_lr must be >= 0, got -1.0\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_eval_empty_idx_test_split_exits_3(tmp_path, capsys):
     pixels = np.zeros((3, 1, 8, 8), np.uint8)
     paths = {k: str(tmp_path / f"{k}.idx") for k in

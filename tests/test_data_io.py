@@ -2,6 +2,7 @@
 
 import csv
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,30 @@ def test_normalize_matches_two_pass_oracle():
         var = ((vals - mean) ** 2).sum() / vals.size
         assert abs(stats.mean[c] - mean) < 1e-12
         assert abs(stats.std[c] - np.sqrt(var)) < 1e-12
+
+
+def test_load_idx_normalizes_in_place_with_the_bits_of_two_passes(tmp_path):
+    # the uint8 pixels are scaled in their float64 copy and normalized into
+    # one new array, so loading peaks near two images' bytes, not three;
+    # the bits are those of scaling, then subtracting, then dividing
+    rng = np.random.default_rng(7)
+    pixels = rng.integers(0, 256, size=(2000, 1, 28, 28), dtype=np.uint8)
+    ip, lp = write_idx_fixture(tmp_path, pixels, rng.integers(0, 10, size=2000))
+    tracemalloc.start()
+    try:
+        ds = load_idx(ip, lp, num_classes=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * ds.images.nbytes, peak / ds.images.nbytes
+    raw = pixels.astype(np.float64) / 255.0
+    kept = raw.copy()
+    stats = NormStats.from_raw(raw)
+    mean, std = stats.mean[None, :, None, None], stats.std[None, :, None, None]
+    np.testing.assert_array_equal(ds.images, (raw - mean) / std)
+    out, _ = normalize(raw)
+    np.testing.assert_array_equal(out, ds.images)
+    np.testing.assert_array_equal(raw, kept)
 
 
 def test_dataset_normalized_space():

@@ -241,6 +241,42 @@ def test_a_read_holds_no_batch_sized_conv_output():
     assert peaks[0] < full < peaks[1], (peaks, full)
 
 
+def test_a_block_on_a_constant_input_keeps_its_mask_and_no_conv():
+    # the first block of a training step: its backward reads only the
+    # ReLU mask, one byte a pixel, so it keeps no float64 conv output. Its
+    # peak stays below one [B, O, H, W] float64 array, and its closure holds
+    # neither that nor its one chunk's conv buffer
+    B, O, H, W = 4 * T.CHUNK, 16, 28, 28
+    rng = np.random.default_rng(25)
+    x, k = rng.standard_normal((B, 1, H, W)), Tensor(rng.standard_normal((O, 1, 3, 3)))
+    tracemalloc.start()
+    try:
+        out = T.conv_block(Tensor.constant(x), k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    full = B * O * H * W * 8
+    assert peak < full, peak / full
+    held = [cell.cell_contents for cell in out._backward.__closure__]
+    planes = [a for a in held if isinstance(a, np.ndarray) and a.shape[1:] == (O, H, W)]
+    assert [a.dtype for a in planes] == [np.bool_], [(a.dtype, a.shape) for a in planes]
+
+
+@pytest.mark.parametrize("B", [1, T.CHUNK + 1, 2 * T.CHUNK + 3])
+def test_kernel_gradient_through_a_constant_input_matches_the_taped_block(B):
+    # backward through a block on a constant input gives the kernel the
+    # bits that the same block on a taped input gives when asked for the
+    # kernel alone: the kept mask and the reused chunk buffer lose nothing
+    rng = np.random.default_rng(26)
+    x, k = rng.standard_normal((B, 3, 5, 7)), rng.standard_normal((4, 3, 3, 3))
+    kernel = Tensor(k)
+    out = T.conv_block(Tensor.constant(x), kernel)
+    g = rng.standard_normal(out.shape)
+    T.backward(T.sum_all(T.mul(out, Tensor.constant(g))))
+    taped = T.conv_block(Tensor(x), Tensor(k))
+    np.testing.assert_array_equal(kernel.grad, taped._backward(g, (False, True))[1])
+
+
 @pytest.mark.parametrize("C, O", [(1, 16), (3, 8), (16, 16)])
 @pytest.mark.parametrize("H, W", [(28, 28), (5, 7)])
 @pytest.mark.parametrize("B", [1, T.CHUNK - 1, T.CHUNK + 1, 2 * T.CHUNK + 3])
