@@ -144,7 +144,8 @@ def load_config(path: str, overrides: list[str]) -> dict:
     """The config file with ``--set`` overrides applied, every key of KEYS
     read, filled and range-checked and the condense, eval and forgetting
     trace sections held to CondenseConfig's and EvalConfig's rules, as a
-    nested mapping."""
+    nested mapping. Each ``--set`` names one dotted key of KEYS; a section or
+    a path below a scalar is an unknown key. Those classes own beta's range."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             cfg = yaml.safe_load(f) or {}
@@ -152,20 +153,6 @@ def load_config(path: str, overrides: list[str]) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path!r} must be a mapping at top level")
-    for ov in overrides:
-        if "=" not in ov:
-            raise ConfigError(f"--set expects key=value, got {ov!r}")
-        key, _, raw = ov.partition("=")
-        node = cfg
-        parts = key.split(".")
-        for p in parts[:-1]:
-            node = node.setdefault(p, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"--set path {key!r} crosses a scalar")
-        try:
-            node[parts[-1]] = yaml.safe_load(raw)
-        except yaml.YAMLError as e:
-            raise ConfigError(f"--set {key!r} value is not YAML: {e}") from None
     given = {}
     for k, v in cfg.items():
         if k not in SECTIONS:
@@ -174,6 +161,14 @@ def load_config(path: str, overrides: list[str]) -> dict:
             raise ConfigError(f"config key {k!r} must be a mapping")
         else:
             given.update((f"{k}.{leaf}", val) for leaf, val in v.items())
+    for ov in overrides:
+        key, eq, raw = ov.partition("=")
+        if not eq:
+            raise ConfigError(f"--set expects key=value, got {ov!r}")
+        try:
+            given[key] = yaml.safe_load(raw)
+        except yaml.YAMLError as e:
+            raise ConfigError(f"--set {key!r} value is not YAML: {e}") from None
     if unknown := sorted(given.keys() - KEYS.keys()):
         raise ConfigError(f"unknown config key {unknown[0]!r}")
     out: dict = {}

@@ -99,9 +99,7 @@ def normalize(raw: np.ndarray, stats: Optional[NormStats] = None) -> tuple[np.nd
 
 
 def denormalize(img: np.ndarray, stats: NormStats) -> np.ndarray:
-    if img.ndim == 3:
-        return img * stats.std[:, None, None] + stats.mean[:, None, None]
-    return img * stats.std[None, :, None, None] + stats.mean[None, :, None, None]
+    return img * stats.std[:, None, None] + stats.mean[:, None, None]
 
 
 def make_dataset(raw: np.ndarray, labels: np.ndarray, num_classes: int,

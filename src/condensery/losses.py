@@ -10,16 +10,20 @@ and real means: squared L2 gaps summed over classes and layers, not
 averaged. The last layer's synthetic mean matrix is the center matrix the
 discrimination term uses to classify individual real samples by inner
 product.
+
+CondenseConfig owns beta's range and the tape ops own the operands'
+shapes: ``T.sub`` and ``T.matmul`` raise DimensionError naming both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DimensionError, InputError
+from .errors import DimensionError, InputError
 from .models import FeaturePyramid
 from .tensor import Tensor
 
@@ -28,10 +32,6 @@ from .tensor import Tensor
 class ClassMeans:
     """per_layer[l] is the [K, C'_l] class-mean matrix; row k is class k."""
     per_layer: list
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.per_layer)
 
 
 def class_average(labels, num_classes: int) -> np.ndarray:
@@ -53,24 +53,17 @@ def cwfa(pyramid: FeaturePyramid, labels, num_classes: int) -> ClassMeans:
 
 def feature_alignment_loss(synth: ClassMeans, real: ClassMeans) -> Tensor:
     """Sum over layers of ||S_l - R_l||_F^2, i.e. over classes and layers of
-    squared L2 gaps between mean rows."""
-    if synth.num_layers != real.num_layers:
-        raise DimensionError(f"class means disagree: L {synth.num_layers} vs {real.num_layers}")
-    acc = None
-    for l, (s, r) in enumerate(zip(synth.per_layer, real.per_layer)):
-        if s.shape != r.shape:
-            raise DimensionError(f"layer {l} class means disagree: {s.shape} vs {r.shape}")
-        d = T.sub(s, r)
-        term = T.sum_all(T.mul(d, d))
-        acc = term if acc is None else T.add(acc, term)
-    return acc
+    squared L2 gaps between mean rows. The layer counts must agree, as map
+    would drop the longer side's layers; ``T.sub`` checks each layer's shape."""
+    if len(synth.per_layer) != len(real.per_layer):
+        raise DimensionError(
+            f"class means disagree: L {len(synth.per_layer)} vs {len(real.per_layer)}")
+    return reduce(T.add, [T.sum_all(T.mul(d, d))
+                          for d in map(T.sub, synth.per_layer, real.per_layer)])
 
 
 def discrimination_logits(real_last: Tensor, synth_centers: Tensor) -> Tensor:
     """O = real_last @ synth_centers.T; gradients flow to both operands."""
-    if real_last.shape[1] != synth_centers.shape[1]:
-        raise DimensionError(
-            f"feature width mismatch: real {real_last.shape} vs centers {synth_centers.shape}")
     return T.matmul(real_last, T.transpose2d(synth_centers))
 
 
@@ -79,6 +72,5 @@ def discrimination_loss(logits: Tensor, labels) -> Tensor:
 
 
 def total_loss(l_f: Tensor, l_d: Tensor, beta: float) -> Tensor:
-    if beta <= 0:
-        raise ConfigError(f"beta must be positive, got {beta}")
+    """l_f + beta * l_d. CondenseConfig holds beta > 0; this does not check it."""
     return T.add(l_f, T.scale(l_d, beta))

@@ -127,7 +127,7 @@ def convnet_forward(params: ModelParams, batch: Tensor) -> FeaturePyramid:
 def mlp_forward(params: ModelParams, batch: Tensor) -> FeaturePyramid:
     spec = params.spec
     B = batch.shape[0]
-    h = batch if len(batch.shape) == 2 else T.reshape(batch, (B, int(np.prod(batch.shape[1:]))))
+    h = T.reshape(batch, (B, int(np.prod(batch.shape[1:]))))
     if h.shape[1] != spec.input_dim:
         raise DimensionError(f"batch width {h.shape[1]} vs input dim {spec.input_dim}")
     taps = []

@@ -188,6 +188,7 @@ def test_diverged_training_exits_2(tmp_path, capsys, command, lr_key):
     ("condense", "condense.query_size=1.0e+300", None),
     ("condense", "condense.gamma=1.0e+300", None),
     ("condense", "coreset.trace_epochs=1.0e+300", None),
+    ("condense", "seed.x=1", None),
 ])
 def test_wrong_typed_config_value_exits_2(tmp_path, monkeypatch, capsys, command, override,
                                           env):
@@ -205,6 +206,7 @@ def test_wrong_typed_config_value_exits_2(tmp_path, monkeypatch, capsys, command
     assert cli.main(argv) == 2
     named = overrides[-1].split("=")[0] if overrides else "CONDENSERY_THREADS"
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_set_override_precedence(tmp_path):
@@ -226,6 +228,15 @@ def test_unknown_config_key_rejected(tmp_path):
     path, _ = blob_config(tmp_path, typo_section={"a": 1})
     with pytest.raises(ConfigError, match="typo_section"):
         cli.load_config(str(path), [])
+
+
+@pytest.mark.parametrize("override", ["condense={ipc: 2}", "eval={epochs: 3}", "seed.x=1"])
+def test_set_names_one_key_not_a_section_or_a_path_below_a_scalar(tmp_path, override):
+    # a section's value would reset every other key of that section
+    path, _ = blob_config(tmp_path)
+    key = override.partition("=")[0]
+    with pytest.raises(ConfigError, match=f"^unknown config key {key!r}$"):
+        cli.load_config(str(path), [override])
 
 
 def test_readme_example_loads_and_its_echo_round_trips(tmp_path):

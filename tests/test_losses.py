@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import condensery.tensor as T
-from condensery.errors import ConfigError, DimensionError, InputError
+from condensery.errors import DimensionError, InputError
 from condensery.gradcheck import compare, numeric_grad
-from condensery.losses import cwfa, discrimination_logits, discrimination_loss, \
+from condensery.losses import ClassMeans, cwfa, discrimination_logits, discrimination_loss, \
     feature_alignment_loss, total_loss
 from condensery.models import ConvNetSpec, FeaturePyramid, convnet_forward, init_params
 from condensery.tensor import Tensor
@@ -98,6 +98,13 @@ def test_alignment_shape_mismatch():
         feature_alignment_loss(a, b)
 
 
+def test_alignment_layer_count_mismatch():
+    # pairing the layers would silently drop the longer side's extra layer
+    one = Tensor(np.zeros((2, 3)))
+    with pytest.raises(DimensionError, match="L 2 vs 1"):
+        feature_alignment_loss(ClassMeans([one, one]), ClassMeans([one]))
+
+
 def test_discrimination_logits_orthonormal_centers():
     centers = np.eye(3) * 2.0   # ||center||^2 = 4
     logits = discrimination_logits(Tensor(centers[1:2]), Tensor(centers))
@@ -146,11 +153,6 @@ def test_total_loss_weighted_sum():
     assert total_loss(Tensor(np.array(2.0)), Tensor(np.array(3.0)), 1.0).item() == 5.0
     assert total_loss(Tensor(np.array(0.0)), Tensor(np.array(10.0)), 0.1).item() \
         == pytest.approx(1.0)
-
-
-def test_total_loss_rejects_nonpositive_beta():
-    with pytest.raises(ConfigError):
-        total_loss(Tensor(np.array(1.0)), Tensor(np.array(1.0)), 0.0)
 
 
 def test_default_beta_is_one():
