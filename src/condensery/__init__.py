@@ -20,8 +20,7 @@ from .evaluate import EvalConfig, EvalReport, evaluate_protocol, record_training
     test_accuracy, train_on_synthetic
 from .losses import ClassMeans, cwfa, discrimination_logits, discrimination_loss, \
     feature_alignment_loss, total_loss
-from .models import ConvNetSpec, FeaturePyramid, MLPSpec, ModelParams, convnet_forward, \
-    forward, init_params, mlp_forward
+from .models import ConvNetSpec, FeaturePyramid, MLPSpec, ModelParams, forward, init_params
 from .tensor import Tensor, backward, sgd_step
 
 __version__ = "0.1.0"

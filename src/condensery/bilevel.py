@@ -51,7 +51,7 @@ class CondenseConfig:
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
         for name, least in (("ipc", 1), ("n_per_class", 1), ("query_size", 1), ("gamma", 2),
-                            ("l_out", 0), ("l_in", 0), ("max_outer_iters", 0),
+                            ("l_out", 1), ("l_in", 1), ("max_outer_iters", 0),
                             ("outer_lr", 0), ("inner_lr", 0)):
             if not getattr(self, name) >= least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
@@ -187,9 +187,9 @@ def run_condense(real: LabeledDataset, arch: ArchSpec, cfg: CondenseConfig,
             if (q_out.full and q_out.div() < cfg.lambda1) or state.lc_out >= cfg.l_out:
                 break   # the next restart resets lc_out and q_out
             # inner loop: fit the network until its accuracy moves, at
-            # least one step and at most l_in
+            # most l_in steps
             q_in = AccQueue(cfg.gamma)
-            for _ in range(max(cfg.l_in, 1)):
+            for _ in range(cfg.l_in):
                 loss = inner_step(state, cfg)
                 evaluate._require_finite("inner", state.total_inner_steps, loss=loss,
                                          theta=[p.values for p in state.theta.tensors])

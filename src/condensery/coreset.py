@@ -1,7 +1,9 @@
 """Coreset selection baselines: random, herding, k-center, forgetting.
 
 All selectors return exactly ipc indices per class, unique, with ties
-broken deterministically by lowest dataset index. Herding and k-center
+broken deterministically by lowest dataset index. One per-class driver
+refuses a class smaller than ipc and runs a selector's pick on each class
+in class order, so a selector holds only its pick. Herding and k-center
 measure distances between flattened pixel vectors through the expansion
 ||a - b||**2 = ||a||**2 - 2 a . b + ||b||**2: each row's squared norm is
 taken once per class, and each greedy pick is one matvec of the class
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -39,19 +42,20 @@ class SelectionResult:
                     w.writerow([k, rank, int(di)])
 
 
-def _check_class_sizes(ds: LabeledDataset, ipc: int) -> list:
+def _per_class(ds: LabeledDataset, ipc: int,
+               pick: Callable[[np.ndarray], np.ndarray]) -> SelectionResult:
+    """Refuse a class with fewer than ipc samples, then ``pick(idx)`` ipc of
+    each class's dataset indices ``idx``, class by class in class order."""
     groups = ds.class_indices()
     for k, idx in enumerate(groups):
         if idx.size < ipc:
             raise InputError(f"class {k} has {idx.size} samples, fewer than ipc={ipc}")
-    return groups
+    return SelectionResult(np.concatenate([pick(idx) for idx in groups]), ipc, ds.num_classes)
 
 
 def select_random(ds: LabeledDataset, ipc: int, seed: int) -> SelectionResult:
     rng = np.random.default_rng(seed)
-    groups = _check_class_sizes(ds, ipc)
-    picks = [np.sort(rng.choice(idx, size=ipc, replace=False)) for idx in groups]
-    return SelectionResult(np.concatenate(picks), ipc, ds.num_classes)
+    return _per_class(ds, ipc, lambda idx: np.sort(rng.choice(idx, size=ipc, replace=False)))
 
 
 def _row_dots(feats: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -75,9 +79,7 @@ def select_herding(ds: LabeledDataset, ipc: int) -> SelectionResult:
     argmin of sq - 2 feats @ w with sq the rows' squared norms: one
     matvec per pick.
     """
-    groups = _check_class_sizes(ds, ipc)
-    picks = []
-    for idx in groups:
+    def pick(idx):
         feats = ds.images[idx].reshape(len(idx), -1)
         sq = _sq_norms(feats)
         mu = feats.mean(axis=0)
@@ -89,8 +91,8 @@ def select_herding(ds: LabeledDataset, ipc: int) -> SelectionResult:
             best = int(np.argmin(score))   # argmin takes the lowest index on ties
             chosen.append(best)
             running += feats[best]
-        picks.append(idx[np.array(chosen)])
-    return SelectionResult(np.concatenate(picks), ipc, ds.num_classes)
+        return idx[np.array(chosen)]
+    return _per_class(ds, ipc, pick)
 
 
 def select_kcenter(ds: LabeledDataset, ipc: int) -> SelectionResult:
@@ -101,9 +103,7 @@ def select_kcenter(ds: LabeledDataset, ipc: int) -> SelectionResult:
     running minimum over the centres. A row equal to a centre is exactly
     0 away from it.
     """
-    groups = _check_class_sizes(ds, ipc)
-    picks = []
-    for idx in groups:
+    def pick(idx):
         feats = ds.images[idx].reshape(len(idx), -1)
         sq = _sq_norms(feats)
         first = int(np.argmin(sq - 2.0 * _row_dots(feats, feats.mean(axis=0))))
@@ -114,8 +114,8 @@ def select_kcenter(ds: LabeledDataset, ipc: int) -> SelectionResult:
             nxt = int(np.argmax(mind))   # argmax takes the lowest index on ties
             chosen.append(nxt)
             np.minimum(mind, sq + sq[nxt] - 2.0 * _row_dots(feats, feats[nxt]), out=mind)
-        picks.append(idx[np.array(chosen)])
-    return SelectionResult(np.concatenate(picks), ipc, ds.num_classes)
+        return idx[np.array(chosen)]
+    return _per_class(ds, ipc, pick)
 
 
 def forgetting_events(trace: np.ndarray) -> np.ndarray:
@@ -136,13 +136,8 @@ def select_forgetting(ds: LabeledDataset, ipc: int, training_trace: np.ndarray) 
     events = forgetting_events(training_trace)
     if events.size != len(ds):
         raise InputError(f"trace covers {events.size} samples, dataset has {len(ds)}")
-    groups = _check_class_sizes(ds, ipc)
-    picks = []
-    for idx in groups:
-        # stable sort on negated counts keeps lowest-index-first among ties
-        order = np.argsort(-events[idx], kind="stable")[:ipc]
-        picks.append(idx[order])
-    return SelectionResult(np.concatenate(picks), ipc, ds.num_classes)
+    # stable sort on negated counts keeps lowest-index-first among ties
+    return _per_class(ds, ipc, lambda idx: idx[np.argsort(-events[idx], kind="stable")[:ipc]])
 
 
 def materialize(ds: LabeledDataset, sel: SelectionResult) -> SyntheticSet:

@@ -1,14 +1,12 @@
-"""ConvNet and MLP forward passes with per-layer feature taps.
+"""ConvNet and MLP networks with per-layer feature taps, on one skeleton.
 
-The ConvNet is a stack of Conv(3x3, stride 1, pad 1) -> InstanceNorm ->
-ReLU -> AvgPool(2x2, flooring) blocks (Zhao et al., ICLR 2021, as CAFE
-uses), one ``tensor.conv_block`` call and one tape node each, so 28x28
-pools to 14, 7 and 3, and one linear output layer. Its parameters are
-one kernel per block (no conv bias: the norm would cancel it), then the
-output layer's weight and bias. A flattened feature tap is
-recorded after each block; the last tap is exactly the input to the
-output layer, and the tap list excludes the output layer itself. The MLP
-mirrors this with taps after each hidden ReLU.
+The ConvNet's body is a stack of Conv(3x3, stride 1, pad 1) ->
+InstanceNorm -> ReLU -> AvgPool(2x2, flooring) blocks (Zhao et al., ICLR
+2021, as CAFE uses), one ``tensor.conv_block`` call, one kernel (no conv
+bias: the norm would cancel it) and one flattened tap each, so 28x28
+pools to 14, 7 and 3. The MLP's body flattens its input and taps each
+hidden ReLU. Both then end in one linear output layer applied to the
+last tap; the tap list excludes the output layer itself.
 """
 
 from __future__ import annotations
@@ -83,66 +81,45 @@ class FeaturePyramid:
 
 
 def init_params(spec: ArchSpec, seed: int) -> ModelParams:
-    """He-scaled Gaussian weights, zero biases, deterministic per seed."""
+    """He-scaled Gaussian weights, zero biases, deterministic per seed: the
+    ConvNet's kernels block by block, then a weight and a bias for each pair
+    of consecutive dense widths, (embed_dim, num_classes) for the ConvNet
+    and (input_dim, *hidden, num_classes) for the MLP."""
     rng = np.random.default_rng(seed)
     tensors = []
     if isinstance(spec, ConvNetSpec):
         c_in = spec.input_shape[0]
         for _ in range(spec.blocks):
-            fan_in = c_in * 9
-            k = rng.standard_normal((spec.channels, c_in, 3, 3)) * np.sqrt(2.0 / fan_in)
-            tensors.append(Tensor(k))
+            tensors.append(Tensor(rng.standard_normal((spec.channels, c_in, 3, 3))
+                                  * np.sqrt(2.0 / (c_in * 9))))
             c_in = spec.channels
-        d = spec.embed_dim
-        tensors.append(Tensor(rng.standard_normal((d, spec.num_classes)) * np.sqrt(2.0 / d)))
-        tensors.append(Tensor(np.zeros(spec.num_classes)))
-    elif isinstance(spec, MLPSpec):
-        d = spec.input_dim
-        for h in spec.hidden:
-            tensors.append(Tensor(rng.standard_normal((d, h)) * np.sqrt(2.0 / d)))
-            tensors.append(Tensor(np.zeros(h)))
-            d = h
-        tensors.append(Tensor(rng.standard_normal((d, spec.num_classes)) * np.sqrt(2.0 / d)))
-        tensors.append(Tensor(np.zeros(spec.num_classes)))
+        widths = (spec.embed_dim, spec.num_classes)
     else:
-        raise ConfigError(f"unknown architecture spec {type(spec).__name__}")
+        widths = (spec.input_dim, *spec.hidden, spec.num_classes)
+    for d, h in zip(widths, widths[1:]):
+        tensors += [Tensor(rng.standard_normal((d, h)) * np.sqrt(2.0 / d)), Tensor(np.zeros(h))]
     return ModelParams(spec, tensors)
 
 
-def convnet_forward(params: ModelParams, batch: Tensor) -> FeaturePyramid:
-    spec = params.spec
-    if batch.shape[1:] != tuple(spec.input_shape):
-        raise DimensionError(f"batch {batch.shape} vs input shape {spec.input_shape}")
-    B = batch.shape[0]
-    h = batch
-    taps = []
-    for b in range(spec.blocks):
-        h = T.conv_block(h, params.tensors[b])
-        taps.append(T.reshape(h, (B, int(np.prod(h.shape[1:])))))
-    w, wb = params.tensors[-2], params.tensors[-1]
-    logits = T.linear(taps[-1], w, wb)
-    return FeaturePyramid(taps, logits)
-
-
-def mlp_forward(params: ModelParams, batch: Tensor) -> FeaturePyramid:
-    spec = params.spec
-    B = batch.shape[0]
-    h = T.reshape(batch, (B, int(np.prod(batch.shape[1:]))))
-    if h.shape[1] != spec.input_dim:
-        raise DimensionError(f"batch width {h.shape[1]} vs input dim {spec.input_dim}")
-    taps = []
-    for i in range(len(spec.hidden)):
-        w, b = params.tensors[2 * i], params.tensors[2 * i + 1]
-        h = T.relu(T.linear(h, w, b))
-        taps.append(h)
-    w, b = params.tensors[-2], params.tensors[-1]
-    logits = T.linear(taps[-1], w, b)
-    return FeaturePyramid(taps, logits)
-
-
 def forward(params: ModelParams, batch: Tensor) -> FeaturePyramid:
-    if isinstance(params.spec, ConvNetSpec):
-        return convnet_forward(params, batch)
-    if isinstance(params.spec, MLPSpec):
-        return mlp_forward(params, batch)
-    raise ConfigError(f"unknown architecture spec {type(params.spec).__name__}")
+    """The body's feature taps, then the output layer on the last tap."""
+    spec = params.spec
+    B = batch.shape[0]
+    taps = []
+    if isinstance(spec, ConvNetSpec):
+        if batch.shape[1:] != tuple(spec.input_shape):
+            raise DimensionError(f"batch {batch.shape} vs input shape {spec.input_shape}")
+        h = batch
+        for k in params.tensors[:spec.blocks]:
+            h = T.conv_block(h, k)
+            taps.append(T.reshape(h, (B, int(np.prod(h.shape[1:])))))
+    else:
+        h = T.reshape(batch, (B, int(np.prod(batch.shape[1:]))))
+        if h.shape[1] != spec.input_dim:
+            raise DimensionError(f"batch width {h.shape[1]} vs input dim {spec.input_dim}")
+        hidden = params.tensors[:-2]
+        for w, b in zip(hidden[::2], hidden[1::2]):
+            h = T.relu(T.linear(h, w, b))
+            taps.append(h)
+    w, b = params.tensors[-2:]
+    return FeaturePyramid(taps, T.linear(taps[-1], w, b))

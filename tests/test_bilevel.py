@@ -43,7 +43,7 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("name, least, below", [
-    ("n_per_class", 1, 0), ("query_size", 1, 0), ("l_out", 0, -1), ("l_in", 0, -1),
+    ("n_per_class", 1, 0), ("query_size", 1, 0), ("l_out", 1, 0), ("l_in", 1, 0),
     ("max_outer_iters", 0, -1), ("outer_lr", 0, -0.5), ("inner_lr", 0, -1.0),
     ("inner_lr", 0, float("nan"))])
 def test_config_rejects_a_value_below_its_minimum(name, least, below):

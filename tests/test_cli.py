@@ -167,6 +167,7 @@ def test_diverged_training_exits_2(tmp_path, capsys, command, lr_key):
     ("condense", "condense.n_per_class=-1", None),
     ("condense", "condense.query_size=0", None),
     ("condense", "condense.l_in=-1", None),
+    ("condense", "condense.l_in=0", None),
     ("condense", "seed=-1", None),
     ("condense", "dataset.train_images=0", None),
     ("condense", "dataset.train_images=[a]", None),

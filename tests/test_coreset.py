@@ -55,9 +55,15 @@ def test_random_histogram_uniform():
 
 
 def test_random_class_too_small():
+    # every selector goes through the one per-class driver, which refuses
+    # a class smaller than ipc before any pick
     ds = make_blob_split(2, 3, 1, (1, 1, 1), seed=0)[0]
-    with pytest.raises(InputError):
-        select_random(ds, 4, seed=0)
+    selectors = (lambda: select_random(ds, 4, seed=0), lambda: select_herding(ds, 4),
+                 lambda: select_kcenter(ds, 4),
+                 lambda: select_forgetting(ds, 4, np.zeros((2, len(ds)))))
+    for select in selectors:
+        with pytest.raises(InputError, match="^class 0 has 3 samples, fewer than ipc=4$"):
+            select()
 
 
 def test_herding_picks_point_near_mean():

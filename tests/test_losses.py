@@ -8,7 +8,7 @@ from condensery.errors import DimensionError, InputError
 from condensery.gradcheck import compare, numeric_grad
 from condensery.losses import ClassMeans, cwfa, discrimination_logits, discrimination_loss, \
     feature_alignment_loss, total_loss
-from condensery.models import ConvNetSpec, FeaturePyramid, convnet_forward, init_params
+from condensery.models import ConvNetSpec, FeaturePyramid, forward, init_params
 from condensery.tensor import Tensor
 
 
@@ -180,8 +180,8 @@ def test_total_loss_gradient_through_tiny_model():
     synth_labels = np.array([0, 1])
 
     def objective(s_tensor):
-        pr = convnet_forward(params, Tensor(real))
-        ps = convnet_forward(params, s_tensor)
+        pr = forward(params, Tensor(real))
+        ps = forward(params, s_tensor)
         mr = cwfa(pr, real_labels, 2)
         ms = cwfa(ps, synth_labels, 2)
         lf = feature_alignment_loss(ms, mr)

@@ -8,8 +8,7 @@ import pytest
 import condensery.tensor as T
 from condensery.errors import ConfigError, DimensionError
 from condensery.gradcheck import compare, numeric_grad
-from condensery.models import ConvNetSpec, MLPSpec, convnet_forward, forward, \
-    init_params, mlp_forward
+from condensery.models import ConvNetSpec, MLPSpec, forward, init_params
 from condensery.tensor import Tensor
 
 
@@ -18,7 +17,7 @@ def test_convnet_tap_shapes():
         spec = ConvNetSpec(blocks=3, channels=c, input_shape=(3, 32, 32), num_classes=10)
         params = init_params(spec, seed=0)
         batch = Tensor(np.zeros((2, 3, 32, 32)))
-        pyr = convnet_forward(params, batch)
+        pyr = forward(params, batch)
         assert [t.shape[1] for t in pyr.per_layer] == [c * 16 * 16, c * 8 * 8, c * 4 * 4]
         assert pyr.logits.shape == (2, 10)
 
@@ -29,7 +28,7 @@ def test_convnet_zero_params_logits_are_bias():
     for t in params.tensors:
         t.values[:] = 0.0
     params.tensors[-1].values[:] = np.array([1.0, 2.0, 3.0, 4.0])
-    pyr = convnet_forward(params, Tensor(np.random.default_rng(0).standard_normal((3, 1, 8, 8))))
+    pyr = forward(params, Tensor(np.random.default_rng(0).standard_normal((3, 1, 8, 8))))
     for tap in pyr.per_layer:
         assert np.all(tap.values == 0.0)
     np.testing.assert_array_equal(pyr.logits.values, np.tile([1.0, 2.0, 3.0, 4.0], (3, 1)))
@@ -39,8 +38,8 @@ def test_convnet_forward_deterministic():
     spec = ConvNetSpec(blocks=2, channels=4, input_shape=(1, 8, 8), num_classes=3)
     params = init_params(spec, seed=11)
     batch = Tensor(np.random.default_rng(1).standard_normal((2, 1, 8, 8)))
-    p1 = convnet_forward(params, batch)
-    p2 = convnet_forward(params, batch)
+    p1 = forward(params, batch)
+    p2 = forward(params, batch)
     assert np.array_equal(p1.logits.values, p2.logits.values)
     for a, b in zip(p1.per_layer, p2.per_layer):
         assert np.array_equal(a.values, b.values)
@@ -49,7 +48,7 @@ def test_convnet_forward_deterministic():
 def test_convnet_last_tap_feeds_classifier():
     spec = ConvNetSpec(blocks=2, channels=4, input_shape=(1, 8, 8), num_classes=3)
     params = init_params(spec, seed=2)
-    pyr = convnet_forward(params, Tensor(np.random.default_rng(2).standard_normal((2, 1, 8, 8))))
+    pyr = forward(params, Tensor(np.random.default_rng(2).standard_normal((2, 1, 8, 8))))
     w, b = params.tensors[-2], params.tensors[-1]
     np.testing.assert_allclose(pyr.logits.values,
                                pyr.per_layer[-1].values @ w.values + b.values)
@@ -60,7 +59,7 @@ def test_convnet_block_records_one_tape_node():
     # the previous block's output, then the last tap's reshape and the head
     spec = ConvNetSpec(blocks=3, channels=4, input_shape=(1, 8, 8), num_classes=3)
     batch = Tensor.constant(np.random.default_rng(5).standard_normal((2, 1, 8, 8)))
-    pyr = convnet_forward(init_params(spec, seed=0), batch)
+    pyr = forward(init_params(spec, seed=0), batch)
     ops = Counter(t._op for t in T._topo_order(pyr.logits) if t._parents)
     assert ops == {"conv_block": 3, "reshape": 1, "linear": 1}
     block = pyr.per_layer[-1]._parents[0]
@@ -74,7 +73,7 @@ def test_convnet_shape_mismatch():
     spec = ConvNetSpec(blocks=2, channels=4, input_shape=(1, 8, 8), num_classes=3)
     params = init_params(spec, seed=0)
     with pytest.raises(DimensionError):
-        convnet_forward(params, Tensor(np.zeros((2, 3, 8, 8))))
+        forward(params, Tensor(np.zeros((2, 3, 8, 8))))
 
 
 @pytest.mark.parametrize("shape", [(1, 4, 4), (1, 28, 7)])
@@ -87,8 +86,8 @@ def test_convnet_spec_rejects_too_small_input(shape):
 def test_convnet_default_spec_forwards_28x28_with_floor_pooling():
     # the ConvNet of Zhao et al. on MNIST: 28 -> 14 -> 7 -> 3
     spec = ConvNetSpec()
-    pyr = convnet_forward(init_params(spec, seed=0),
-                          Tensor.constant(np.random.default_rng(0).standard_normal((2, 1, 28, 28))))
+    pyr = forward(init_params(spec, seed=0),
+                  Tensor.constant(np.random.default_rng(0).standard_normal((2, 1, 28, 28))))
     assert [t.shape for t in pyr.per_layer] == [(2, 128 * 14 * 14), (2, 128 * 7 * 7), (2, 1152)]
     assert spec.embed_dim == 1152
     assert pyr.logits.shape == (2, 10)
@@ -103,7 +102,7 @@ def test_mlp_spec_rejects_empty_or_nonpositive_hidden(hidden):
 def test_mlp_tap_shapes():
     spec = MLPSpec(input_shape=(1, 4, 4), hidden=(128, 128), num_classes=5)
     params = init_params(spec, seed=0)
-    pyr = mlp_forward(params, Tensor(np.zeros((3, 1, 4, 4))))
+    pyr = forward(params, Tensor(np.zeros((3, 1, 4, 4))))
     assert [t.shape[1] for t in pyr.per_layer] == [128, 128]
     assert pyr.logits.shape == (3, 5)
 
@@ -114,7 +113,7 @@ def test_mlp_identity_first_layer():
     params.tensors[0].values[:] = np.eye(16)
     params.tensors[1].values[:] = 0.0
     x = np.random.default_rng(3).standard_normal((4, 16))
-    pyr = mlp_forward(params, Tensor(x))
+    pyr = forward(params, Tensor(x))
     np.testing.assert_allclose(pyr.per_layer[0].values, np.maximum(0.0, x))
 
 
@@ -125,10 +124,10 @@ def test_mlp_gradcheck():
     labels = np.array([0, 2, 1])
 
     def loss_value():
-        pyr = mlp_forward(params, Tensor(x))
+        pyr = forward(params, Tensor(x))
         return T.softmax_cross_entropy_mean(pyr.logits, labels).item()
 
-    pyr = mlp_forward(params, Tensor(x))
+    pyr = forward(params, Tensor(x))
     T.backward(T.softmax_cross_entropy_mean(pyr.logits, labels))
     for i, t in enumerate(params.tensors):
         num = numeric_grad(loss_value, t.values)
@@ -145,6 +144,28 @@ def test_init_params_deterministic_per_seed():
         assert np.array_equal(ta.values, tb.values)
     assert any(not np.array_equal(ta.values, tc.values)
                for ta, tc in zip(a.tensors, c.tensors))
+
+
+@pytest.mark.parametrize("spec, draws", [
+    # two kernels at fan-in 2*9 and 3*9, then the output layer from the
+    # 3*2*2 embedding
+    (ConvNetSpec(blocks=2, channels=3, input_shape=(2, 8, 8), num_classes=4),
+     [(3, 2, 3, 3), (3, 3, 3, 3), (12, 4), 4]),
+    # 9 -> 5 -> 4 -> 3, each a weight and then a bias
+    (MLPSpec(input_shape=(1, 3, 3), hidden=(5, 4), num_classes=3),
+     [(9, 5), 5, (5, 4), 4, (4, 3), 3])])
+def test_init_params_draws_in_the_documented_order(spec, draws):
+    # redraws from its own stream: a tuple is a Gaussian of that shape times
+    # sqrt(2 / fan-in), and an int a zero bias of that width. Weights only,
+    # no forward, so BLAS threading cannot move a bit
+    rng = np.random.default_rng(9)
+    expected = [np.zeros(d) if isinstance(d, int) else
+                rng.standard_normal(d) * np.sqrt(2.0 / (np.prod(d[1:]) if len(d) == 4 else d[0]))
+                for d in draws]
+    got = [t.values for t in init_params(spec, seed=9).tensors]
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.shape == e.shape and np.array_equal(g, e)
 
 
 def test_init_kernel_variance_matches_he_scaling():
