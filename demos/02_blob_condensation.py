@@ -25,11 +25,10 @@ cfg = CondenseConfig(ipc=1, n_per_class=16, gamma=5, l_out=5, l_in=10,
 t0 = time.monotonic()
 
 
-def progress(state, losses, acc):
-    if state.outer_iter % 10 == 0:
-        lf, ld, total = losses
-        print(f"iter {state.outer_iter:3d}  l_f {lf:8.4f}  l_d {ld:6.4f}  "
-              f"query acc {acc:.2f}")
+def progress(row):
+    if row["iter"] % 10 == 0:
+        print(f"iter {row['iter']:3d}  l_f {row['l_f']:8.4f}  l_d {row['l_d']:6.4f}  "
+              f"query acc {row['query_acc']:.2f}")
 
 
 synth = run_condense(train, arch, cfg, hook=progress)

@@ -52,7 +52,7 @@ class CondenseConfig:
                 raise ConfigError(f"{name} must be positive")
         for name, least in (("ipc", 1), ("n_per_class", 1), ("query_size", 1), ("gamma", 2),
                             ("l_out", 1), ("l_in", 1), ("max_outer_iters", 0),
-                            ("outer_lr", 0), ("inner_lr", 0)):
+                            ("outer_lr", 0), ("inner_lr", 0), ("seed", 0)):
             if not getattr(self, name) >= least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
 
@@ -81,12 +81,8 @@ class AccQueue(deque):
 class CondenseState:
     synthetic: SyntheticSet
     theta: ModelParams
-    lc_out: int
     outer_iter: int
     rng: np.random.Generator
-    # instrumentation for the counting harness
-    total_inner_steps: int = 0
-    max_queue_len: int = 0
 
 
 def outer_lr_at(cfg: CondenseConfig, outer_iter: int) -> float:
@@ -105,7 +101,7 @@ def init_state(real: LabeledDataset, arch: ArchSpec, cfg: CondenseConfig) -> Con
     rng = np.random.default_rng(cfg.seed)
     synth = new_synthetic(real.num_classes, cfg.ipc, real.image_shape, rng, real.norm_stats)
     theta = init_params(arch, seed=int(rng.integers(2 ** 31)))
-    return CondenseState(synth, theta, 0, 0, rng)
+    return CondenseState(synth, theta, 0, rng)
 
 
 def outer_step(state: CondenseState, real: LabeledDataset,
@@ -135,7 +131,6 @@ def outer_step(state: CondenseState, real: LabeledDataset,
     T.backward(total)
     T.sgd_step([synth.images], outer_lr_at(cfg, state.outer_iter))
 
-    state.lc_out += 1
     state.outer_iter += 1
     return l_f.item(), l_d.item(), total.item()
 
@@ -147,9 +142,7 @@ def inner_step(state: CondenseState, cfg: CondenseConfig) -> float:
     synth = state.synthetic
     if len(synth.labels) == 0:
         raise InputError("synthetic set is empty")
-    loss, _ = evaluate.train_step(state.theta, synth.images.values, synth.labels, cfg.inner_lr)
-    state.total_inner_steps += 1
-    return loss
+    return evaluate.train_step(state.theta, synth.images.values, synth.labels, cfg.inner_lr)[0]
 
 
 def query_accuracy(theta: ModelParams, real: LabeledDataset, cfg: CondenseConfig,
@@ -164,37 +157,41 @@ def run_condense(real: LabeledDataset, arch: ArchSpec, cfg: CondenseConfig,
                  hook: Optional[Callable] = None) -> SyntheticSet:
     """Full dynamic bi-level loop; returns the learned synthetic set.
 
-    ``hook(state, (l_f, l_d, total), query_acc)``, if given, is called once
-    per outer iteration, after that iteration's query. Raises
-    DivergenceError at the first outer step whose losses or pixels, or inner
-    step whose loss or weights, hold a NaN or Inf.
+    ``hook(row)``, if given, gets one dict per outer iteration, after its
+    query: ``iter``, ``l_f``, ``l_d``, ``total``, ``query_acc``, ``lc_out``
+    (steps since the restart), ``lr`` and ``inner_steps`` (run so far). No
+    inner loop follows the last outer step. Raises DivergenceError at the
+    first outer step whose losses or pixels, or inner step whose loss or
+    weights, hold a NaN or Inf.
     """
     state = init_state(real, arch, cfg)
+    inner_steps = 0
     while state.outer_iter < cfg.max_outer_iters:
         # restart: fresh network, empty outer queue and count
         state.theta = init_params(arch, seed=int(state.rng.integers(2 ** 31)))
         q_out = AccQueue(cfg.gamma)
-        state.lc_out = 0
-        while state.outer_iter < cfg.max_outer_iters:
+        for lc_out in range(1, cfg.l_out + 1):
+            lr = outer_lr_at(cfg, state.outer_iter)
             l_f, l_d, total = outer_step(state, real, cfg)
             evaluate._require_finite("outer", state.outer_iter, l_f=l_f, l_d=l_d, total=total,
                                      pixels=state.synthetic.images.values)
             acc = query_accuracy(state.theta, real, cfg, state.rng)
             q_out.push(acc)
-            state.max_queue_len = max(state.max_queue_len, len(q_out))
             if hook is not None:
-                hook(state, (l_f, l_d, total), acc)
-            if (q_out.full and q_out.div() < cfg.lambda1) or state.lc_out >= cfg.l_out:
-                break   # the next restart resets lc_out and q_out
+                hook({"iter": state.outer_iter, "l_f": l_f, "l_d": l_d, "total": total,
+                      "query_acc": acc, "lc_out": lc_out, "lr": lr, "inner_steps": inner_steps})
+            if (q_out.full and q_out.div() < cfg.lambda1) or lc_out == cfg.l_out \
+                    or state.outer_iter == cfg.max_outer_iters:
+                break
             # inner loop: fit the network until its accuracy moves, at
             # most l_in steps
             q_in = AccQueue(cfg.gamma)
             for _ in range(cfg.l_in):
                 loss = inner_step(state, cfg)
-                evaluate._require_finite("inner", state.total_inner_steps, loss=loss,
+                inner_steps += 1
+                evaluate._require_finite("inner", inner_steps, loss=loss,
                                          theta=[p.values for p in state.theta.tensors])
                 q_in.push(query_accuracy(state.theta, real, cfg, state.rng))
-                state.max_queue_len = max(state.max_queue_len, len(q_in))
                 if q_in.full and q_in.div() > cfg.lambda2:
                     break
     return state.synthetic

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import platform
+import re
 import sys
 import time
 from contextlib import contextmanager, suppress
@@ -29,7 +30,7 @@ import numpy as np
 import yaml
 
 from . import gradcheck as gc
-from .bilevel import CondenseConfig, outer_lr_at, run_condense
+from .bilevel import CondenseConfig, run_condense
 from .coreset import materialize, select_forgetting, select_herding, select_kcenter, \
     select_random
 from .data import LabeledDataset, load_idx, load_synthetic, make_blob_split, \
@@ -47,10 +48,18 @@ CORESET_METHODS = ("random", "herding", "kcenter", "forgetting")
 IDX_PATHS = ("train_images", "train_labels", "test_images", "test_labels")
 
 
+class _Loader(yaml.SafeLoader):
+    """Safe YAML, but 1e-3 and 1.0e3 are numbers, as in YAML 1.2, not strings."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+$"), list("-+.0123456789"))
+
+
 # Readers reject what Python's constructors take: int(2.7) truncates,
-# int(True) is 1, tuple("abc") splits a string and str(5) takes a number.
+# int(True) is 1, int("7") reads a string, tuple("abc") splits one and str(5) takes a number.
 def _integer(raw) -> int:
-    if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
+    if type(raw) not in (int, float) or isinstance(raw, float) and not raw.is_integer():
         raise ValueError("not an integer")
     val = int(raw)
     if not -2 ** 63 <= val < 2 ** 63:
@@ -59,10 +68,9 @@ def _integer(raw) -> int:
 
 
 def _real(raw) -> float:
-    val = float(raw)
-    if isinstance(raw, bool) or not math.isfinite(val):
+    if type(raw) not in (int, float) or not math.isfinite(raw):
         raise ValueError("not a finite number")
-    return val
+    return float(raw)
 
 
 def _integers(raw) -> tuple:
@@ -148,7 +156,7 @@ def load_config(path: str, overrides: list[str]) -> dict:
     a path below a scalar is an unknown key. Those classes own beta's range."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            cfg = yaml.safe_load(f) or {}
+            cfg = yaml.load(f, Loader=_Loader) or {}
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as e:
         raise ConfigError(f"cannot read config {path!r}: {e}")
     if not isinstance(cfg, dict):
@@ -166,7 +174,7 @@ def load_config(path: str, overrides: list[str]) -> dict:
         if not eq:
             raise ConfigError(f"--set expects key=value, got {ov!r}")
         try:
-            given[key] = yaml.safe_load(raw)
+            given[key] = yaml.load(raw, Loader=_Loader)
         except yaml.YAMLError as e:
             raise ConfigError(f"--set {key!r} value is not YAML: {e}") from None
     if unknown := sorted(given.keys() - KEYS.keys()):
@@ -289,12 +297,10 @@ def cmd_condense(args) -> int:
         # one row per outer iteration, written as the loop runs
         with open(out / "metrics.csv", "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f)
-            writer.writerow(["iter", "l_f", "l_d", "total", "query_acc", "lc_out", "lr"])
-
-            def write_row(state, losses, acc):
-                writer.writerow([state.outer_iter, *map(repr, losses), repr(acc), state.lc_out,
-                                 repr(outer_lr_at(ccfg, state.outer_iter - 1))])
-            synth = run_condense(train, arch, ccfg, hook=write_row)
+            columns = ["iter", "l_f", "l_d", "total", "query_acc", "lc_out", "lr"]
+            writer.writerow(columns)
+            synth = run_condense(train, arch, ccfg,
+                                 hook=lambda row: writer.writerow([repr(row[k]) for k in columns]))
         save_synthetic(synth, out / "synthetic.cnd")
     print(f"wrote {out / 'synthetic.cnd'} and {out / 'metrics.csv'}")
     return EXIT_OK

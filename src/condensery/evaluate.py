@@ -49,7 +49,7 @@ class EvalConfig:
         # prefixes it with "eval." or, for the forgetting trace's epochs and
         # lr, "coreset.trace_". Each rule is a range, so a NaN is refused
         for name, least in (("epochs", 0), ("lr", 0), ("batch_size", 1), ("n_experiments", 1),
-                            ("n_nets_per", 1)):
+                            ("n_nets_per", 1), ("seed", 0)):
             if not getattr(self, name) >= least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
         # network seeds are seed * 1_000_000 + e * 1000 + j, so with a count

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import condensery.tensor as T
+from condensery import bilevel
 from condensery.bilevel import AccQueue, CondenseConfig, run_condense
 from condensery.coreset import forgetting_events, materialize, select_forgetting, \
     select_herding, select_kcenter, select_random
@@ -106,21 +107,28 @@ def test_criterion_3_closed_form_optimum():
     assert ok
 
 
-def test_criterion_4_loop_behavior():
+def test_criterion_4_loop_behavior(monkeypatch):
     arch = ConvNetSpec(blocks=1, channels=4, input_shape=(1, 4, 4), num_classes=3)
     train, _ = make_blob_split(3, 20, 5, (1, 4, 4), spread=0.2, seed=0)
+    lengths = []
+
+    class RecordingQueue(AccQueue):
+        def push(self, acc):
+            super().push(acc)
+            lengths.append(len(self))
+
+    monkeypatch.setattr(bilevel, "AccQueue", RecordingQueue)
     ok = True
     for lam1, lam2, gamma in itertools.product((1e-9, 0.05, 1e9), (1e-9, 0.05, 1e9),
                                                (2, 5, 10)):
         cfg = CondenseConfig(ipc=1, n_per_class=8, lambda1=lam1, lambda2=lam2,
                              gamma=gamma, l_out=3, l_in=3, max_outer_iters=4,
                              query_size=12, seed=0)
-        final = {}
-        run_condense(train, arch, cfg, hook=lambda st, bd, acc: final.update(state=st))
-        st = final["state"]
-        ok &= st.outer_iter == 4
-        ok &= st.total_inner_steps <= 4 * 3
-        ok &= st.max_queue_len <= gamma
+        rows, lengths[:] = [], []
+        run_condense(train, arch, cfg, hook=rows.append)
+        ok &= rows[-1]["iter"] == 4
+        ok &= rows[-1]["inner_steps"] <= 4 * 3
+        ok &= max(lengths) <= gamma
 
     rng = np.random.default_rng(2)
     for _ in range(1000):

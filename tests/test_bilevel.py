@@ -45,11 +45,11 @@ def test_config_validation():
 @pytest.mark.parametrize("name, least, below", [
     ("n_per_class", 1, 0), ("query_size", 1, 0), ("l_out", 1, 0), ("l_in", 1, 0),
     ("max_outer_iters", 0, -1), ("outer_lr", 0, -0.5), ("inner_lr", 0, -1.0),
-    ("inner_lr", 0, float("nan"))])
+    ("inner_lr", 0, float("nan")), ("seed", 0, -1)])
 def test_config_rejects_a_value_below_its_minimum(name, least, below):
     # the library holds the ranges the CLI reports: n_per_class=0 would
-    # fail in the first outer step, and a negative inner_lr would run
-    # gradient ascent to the end
+    # fail in the first outer step, a negative inner_lr would run gradient
+    # ascent to the end, and a negative seed raised numpy's bare ValueError
     CondenseConfig(**{name: least})
     with pytest.raises(ConfigError, match=f"^{name} must be >= {least}, got {below}$"):
         CondenseConfig(**{name: below})
@@ -357,7 +357,7 @@ def test_run_condense_huge_lambda1_breaks_at_first_full_queue():
     ds = tiny_data()
     steps = []
     cfg = tiny_cfg(lambda1=1e9, lambda2=1e-12, gamma=2, l_out=10, max_outer_iters=8)
-    run_condense(ds, TINY_ARCH, cfg, hook=lambda st, bd, acc: steps.append(st.lc_out))
+    run_condense(ds, TINY_ARCH, cfg, hook=lambda row: steps.append(row["lc_out"]))
     # queue fills at the 2nd outer step of each restart, div < 1e9 always
     assert max(steps) == 2
 
@@ -366,11 +366,7 @@ def test_run_condense_huge_lambda2_runs_inner_to_cap():
     ds = tiny_data()
     cfg = tiny_cfg(lambda1=1e9, lambda2=1e9, gamma=2, l_in=4, max_outer_iters=4)
     counts = []
-
-    def hook(state, bd, acc):
-        counts.append(state.total_inner_steps)
-
-    run_condense(ds, TINY_ARCH, cfg, hook=hook)
+    run_condense(ds, TINY_ARCH, cfg, hook=lambda row: counts.append(row["inner_steps"]))
     # inner loop runs after every non-breaking outer step, always to l_in
     deltas = np.diff([0] + counts)
     inner_runs = deltas[deltas > 0]
@@ -381,31 +377,51 @@ def test_run_condense_huge_lambda2_runs_inner_to_cap():
 def test_run_condense_counting_bound():
     ds = tiny_data()
     cfg = tiny_cfg(l_out=5, l_in=5, max_outer_iters=20, lambda1=1e-9, lambda2=1e9)
-    final = {}
-
-    def hook(state, bd, acc):
-        final["state"] = state
-
-    run_condense(ds, TINY_ARCH, cfg, hook=hook)
-    st = final["state"]
-    assert st.outer_iter == 20
-    assert st.outer_iter + st.total_inner_steps <= 20 * (1 + 5)
+    rows = []
+    run_condense(ds, TINY_ARCH, cfg, hook=rows.append)
+    assert rows[-1]["iter"] == 20
+    assert rows[-1]["iter"] + rows[-1]["inner_steps"] <= 20 * (1 + 5)
 
 
-def test_run_condense_terminates_for_all_lambda_gamma_combinations():
+def test_run_condense_terminates_for_all_lambda_gamma_combinations(monkeypatch):
     ds = tiny_data()
+    lengths = []
+
+    class RecordingQueue(AccQueue):
+        def push(self, acc):
+            super().push(acc)
+            lengths.append(len(self))
+
+    monkeypatch.setattr(bilevel, "AccQueue", RecordingQueue)
     for lam1 in (1e-9, 0.05, 1e9):
         for lam2 in (1e-9, 0.05, 1e9):
             for gamma in (2, 5, 10):
                 cfg = tiny_cfg(lambda1=lam1, lambda2=lam2, gamma=gamma,
                                max_outer_iters=5, l_out=3, l_in=3)
-                final = {}
-                run_condense(ds, TINY_ARCH, cfg,
-                             hook=lambda st, bd, acc: final.update(state=st))
-                st = final["state"]
-                assert st.outer_iter == 5
-                assert st.total_inner_steps <= 5 * 3
-                assert st.max_queue_len <= gamma
+                rows, lengths[:] = [], []
+                run_condense(ds, TINY_ARCH, cfg, hook=rows.append)
+                assert rows[-1]["iter"] == 5
+                assert rows[-1]["inner_steps"] <= 5 * 3
+                assert max(lengths) <= gamma
+
+
+def test_no_inner_loop_follows_the_last_outer_step(monkeypatch):
+    # gamma 10 leaves every queue short of full, so no lambda break ends a
+    # loop: outer steps 1 and 2 each run 3 inner steps, step 3 is l_out's
+    # cap, and step 4, after the restart, is the last, so none follow it
+    calls = []
+    real_inner_step = bilevel.inner_step
+
+    def counting(*args):
+        calls.append(1)
+        return real_inner_step(*args)
+
+    monkeypatch.setattr(bilevel, "inner_step", counting)
+    rows = []
+    run_condense(tiny_data(), TINY_ARCH, tiny_cfg(gamma=10, l_out=3, l_in=3, max_outer_iters=4),
+                 hook=rows.append)
+    assert [row["iter"] for row in rows] == [1, 2, 3, 4]
+    assert len(calls) == rows[-1]["inner_steps"] == 6
 
 
 def test_synthetic_labels_invariant():
@@ -438,5 +454,5 @@ def test_run_condense_stops_when_an_outer_step_leaves_nan_pixels(monkeypatch):
     steps = []
     with pytest.raises(DivergenceError, match=r"^outer step 2: pixels is non-finite$"):
         run_condense(tiny_data(), TINY_ARCH, tiny_cfg(),
-                     hook=lambda state, losses, acc: steps.append(state.outer_iter))
+                     hook=lambda row: steps.append(row["iter"]))
     assert steps == [1]

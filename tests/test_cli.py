@@ -115,7 +115,7 @@ def test_diverged_condense_stops_at_first_non_finite_step(tmp_path):
     outer_steps = []
     with pytest.raises(DivergenceError, match=r"^inner step \d+: (loss|theta) is non-finite$"):
         run_condense(train, arch, cli.build_condense_config(cfg),
-                     hook=lambda state, losses, acc: outer_steps.append(state.outer_iter))
+                     hook=lambda row: outer_steps.append(row["iter"]))
     assert len(outer_steps) <= 2
 
 
@@ -190,6 +190,9 @@ def test_diverged_training_exits_2(tmp_path, capsys, command, lr_key):
     ("condense", "condense.gamma=1.0e+300", None),
     ("condense", "coreset.trace_epochs=1.0e+300", None),
     ("condense", "seed.x=1", None),
+    ("condense", "seed='7'", None),
+    ("condense", "condense.outer_lr='0.5'", None),
+    ("condense", "dataset.shape=['1', 8, 8]", None),
 ])
 def test_wrong_typed_config_value_exits_2(tmp_path, monkeypatch, capsys, command, override,
                                           env):
@@ -208,6 +211,19 @@ def test_wrong_typed_config_value_exits_2(tmp_path, monkeypatch, capsys, command
     named = overrides[-1].split("=")[0] if overrides else "CONDENSERY_THREADS"
     assert named in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_an_exponent_with_no_dot_or_no_sign_is_a_number(tmp_path):
+    # YAML 1.1 reads 1e-3 and 1.0e3 as strings, which the readers refuse;
+    # the config loader reads them as numbers, in the file and in --set
+    path, _ = blob_config(tmp_path)
+    path.write_text(path.read_text().replace("lr: 0.05", "lr: 5e-2"))
+    cfg = cli.load_config(str(path), ["condense.inner_lr=1e-3", "condense.outer_lr=1.0e1",
+                                      "seed=2E1"])
+    assert (cfg["eval"]["lr"], cfg["condense"]["inner_lr"]) == (0.05, 0.001)
+    assert (cfg["condense"]["outer_lr"], cfg["seed"]) == (10.0, 20)
+    with pytest.raises(ConfigError, match="'condense.inner_lr' has a bad value '1e-3'"):
+        cli.load_config(str(path), ["condense.inner_lr='1e-3'"])
 
 
 def test_set_override_precedence(tmp_path):

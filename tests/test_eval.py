@@ -35,11 +35,13 @@ def test_zero_epochs_returns_initialization(blob_sets):
 
 @pytest.mark.parametrize("name, value, least", [
     ("epochs", -3, 0), ("lr", -1.0, 0), ("lr", float("nan"), 0), ("batch_size", 0, 1),
-    ("batch_size", -4, 1), ("n_experiments", 0, 1), ("n_nets_per", 0, 1)])
+    ("batch_size", -4, 1), ("n_experiments", 0, 1), ("n_nets_per", 0, 1),
+    ("seed", -1, 0)])
 def test_eval_config_refuses_a_value_outside_its_range(name, value, least):
     # a negative epoch count or batch size trained nothing and reported the
-    # untrained accuracy, a zero batch size raised from range(), and a
-    # negative rate ran gradient ascent
+    # untrained accuracy, a zero batch size raised from range(), a
+    # negative rate ran gradient ascent, and a negative seed raised numpy's
+    # bare ValueError from default_rng
     with pytest.raises(ConfigError, match=f"^{name} must be >= {least}, got {value!r}$"):
         EvalConfig(**{name: value})
 
