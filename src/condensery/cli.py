@@ -33,7 +33,7 @@ from . import gradcheck as gc
 from .bilevel import CondenseConfig, run_condense
 from .coreset import materialize, select_forgetting, select_herding, select_kcenter, \
     select_random
-from .data import LabeledDataset, load_idx, load_synthetic, make_blob_split, \
+from .data import LabeledDataset, idx_stats, load_idx, load_synthetic, make_blob_split, \
     save_synthetic, export_projection_csv
 from .errors import CondenseryError, ConfigError, ParseError
 from .evaluate import EvalConfig, evaluate_protocol, record_training_trace
@@ -193,24 +193,30 @@ def load_config(path: str, overrides: list[str]) -> dict:
     return out
 
 
-def build_datasets(cfg: dict) -> tuple[LabeledDataset, LabeledDataset]:
+def build_split(cfg: dict, split: str) -> LabeledDataset:
+    """The dataset's ``train`` or ``test`` split. Blobs draw both, train
+    first. Every command checks all four IDX paths but parses only the
+    files of its split, save that the test split is normalized with the
+    train split's class count and statistics, read from the train files
+    without building that split."""
     d = cfg["dataset"]
     if d["kind"] is None:
         raise ConfigError("config key 'dataset.kind' is required")
     if d["kind"] == "blobs":
-        return make_blob_split(
+        train, test = make_blob_split(
             num_classes=3 if d["num_classes"] is None else d["num_classes"],
             n_train=d["n_train_per_class"], n_test=d["n_test_per_class"], shape=d["shape"],
             spread=d["spread"], separation=d["separation"], seed=cfg["seed"])
+        return train if split == "train" else test
     for key in IDX_PATHS:
         if d[key] is None:
             raise ConfigError(f"config key 'dataset.{key}' is required for idx datasets")
         if not os.path.exists(d[key]):
             raise ConfigError(f"dataset.{key}: file not found: {d[key]}")
-    train = load_idx(d["train_images"], d["train_labels"], num_classes=d["num_classes"])
-    test = load_idx(d["test_images"], d["test_labels"],
-                    num_classes=train.num_classes, stats=train.norm_stats)
-    return train, test
+    if split == "train":
+        return load_idx(d["train_images"], d["train_labels"], num_classes=d["num_classes"])
+    k, stats = idx_stats(d["train_images"], d["train_labels"], num_classes=d["num_classes"])
+    return load_idx(d["test_images"], d["test_labels"], num_classes=k, stats=stats)
 
 
 def build_arch(cfg: dict, image_shape: tuple, num_classes: int):
@@ -289,7 +295,7 @@ def _load_container(path: str):
 
 def cmd_condense(args) -> int:
     cfg = load_config(args.config, args.set or [])
-    train, _ = build_datasets(cfg)
+    train = build_split(cfg, "train")
     ccfg = build_condense_config(cfg)
     arch = build_arch(cfg, train.image_shape, train.num_classes)
     with _run_dir(cfg, "condense", ["synthetic.cnd", "metrics.csv"],
@@ -309,7 +315,7 @@ def cmd_condense(args) -> int:
 def cmd_eval(args) -> int:
     cfg = load_config(args.config, args.set or [])
     synth = _load_container(args.synthetic)
-    _, test = build_datasets(cfg)
+    test = build_split(cfg, "test")
     if (synth.num_classes, synth.image_shape) != (test.num_classes, test.image_shape):
         raise ConfigError(f"container {args.synthetic!r} holds {synth.num_classes} classes of "
                           f"shape {synth.image_shape}, but the test split has "
@@ -332,7 +338,7 @@ def cmd_coreset(args) -> int:
     if args.method not in CORESET_METHODS:
         raise ConfigError(f"unknown method {args.method!r}; valid: {', '.join(CORESET_METHODS)}")
     cfg = load_config(args.config, args.set or [])
-    train, _ = build_datasets(cfg)
+    train = build_split(cfg, "train")
     ccfg = build_condense_config(cfg)
     if args.method == "random":
         sel = select_random(train, ccfg.ipc, cfg["seed"])
@@ -355,7 +361,7 @@ def cmd_coreset(args) -> int:
 def cmd_export_proj(args) -> int:
     cfg = load_config(args.config, args.set or [])
     synth = _load_container(args.synthetic)
-    train, _ = build_datasets(cfg)
+    train = build_split(cfg, "train")
     n_real = cfg["projection"]["n_real"]
     rng = np.random.default_rng(cfg["seed"])
     idx = rng.choice(len(train), size=min(n_real, len(train)), replace=False)

@@ -4,7 +4,11 @@
 IDX files (big-endian headers) cover MNIST/FashionMNIST; Gaussian blob
 datasets provide a desk-scale oracle. All loaded datasets live in
 normalized space with per-channel mean 0 / std 1 computed on the training
-split.
+split. A loaded IDX split is one float64 array, scaled and normalized in
+place, and its statistics are read ``STATS_BLOCK`` samples at a time, so
+loading holds no other array the size of the split. ``idx_stats`` reads a
+split's class count and statistics from its uint8 pixels, with the bits
+``load_idx`` gives them, without building the split.
 """
 
 from __future__ import annotations
@@ -25,6 +29,9 @@ IDX_LABELS_MAGIC = 0x00000801
 CND_MAGIC = b"CND1"
 CND_VERSION = 1
 
+# samples per block of NormStats.from_raw
+STATS_BLOCK = 256
+
 
 @dataclass
 class NormStats:
@@ -32,10 +39,23 @@ class NormStats:
     std: np.ndarray    # per channel, eps-guarded
 
     @staticmethod
-    def from_raw(images: np.ndarray, eps: float = 1e-8) -> "NormStats":
-        mean = images.mean(axis=(0, 2, 3))
-        std = images.std(axis=(0, 2, 3))
-        return NormStats(mean, np.maximum(std, eps))
+    def from_raw(images: np.ndarray, eps: float = 1e-8, peak: float = 1.0) -> "NormStats":
+        """Per-channel mean and std of ``images / peak`` over [n, C, H, W], in
+        two passes of ``STATS_BLOCK`` samples, so no temporary is the size of
+        the dataset. A uint8 payload read with ``peak`` 255 gives the bits of
+        its float64 copy scaled to [0, 1]."""
+        n, c, h, w = images.shape
+        blocks = [images[a:a + STATS_BLOCK] for a in range(0, n, STATS_BLOCK)]
+        total, squares = np.zeros(c), np.zeros(c)
+        for b in blocks:
+            total += np.divide(b, peak).sum(axis=(0, 2, 3))
+        mean = total / (n * h * w)
+        for b in blocks:
+            x = np.divide(b, peak)
+            x -= mean[:, None, None]
+            x *= x
+            squares += x.sum(axis=(0, 2, 3))
+        return NormStats(mean, np.maximum(np.sqrt(squares / (n * h * w)), eps))
 
 
 @dataclass
@@ -88,25 +108,37 @@ def new_synthetic(num_classes: int, ipc: int, image_shape: tuple, rng: np.random
 # normalization
 
 
-def normalize(raw: np.ndarray, stats: Optional[NormStats] = None) -> tuple[np.ndarray, NormStats]:
-    """Per-channel (x - mean) / std. Stats are computed if not given."""
+def _normalize_in_place(images: np.ndarray, stats: Optional[NormStats]) -> NormStats:
+    """Per-channel (x - mean) / std, written into ``images``. Stats are
+    computed if not given."""
     if stats is None:
-        stats = NormStats.from_raw(raw)
-    # one new array, divided in place: the caller's raw is never written
-    out = raw - stats.mean[None, :, None, None]
-    out /= stats.std[None, :, None, None]
-    return out, stats
+        stats = NormStats.from_raw(images)
+    images -= stats.mean[None, :, None, None]
+    images /= stats.std[None, :, None, None]
+    return stats
+
+
+def normalize(raw: np.ndarray, stats: Optional[NormStats] = None) -> tuple[np.ndarray, NormStats]:
+    """Per-channel (x - mean) / std in a float64 copy, so the caller's raw is
+    never written. Stats are computed if not given."""
+    out = np.array(raw, dtype=np.float64)
+    return out, _normalize_in_place(out, stats)
 
 
 def denormalize(img: np.ndarray, stats: NormStats) -> np.ndarray:
     return img * stats.std[:, None, None] + stats.mean[:, None, None]
 
 
-def make_dataset(raw: np.ndarray, labels: np.ndarray, num_classes: int,
-                 stats: Optional[NormStats] = None) -> LabeledDataset:
+def _class_labels(labels, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise InputError(f"label out of range [0, {num_classes})")
+    return labels
+
+
+def make_dataset(raw: np.ndarray, labels: np.ndarray, num_classes: int,
+                 stats: Optional[NormStats] = None) -> LabeledDataset:
+    labels = _class_labels(labels, num_classes)
     imgs, stats = normalize(raw, stats)
     return LabeledDataset(imgs, labels, num_classes, stats)
 
@@ -122,13 +154,9 @@ def _read_exact(f, n: int, what: str, offset: int) -> bytes:
     return data
 
 
-def load_idx(images_path, labels_path, num_classes: Optional[int] = None,
-             stats: Optional[NormStats] = None) -> LabeledDataset:
-    """Parse an IDX image/label file pair into a normalized dataset.
-
-    Pixels are scaled to [0, 1] before per-channel normalization. Pass
-    the training split's ``stats`` when loading a test split.
-    """
+def _read_idx(images_path, labels_path, num_classes: Optional[int]) -> tuple:
+    """An IDX image/label file pair's uint8 pixels [n, 1, rows, cols], its
+    labels and its class count: the labels' count unless given."""
     with open(images_path, "rb") as f:
         magic = struct.unpack(">I", _read_exact(f, 4, "image magic", 0))[0]
         if magic != IDX_IMAGES_MAGIC:
@@ -140,7 +168,7 @@ def load_idx(images_path, labels_path, num_classes: Optional[int] = None,
         if len(payload) != n * rows * cols:
             raise ParseError(
                 f"image payload length {len(payload)} != {n}*{rows}*{cols}", 16)
-        images = np.frombuffer(payload, dtype=np.uint8).reshape(n, 1, rows, cols)
+        pixels = np.frombuffer(payload, dtype=np.uint8).reshape(n, 1, rows, cols)
     with open(labels_path, "rb") as f:
         magic = struct.unpack(">I", _read_exact(f, 4, "label magic", 0))[0]
         if magic != IDX_LABELS_MAGIC:
@@ -149,24 +177,34 @@ def load_idx(images_path, labels_path, num_classes: Optional[int] = None,
         payload = f.read()
         if len(payload) != n_lab:
             raise ParseError(f"label payload length {len(payload)} != {n_lab}", 8)
-        labels = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+        labels = np.frombuffer(payload, dtype=np.uint8)
     if n != n_lab:
         raise ParseError(f"image count {n} != label count {n_lab}")
     k = num_classes if num_classes is not None else int(labels.max()) + 1
-    raw = images.astype(np.float64)
-    raw /= 255.0
-    return make_dataset(raw, labels, k, stats)
+    return pixels, _class_labels(labels, k), k
 
 
-def save_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) -> None:
-    """Write raw [0,255] uint8 images and labels as an IDX pair (fixtures)."""
-    n, _, rows, cols = images.shape
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
-        f.write(images.astype(np.uint8).tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABELS_MAGIC, len(labels)))
-        f.write(np.asarray(labels, dtype=np.uint8).tobytes())
+def load_idx(images_path, labels_path, num_classes: Optional[int] = None,
+             stats: Optional[NormStats] = None) -> LabeledDataset:
+    """Parse an IDX image/label file pair into a normalized dataset.
+
+    Pixels are scaled to [0, 1] before per-channel normalization. Pass
+    the training split's ``stats`` when loading a test split. The uint8
+    payload becomes the one float64 array the dataset keeps, scaled and
+    normalized in place.
+    """
+    pixels, labels, k = _read_idx(images_path, labels_path, num_classes)
+    images = pixels.astype(np.float64)
+    del pixels      # the payload goes once its float64 copy exists
+    images /= 255.0
+    return LabeledDataset(images, labels, k, _normalize_in_place(images, stats))
+
+
+def idx_stats(images_path, labels_path, num_classes: Optional[int] = None) -> tuple:
+    """The class count and ``NormStats`` that ``load_idx`` gives this pair,
+    bit for bit, read from its uint8 pixels without building the dataset."""
+    pixels, _, k = _read_idx(images_path, labels_path, num_classes)
+    return k, NormStats.from_raw(pixels, peak=255.0)
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,7 @@ def backward(root: Tensor) -> None:
 
 
 def sgd_step(params: Sequence[Tensor], lr: float) -> None:
-    """In-place SGD update ``values -= lr * grad``; grads are zeroed after."""
+    """In-place SGD update ``values -= lr * grad``; each grad is then set to None."""
     for p in params:
         if p.grad is None:
             raise UsageError("sgd_step on tensor without gradient")

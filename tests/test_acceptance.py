@@ -21,7 +21,7 @@ from condensery.bilevel import AccQueue, CondenseConfig, run_condense
 from condensery.coreset import forgetting_events, materialize, select_forgetting, \
     select_herding, select_kcenter, select_random
 from condensery.data import load_idx, load_synthetic, make_blob_split, make_dataset, \
-    new_synthetic, save_idx, save_synthetic
+    new_synthetic, save_synthetic
 from condensery.errors import ParseError
 from condensery.evaluate import EvalConfig, evaluate_protocol, train_on_synthetic
 from condensery.evaluate import test_accuracy as accuracy_on  # avoid pytest collection
@@ -29,6 +29,7 @@ from condensery.gradcheck import run_suite
 from condensery.losses import cwfa, discrimination_loss, feature_alignment_loss, total_loss
 from condensery.models import ConvNetSpec, FeaturePyramid, MLPSpec
 from condensery.tensor import Tensor
+from idx_files import save_idx
 
 
 _TERM = None

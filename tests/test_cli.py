@@ -18,10 +18,12 @@ import yaml
 import condensery.tensor as T
 from condensery import cli
 from condensery.bilevel import CondenseConfig, run_condense
-from condensery.data import load_synthetic, new_synthetic, save_idx, save_synthetic
+from condensery.data import STATS_BLOCK, load_idx, load_synthetic, new_synthetic, \
+    save_synthetic
 from condensery.errors import ConfigError, DivergenceError
-from condensery.evaluate import EvalConfig
+from condensery.evaluate import EvalConfig, EvalReport
 from condensery.models import ConvNetSpec
+from idx_files import save_idx
 
 
 def blob_config(tmp_path, **extra):
@@ -110,7 +112,7 @@ def test_diverged_condense_stops_at_first_non_finite_step(tmp_path):
     # the per-step check every remaining step ran on NaN
     path, _ = blob_config(tmp_path)
     cfg = cli.load_config(str(path), ["condense.inner_lr=1e308"])
-    train, _ = cli.build_datasets(cfg)
+    train = cli.build_split(cfg, "train")
     arch = cli.build_arch(cfg, train.image_shape, train.num_classes)
     outer_steps = []
     with pytest.raises(DivergenceError, match=r"^inner step \d+: (loss|theta) is non-finite$"):
@@ -330,9 +332,9 @@ def test_eval_round_trip_matches_memory(tmp_path, capsys):
     assert cli.main(["eval", str(synth_path), "--config", str(path)]) == 0
     out1 = (tmp_path / "run" / "eval.csv").read_text()
     # in-memory evaluation of the same loaded container is bit-identical
-    from condensery.cli import build_arch, build_datasets, build_eval_config
+    from condensery.cli import build_arch, build_eval_config, build_split
     full = cli.load_config(str(path), [])
-    _, test = build_datasets(full)
+    test = build_split(full, "test")
     arch = build_arch(full, test.image_shape, test.num_classes)
     from condensery.evaluate import evaluate_protocol
     rep = evaluate_protocol(load_synthetic(synth_path), arch, test, build_eval_config(full))
@@ -380,7 +382,7 @@ def test_negative_trace_lr_is_refused_by_eval_config_before_any_data_loads(tmp_p
     # with the other sections when the config is read: its message has the
     # eval section's form, and no data loads and no artifact is written
     path, _ = blob_config(tmp_path)
-    monkeypatch.setattr(cli, "build_datasets", lambda cfg: pytest.fail("data loaded"))
+    monkeypatch.setattr(cli, "build_split", lambda cfg, split: pytest.fail("data loaded"))
     assert cli.main(["coreset", "forgetting", "--config", str(path),
                      "--set", "coreset.trace_lr=-1"]) == 2
     assert capsys.readouterr().err == "error: coreset.trace_lr must be >= 0, got -1.0\n"
@@ -398,6 +400,60 @@ def test_eval_empty_idx_test_split_exits_3(tmp_path, capsys):
     save_synthetic(new_synthetic(3, 1, (1, 8, 8), np.random.default_rng(0)), container)
     assert cli.main(["eval", str(container), "--config", str(path)]) == 3
     assert "0 records" in capsys.readouterr().err
+
+
+def idx_config(tmp_path, n_train, n_test):
+    """blob_config's settings on IDX files of 3 classes of 1x8x8 noise; the
+    class count is left to the train labels."""
+    rng = np.random.default_rng(0)
+    paths = {k: str(tmp_path / f"{k}.idx") for k in cli.IDX_PATHS}
+    for split, n in (("train", n_train), ("test", n_test)):
+        save_idx(rng.integers(0, 256, size=(n, 1, 8, 8)), np.arange(n) % 3,
+                 paths[f"{split}_images"], paths[f"{split}_labels"])
+    path, _ = blob_config(tmp_path, dataset={"kind": "idx", **paths})
+    return path, paths
+
+
+def test_only_eval_reads_the_test_split(tmp_path, capsys):
+    # a truncated test-images file fails eval alone: condense, coreset and
+    # export-proj check that it exists but never parse it
+    path, paths = idx_config(tmp_path, 24, 12)
+    test_images = Path(paths["test_images"])
+    test_images.write_bytes(test_images.read_bytes()[:-5])
+    assert cli.main(["condense", "--config", str(path)]) == 0
+    container = str(tmp_path / "run" / "synthetic.cnd")
+    assert cli.main(["coreset", "random", "--config", str(path),
+                     "--set", f"output_dir={tmp_path / 'random'}"]) == 0
+    assert cli.main(["export-proj", container, "--config", str(path),
+                     "--output", str(tmp_path / "proj.csv")]) == 0
+    capsys.readouterr()
+    assert cli.main(["eval", container, "--config", str(path),
+                     "--set", f"output_dir={tmp_path / 'eval'}"]) == 3
+    assert "image payload length" in capsys.readouterr().err
+    test_images.unlink()
+    assert cli.main(["condense", "--config", str(path)]) == 2
+
+
+def test_eval_normalizes_the_test_split_with_the_bits_of_a_full_train_load(tmp_path,
+                                                                          monkeypatch):
+    # eval reads the train split's class count and statistics from its uint8
+    # pixels, over more than one block of samples, without building it
+    path, paths = idx_config(tmp_path, 3 * STATS_BLOCK + 101, 12)
+    seen = []
+
+    def evaluate_protocol(synth, arch, test, ecfg):
+        seen.append(test)
+        return EvalReport.from_runs([0.5])
+
+    monkeypatch.setattr(cli, "evaluate_protocol", evaluate_protocol)
+    container = tmp_path / "s.cnd"
+    save_synthetic(new_synthetic(3, 1, (1, 8, 8), np.random.default_rng(0)), container)
+    assert cli.main(["eval", str(container), "--config", str(path)]) == 0
+    train = load_idx(paths["train_images"], paths["train_labels"])
+    test = load_idx(paths["test_images"], paths["test_labels"], stats=train.norm_stats)
+    np.testing.assert_array_equal(seen[0].images, test.images)
+    np.testing.assert_array_equal(seen[0].norm_stats.std, train.norm_stats.std)
+    assert seen[0].num_classes == train.num_classes == 3
 
 
 def test_coreset_random_stable(tmp_path):

@@ -1,6 +1,7 @@
 """Dataset loading, normalization, container round trips, projection export."""
 
 import csv
+import math
 import struct
 import tracemalloc
 
@@ -9,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condensery.data import NormStats, denormalize, export_projection_csv, load_idx, \
+from condensery.data import STATS_BLOCK, NormStats, denormalize, export_projection_csv, load_idx, \
     load_synthetic, make_blob_split, make_dataset, new_synthetic, \
-    normalize, save_idx, save_synthetic, pca_fit, SyntheticSet
+    normalize, save_synthetic, pca_fit, SyntheticSet
 from condensery.errors import InputError, ParseError
 from condensery.tensor import Tensor
+from idx_files import save_idx
 
 
 def write_idx_fixture(tmp_path, images, labels):
@@ -132,9 +134,11 @@ def test_normalize_matches_two_pass_oracle():
 
 
 def test_load_idx_normalizes_in_place_with_the_bits_of_two_passes(tmp_path):
-    # the uint8 pixels are scaled in their float64 copy and normalized into
-    # one new array, so loading peaks near two images' bytes, not three;
-    # the bits are those of scaling, then subtracting, then dividing
+    # the uint8 pixels become the one float64 array the dataset keeps, which
+    # is scaled and normalized in place while the statistics are read a block
+    # at a time, so loading peaks near one image array's bytes plus the
+    # payload's, not two arrays'; the bits are those of scaling, then
+    # subtracting, then dividing
     rng = np.random.default_rng(7)
     pixels = rng.integers(0, 256, size=(2000, 1, 28, 28), dtype=np.uint8)
     ip, lp = write_idx_fixture(tmp_path, pixels, rng.integers(0, 10, size=2000))
@@ -144,7 +148,7 @@ def test_load_idx_normalizes_in_place_with_the_bits_of_two_passes(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * ds.images.nbytes, peak / ds.images.nbytes
+    assert peak <= 1.5 * ds.images.nbytes, peak / ds.images.nbytes
     raw = pixels.astype(np.float64) / 255.0
     kept = raw.copy()
     stats = NormStats.from_raw(raw)
@@ -153,6 +157,33 @@ def test_load_idx_normalizes_in_place_with_the_bits_of_two_passes(tmp_path):
     out, _ = normalize(raw)
     np.testing.assert_array_equal(out, ds.images)
     np.testing.assert_array_equal(raw, kept)
+
+
+def test_norm_stats_by_blocks_match_numpy():
+    # two blocks and a partial third; a uint8 payload read with peak 255 has
+    # the bits of its float64 copy scaled to [0, 1]
+    rng = np.random.default_rng(3)
+    pixels = rng.integers(0, 256, size=(2 * STATS_BLOCK + 37, 1, 28, 28), dtype=np.uint8)
+    raw = pixels / 255.0
+    stats = NormStats.from_raw(raw)
+    np.testing.assert_allclose(stats.mean, raw.mean(axis=(0, 2, 3)), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(stats.std, raw.std(axis=(0, 2, 3)), rtol=1e-15, atol=0)
+    from_pixels = NormStats.from_raw(pixels, peak=255.0)
+    np.testing.assert_array_equal(from_pixels.mean, stats.mean)
+    np.testing.assert_array_equal(from_pixels.std, stats.std)
+
+
+def test_norm_stats_by_blocks_match_exact_sums_per_channel():
+    # numpy's own sum over axes (0, 2, 3) of a multi-channel array is off
+    # by up to about 1.4e-15 here, so the oracle is math.fsum
+    rng = np.random.default_rng(3)
+    raw = rng.random((2 * STATS_BLOCK + 37, 3, 5, 4))
+    stats = NormStats.from_raw(raw)
+    vals = [raw[:, c].ravel() for c in range(3)]
+    mean = [math.fsum(v) / v.size for v in vals]
+    std = [math.sqrt(math.fsum((v - m) ** 2) / v.size) for v, m in zip(vals, mean)]
+    np.testing.assert_allclose(stats.mean, mean, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(stats.std, std, rtol=1e-15, atol=0)
 
 
 def test_dataset_normalized_space():
