@@ -13,7 +13,7 @@ from .coreset import SelectionResult, forgetting_events, materialize, select_for
     select_herding, select_kcenter, select_random
 from .data import LabeledDataset, NormStats, SyntheticSet, denormalize, \
     export_projection_csv, load_idx, load_synthetic, make_blob_split, \
-    new_synthetic, normalize, save_synthetic
+    new_synthetic, save_synthetic
 from .errors import CondenseryError, ConfigError, DimensionError, InputError, \
     ParseError, UsageError
 from .evaluate import EvalConfig, EvalReport, evaluate_protocol, record_training_trace, \

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import LabeledDataset, SyntheticSet
+from .data import LabeledDataset, SyntheticSet, _class_major
 from .errors import InputError
 from .tensor import Tensor
 
@@ -142,6 +142,6 @@ def select_forgetting(ds: LabeledDataset, ipc: int, training_trace: np.ndarray) 
 
 def materialize(ds: LabeledDataset, sel: SelectionResult) -> SyntheticSet:
     """Freeze selected real images into a synthetic-set container, class-major."""
-    images = ds.images[sel.indices]
-    labels = np.repeat(np.arange(sel.num_classes), sel.ipc)
-    return SyntheticSet(Tensor(images.copy()), labels, sel.ipc, sel.num_classes, ds.norm_stats)
+    # fancy indexing already copies the selected rows
+    return SyntheticSet(Tensor(ds.images[sel.indices]), _class_major(sel.num_classes, sel.ipc),
+                        sel.ipc, sel.num_classes, ds.norm_stats)

@@ -4,16 +4,18 @@
 IDX files (big-endian headers) cover MNIST/FashionMNIST; Gaussian blob
 datasets provide a desk-scale oracle. All loaded datasets live in
 normalized space with per-channel mean 0 / std 1 computed on the training
-split. A loaded IDX split is one float64 array, scaled and normalized in
-place, and its statistics are read ``STATS_BLOCK`` samples at a time, so
-loading holds no other array the size of the split. ``idx_stats`` reads a
-split's class count and statistics from its uint8 pixels, with the bits
-``load_idx`` gives them, without building the split.
+split. Every split is one float64 array that it owns (an IDX split's
+scaled payload, a blob split's draw, ``make_dataset``'s copy of its
+input), normalized in place with statistics read ``STATS_BLOCK`` samples
+at a time, so building holds no other array the size of the split.
+``idx_stats`` reads a split's class count and statistics from its uint8
+pixels, with the bits ``load_idx`` gives them, without building the split.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
@@ -31,15 +33,17 @@ CND_VERSION = 1
 
 # samples per block of NormStats.from_raw
 STATS_BLOCK = 256
+# floor of NormStats.std, so a constant channel is divided by it, not by 0
+STD_EPS = 1e-8
 
 
 @dataclass
 class NormStats:
     mean: np.ndarray   # per channel
-    std: np.ndarray    # per channel, eps-guarded
+    std: np.ndarray    # per channel, at least STD_EPS
 
     @staticmethod
-    def from_raw(images: np.ndarray, eps: float = 1e-8, peak: float = 1.0) -> "NormStats":
+    def from_raw(images: np.ndarray, peak: float = 1.0) -> "NormStats":
         """Per-channel mean and std of ``images / peak`` over [n, C, H, W], in
         two passes of ``STATS_BLOCK`` samples, so no temporary is the size of
         the dataset. A uint8 payload read with ``peak`` 255 gives the bits of
@@ -55,7 +59,7 @@ class NormStats:
             x -= mean[:, None, None]
             x *= x
             squares += x.sum(axis=(0, 2, 3))
-        return NormStats(mean, np.maximum(np.sqrt(squares / (n * h * w)), eps))
+        return NormStats(mean, np.maximum(np.sqrt(squares / (n * h * w)), STD_EPS))
 
 
 @dataclass
@@ -64,7 +68,7 @@ class LabeledDataset:
     labels: np.ndarray            # [n] int
     num_classes: int
     norm_stats: NormStats
-    _class_idx: Optional[list] = field(default=None, repr=False)
+    _class_idx: Optional[list] = field(default=None, init=False, repr=False)
 
     @property
     def image_shape(self) -> tuple:
@@ -75,10 +79,11 @@ class LabeledDataset:
 
     def class_indices(self) -> list:
         if self._class_idx is None:
-            self._class_idx = [np.nonzero(self.labels == k)[0] for k in range(self.num_classes)]
-            for k, idx in enumerate(self._class_idx):
+            groups = [np.nonzero(self.labels == k)[0] for k in range(self.num_classes)]
+            for k, idx in enumerate(groups):
                 if idx.size == 0:
                     raise InputError(f"dataset has no samples of class {k}")
+            self._class_idx = groups
         return self._class_idx
 
 
@@ -96,33 +101,19 @@ class SyntheticSet:
         return tuple(self.images.shape[1:])
 
 
+def _class_major(num_classes: int, ipc: int) -> np.ndarray:
+    return np.repeat(np.arange(num_classes), ipc)
+
+
 def new_synthetic(num_classes: int, ipc: int, image_shape: tuple, rng: np.random.Generator,
                   norm_stats: Optional[NormStats] = None) -> SyntheticSet:
     """Synthetic set initialized from standard Gaussian noise."""
     images = Tensor(rng.standard_normal((num_classes * ipc, *image_shape)))
-    labels = np.repeat(np.arange(num_classes), ipc)
-    return SyntheticSet(images, labels, ipc, num_classes, norm_stats)
+    return SyntheticSet(images, _class_major(num_classes, ipc), ipc, num_classes, norm_stats)
 
 
 # ---------------------------------------------------------------------------
-# normalization
-
-
-def _normalize_in_place(images: np.ndarray, stats: Optional[NormStats]) -> NormStats:
-    """Per-channel (x - mean) / std, written into ``images``. Stats are
-    computed if not given."""
-    if stats is None:
-        stats = NormStats.from_raw(images)
-    images -= stats.mean[None, :, None, None]
-    images /= stats.std[None, :, None, None]
-    return stats
-
-
-def normalize(raw: np.ndarray, stats: Optional[NormStats] = None) -> tuple[np.ndarray, NormStats]:
-    """Per-channel (x - mean) / std in a float64 copy, so the caller's raw is
-    never written. Stats are computed if not given."""
-    out = np.array(raw, dtype=np.float64)
-    return out, _normalize_in_place(out, stats)
+# normalization and split construction
 
 
 def denormalize(img: np.ndarray, stats: NormStats) -> np.ndarray:
@@ -136,52 +127,62 @@ def _class_labels(labels, num_classes: int) -> np.ndarray:
     return labels
 
 
+def _split(images: np.ndarray, labels: np.ndarray, num_classes: int,
+           stats: Optional[NormStats]) -> LabeledDataset:
+    """A split that owns ``images``, float64, normalized in place per channel
+    as (x - mean) / std; stats are computed if not given; ``labels`` come checked."""
+    if stats is None:
+        stats = NormStats.from_raw(images)
+    images -= stats.mean[None, :, None, None]
+    images /= stats.std[None, :, None, None]
+    return LabeledDataset(images, labels, num_classes, stats)
+
+
 def make_dataset(raw: np.ndarray, labels: np.ndarray, num_classes: int,
                  stats: Optional[NormStats] = None) -> LabeledDataset:
+    """A split normalized in a float64 copy of ``raw``, never in ``raw``."""
     labels = _class_labels(labels, num_classes)
-    imgs, stats = normalize(raw, stats)
-    return LabeledDataset(imgs, labels, num_classes, stats)
+    return _split(np.array(raw, dtype=np.float64), labels, num_classes, stats)
 
 
 # ---------------------------------------------------------------------------
 # IDX parsing
 
 
-def _read_exact(f, n: int, what: str, offset: int) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise ParseError(f"truncated {what}: wanted {n} bytes, got {len(data)}", offset)
-    return data
+def _read_idx_file(path, magic: int, what: str, ndim: int) -> tuple:
+    """An IDX file's dimensions and payload: ``magic`` as a big-endian u32,
+    then ``ndim`` big-endian u32 dimensions, each at least 1, then exactly
+    their product of bytes."""
+    with open(path, "rb") as f:
+        data = memoryview(f.read())
+    if len(data) < 4:
+        raise ParseError(f"truncated {what} magic: wanted 4 bytes, got {len(data)}", 0)
+    if (found := struct.unpack(">I", data[:4])[0]) != magic:
+        raise ParseError(f"bad IDX {what} magic 0x{found:08x} in {path}", 0)
+    end = 4 + 4 * ndim
+    if len(data) < end:
+        raise ParseError(
+            f"truncated {what} header: wanted {end - 4} bytes, got {len(data) - 4}", 4)
+    dims = struct.unpack(f">{ndim}I", data[4:end])
+    if not all(dims):
+        of = "x".join(map(str, dims[1:]))
+        raise ParseError(f"IDX {what}s hold {dims[0]} records" + (f" of {of}" if of else ""), 4)
+    payload = data[end:]
+    if len(payload) != math.prod(dims):
+        raise ParseError(
+            f"{what} payload length {len(payload)} != {'*'.join(map(str, dims))}", end)
+    return dims, np.frombuffer(payload, dtype=np.uint8)
 
 
 def _read_idx(images_path, labels_path, num_classes: Optional[int]) -> tuple:
     """An IDX image/label file pair's uint8 pixels [n, 1, rows, cols], its
     labels and its class count: the labels' count unless given."""
-    with open(images_path, "rb") as f:
-        magic = struct.unpack(">I", _read_exact(f, 4, "image magic", 0))[0]
-        if magic != IDX_IMAGES_MAGIC:
-            raise ParseError(f"bad IDX image magic 0x{magic:08x} in {images_path}", 0)
-        n, rows, cols = struct.unpack(">III", _read_exact(f, 12, "image header", 4))
-        if not (n and rows and cols):
-            raise ParseError(f"IDX images hold {n} records of {rows}x{cols}", 4)
-        payload = f.read()
-        if len(payload) != n * rows * cols:
-            raise ParseError(
-                f"image payload length {len(payload)} != {n}*{rows}*{cols}", 16)
-        pixels = np.frombuffer(payload, dtype=np.uint8).reshape(n, 1, rows, cols)
-    with open(labels_path, "rb") as f:
-        magic = struct.unpack(">I", _read_exact(f, 4, "label magic", 0))[0]
-        if magic != IDX_LABELS_MAGIC:
-            raise ParseError(f"bad IDX label magic 0x{magic:08x} in {labels_path}", 0)
-        n_lab = struct.unpack(">I", _read_exact(f, 4, "label header", 4))[0]
-        payload = f.read()
-        if len(payload) != n_lab:
-            raise ParseError(f"label payload length {len(payload)} != {n_lab}", 8)
-        labels = np.frombuffer(payload, dtype=np.uint8)
+    (n, rows, cols), pixels = _read_idx_file(images_path, IDX_IMAGES_MAGIC, "image", 3)
+    (n_lab,), labels = _read_idx_file(labels_path, IDX_LABELS_MAGIC, "label", 1)
     if n != n_lab:
         raise ParseError(f"image count {n} != label count {n_lab}")
     k = num_classes if num_classes is not None else int(labels.max()) + 1
-    return pixels, _class_labels(labels, k), k
+    return pixels.reshape(n, 1, rows, cols), _class_labels(labels, k), k
 
 
 def load_idx(images_path, labels_path, num_classes: Optional[int] = None,
@@ -197,7 +198,7 @@ def load_idx(images_path, labels_path, num_classes: Optional[int] = None,
     images = pixels.astype(np.float64)
     del pixels      # the payload goes once its float64 copy exists
     images /= 255.0
-    return LabeledDataset(images, labels, k, _normalize_in_place(images, stats))
+    return _split(images, labels, k, stats)
 
 
 def idx_stats(images_path, labels_path, num_classes: Optional[int] = None) -> tuple:
@@ -224,13 +225,14 @@ def make_blob_split(num_classes: int, n_train: int, n_test: int, shape: tuple,
     means = rng.standard_normal((num_classes, dim))
     means *= separation / np.linalg.norm(means, axis=1, keepdims=True)
 
-    def draw(n_per: int) -> tuple:
+    def draw(n_per: int, stats: Optional[NormStats]) -> LabeledDataset:
         raw = np.repeat(means, n_per, axis=0) + spread * rng.standard_normal(
             (num_classes * n_per, dim))
-        return raw.reshape(-1, *shape), np.repeat(np.arange(num_classes), n_per)
+        labels = _class_major(num_classes, n_per)
+        return _split(raw.reshape(-1, *shape), labels, num_classes, stats)
 
-    train = make_dataset(*draw(n_train), num_classes)
-    return train, make_dataset(*draw(n_test), num_classes, train.norm_stats)
+    train = draw(n_train, None)
+    return train, draw(n_test, train.norm_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +266,6 @@ def _read_container(path) -> tuple[dict, dict]:
         sections[tag] = data[off:off + length]
         off += length
     return header, sections
-
-
-def _class_major(num_classes: int, ipc: int) -> np.ndarray:
-    return np.repeat(np.arange(num_classes), ipc)
 
 
 def _section_array(sections: dict, tag: str, dtype: str, count: int) -> np.ndarray:

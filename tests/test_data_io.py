@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condensery.bilevel import sample_class_balanced
 from condensery.data import STATS_BLOCK, NormStats, denormalize, export_projection_csv, load_idx, \
     load_synthetic, make_blob_split, make_dataset, new_synthetic, \
-    normalize, save_synthetic, pca_fit, SyntheticSet
+    save_synthetic, pca_fit, SyntheticSet
 from condensery.errors import InputError, ParseError
 from condensery.tensor import Tensor
 from idx_files import save_idx
@@ -76,6 +77,30 @@ def test_idx_empty_pair_rejected(tmp_path, shape, num_classes):
         load_idx(ip, lp, num_classes=num_classes)
 
 
+@pytest.mark.parametrize("which, cut, edit, match, offset", [
+    (0, None, (3, 0x99), "bad IDX image magic 0x00000899 in ", 0),
+    (1, None, (3, 0x99), "bad IDX label magic 0x00000899 in ", 0),
+    (0, 2, None, "truncated image magic: wanted 4 bytes, got 2", 0),
+    (0, 10, None, "truncated image header: wanted 12 bytes, got 6", 4),
+    (1, 6, None, "truncated label header: wanted 4 bytes, got 2", 4),
+    (0, -1, None, r"image payload length 7 != 2\*2\*2", 16),
+    (1, -1, None, r"label payload length 1 != 2", 8),
+    (0, None, (11, 0), "IDX images hold 2 records of 0x2", 4),
+    (1, 8, (7, 0), "IDX labels hold 0 records", 4),   # refused before the count check
+])
+def test_idx_image_and_label_files_share_one_reader(tmp_path, which, cut, edit, match, offset):
+    # both files take the same magic, header and payload checks, each with
+    # its own magic, dimension count and wording
+    paths = write_idx_fixture(tmp_path, np.zeros((2, 1, 2, 2), np.uint8), [0, 1])
+    raw = bytearray(paths[which].read_bytes())
+    if edit:
+        raw[edit[0]] = edit[1]
+    paths[which].write_bytes(bytes(raw[:cut]))
+    with pytest.raises(ParseError, match=match) as e:
+        load_idx(*paths)
+    assert e.value.offset == offset
+
+
 @pytest.fixture(scope="module")
 def valid_idx_pair(tmp_path_factory):
     d = tmp_path_factory.mktemp("idxfuzz")
@@ -109,22 +134,24 @@ def test_load_idx_mutated_bytes_load_or_raise(valid_idx_pair, data):
 
 def test_normalize_constant_channel():
     raw = np.full((5, 1, 2, 2), 0.7)
-    out, stats = normalize(raw)
-    np.testing.assert_allclose(out, 0.0, atol=1e-6)
-    assert stats.std[0] >= 1e-8
+    ds = make_dataset(raw, [0] * 5, 1)
+    np.testing.assert_allclose(ds.images, 0.0, atol=1e-6)
+    assert ds.norm_stats.std[0] >= 1e-8
 
 
 def test_normalize_round_trip():
     rng = np.random.default_rng(0)
     raw = rng.random((6, 3, 4, 4))
-    out, stats = normalize(raw)
-    np.testing.assert_allclose(denormalize(out, stats), raw, atol=1e-12)
+    kept = raw.copy()
+    ds = make_dataset(raw, [0] * 6, 1)
+    np.testing.assert_allclose(denormalize(ds.images, ds.norm_stats), raw, atol=1e-12)
+    np.testing.assert_array_equal(raw, kept)
 
 
 def test_normalize_matches_two_pass_oracle():
     rng = np.random.default_rng(1)
     raw = rng.random((10, 2, 3, 3))
-    _, stats = normalize(raw)
+    stats = make_dataset(raw, [0] * 10, 1).norm_stats
     for c in range(2):
         vals = raw[:, c].ravel()
         mean = vals.sum() / vals.size
@@ -141,7 +168,8 @@ def test_load_idx_normalizes_in_place_with_the_bits_of_two_passes(tmp_path):
     # subtracting, then dividing
     rng = np.random.default_rng(7)
     pixels = rng.integers(0, 256, size=(2000, 1, 28, 28), dtype=np.uint8)
-    ip, lp = write_idx_fixture(tmp_path, pixels, rng.integers(0, 10, size=2000))
+    labels = rng.integers(0, 10, size=2000)
+    ip, lp = write_idx_fixture(tmp_path, pixels, labels)
     tracemalloc.start()
     try:
         ds = load_idx(ip, lp, num_classes=10)
@@ -154,8 +182,7 @@ def test_load_idx_normalizes_in_place_with_the_bits_of_two_passes(tmp_path):
     stats = NormStats.from_raw(raw)
     mean, std = stats.mean[None, :, None, None], stats.std[None, :, None, None]
     np.testing.assert_array_equal(ds.images, (raw - mean) / std)
-    out, _ = normalize(raw)
-    np.testing.assert_array_equal(out, ds.images)
+    np.testing.assert_array_equal(make_dataset(raw, labels, 10).images, ds.images)
     np.testing.assert_array_equal(raw, kept)
 
 
@@ -184,6 +211,17 @@ def test_norm_stats_by_blocks_match_exact_sums_per_channel():
     std = [math.sqrt(math.fsum((v - m) ** 2) / v.size) for v, m in zip(vals, mean)]
     np.testing.assert_allclose(stats.mean, mean, rtol=1e-15, atol=0)
     np.testing.assert_allclose(stats.std, std, rtol=1e-15, atol=0)
+
+
+def test_a_failed_class_check_is_not_cached():
+    # a split that lacks class 1 is refused by every call, and the sampler
+    # after a caught first refusal meets the same InputError, not numpy's
+    ds = make_dataset(np.zeros((4, 1, 1, 1)), [0, 0, 2, 2], 3)
+    for _ in range(2):
+        with pytest.raises(InputError, match="no samples of class 1"):
+            ds.class_indices()
+    with pytest.raises(InputError, match="no samples of class 1"):
+        sample_class_balanced(ds, 1, np.random.default_rng(0))
 
 
 def test_dataset_normalized_space():
