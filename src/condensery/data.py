@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
@@ -239,11 +240,22 @@ def make_blob_split(num_classes: int, n_train: int, n_test: int, shape: tuple,
 # CND container
 
 
+def _non_finite(a: np.ndarray) -> int:
+    """How many entries of ``a`` are NaN or infinite. Its min and max are
+    finite exactly when all are, so a finite array is read with no mask."""
+    if np.isfinite(a.min(initial=0.0)) and np.isfinite(a.max(initial=0.0)):
+        return 0
+    return int(np.count_nonzero(~np.isfinite(a)))
+
+
 def _read_container(path) -> tuple[dict, dict]:
+    """The header and each section as a view of one writable buffer that
+    holds the whole file."""
     with open(path, "rb") as f:
-        data = f.read()
+        data = memoryview(bytearray(os.fstat(f.fileno()).st_size))
+        data = data[:f.readinto(data)]
     if data[:4] != CND_MAGIC:
-        raise ParseError(f"bad container magic {data[:4]!r}, expected {CND_MAGIC!r}", 0)
+        raise ParseError(f"bad container magic {bytes(data[:4])!r}, expected {CND_MAGIC!r}", 0)
     if len(data) < 32:
         raise ParseError("truncated container header", 4)
     version, K, ipc, C, H, W, nsec = struct.unpack("<7I", data[4:32])
@@ -256,7 +268,7 @@ def _read_container(path) -> tuple[dict, dict]:
         if off + 16 > len(data):
             raise ParseError("truncated section header", off)
         try:
-            tag = data[off:off + 8].decode("ascii").strip()
+            tag = bytes(data[off:off + 8]).decode("ascii").strip()
         except UnicodeDecodeError:
             raise ParseError("section tag is not ASCII", off) from None
         length = struct.unpack("<Q", data[off + 8:off + 16])[0]
@@ -282,20 +294,21 @@ def save_synthetic(synth: SyntheticSet, path) -> None:
     if not np.array_equal(synth.labels, _class_major(synth.num_classes, synth.ipc)):
         raise InputError(f"labels must be class-major: {synth.ipc} of each class "
                          f"0..{synth.num_classes - 1}")
-    images = synth.images.values
-    if bad := np.count_nonzero(~np.isfinite(images)):
+    # each payload is written from its array's own little-endian buffer,
+    # which is the images' values themselves on a little-endian host
+    images = np.ascontiguousarray(synth.images.values, dtype="<f8")
+    if bad := _non_finite(images):
         raise InputError(f"synthetic images hold {bad} non-finite values")
-    sections = [(b"images", images.astype("<f8").tobytes()),
-                (b"labels", synth.labels.astype("<u4").tobytes())]
+    sections = [(b"images", images), (b"labels", synth.labels.astype("<u4"))]
     if (stats := synth.norm_stats) is not None:
-        sections.append((b"normstat",
-                         np.concatenate([stats.mean, stats.std]).astype("<f8").tobytes()))
+        sections.append((b"normstat", np.concatenate([stats.mean, stats.std]).astype("<f8")))
     C, H, W = synth.image_shape
     with open(path, "wb") as f:
         f.write(CND_MAGIC + struct.pack("<7I", CND_VERSION, synth.num_classes, synth.ipc,
                                         C, H, W, len(sections)))
         for tag, payload in sections:
-            f.write(tag.ljust(8) + struct.pack("<Q", len(payload)) + payload)
+            f.write(tag.ljust(8) + struct.pack("<Q", payload.nbytes))
+            f.write(payload.reshape(-1).view(np.uint8))
 
 
 def load_synthetic(path) -> SyntheticSet:
@@ -310,7 +323,7 @@ def load_synthetic(path) -> SyntheticSet:
     if "images" not in sections or "labels" not in sections:
         raise ParseError("container missing images/labels sections")
     img = _section_array(sections, "images", "<f8", n * C * H * W)
-    if bad := np.count_nonzero(~np.isfinite(img)):
+    if bad := _non_finite(img):
         raise ParseError(f"images section holds {bad} non-finite values")
     labels = _section_array(sections, "labels", "<u4", n).astype(np.int64)
     if not np.array_equal(labels, _class_major(K, ipc)):
@@ -319,7 +332,9 @@ def load_synthetic(path) -> SyntheticSet:
     if "normstat" in sections:
         arr = _section_array(sections, "normstat", "<f8", 2 * C)
         stats = NormStats(arr[:C].copy(), arr[C:].copy())
-    images = Tensor(img.reshape(n, C, H, W).copy())
+    # the images keep the file's buffer, a copy only if their section does
+    # not start on an 8-byte boundary
+    images = Tensor(np.require(img.reshape(n, C, H, W), requirements="A"))
     return SyntheticSet(images, labels, ipc, K, stats)
 
 

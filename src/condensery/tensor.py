@@ -24,13 +24,17 @@ provided, in the forms those use: ``conv_block`` is a whole ConvNet block
 (3x3 conv with padding 1 and no bias, instance norm, ReLU and 2x2 pool) as
 one node, and there is no broadcasting beyond what they need. The block
 works through a batch ``CHUNK`` samples at a time, forward and backward,
-so each pass over a chunk stays in cache. It centres its conv output in
-place and scales only the pooled output by the norm's inverse deviation.
-A taped block keeps its ReLU mask as bools, one byte a pixel, and only a
-block whose input is taped also keeps its float64 centred planes, for the
-norm's backward. Any other block, a read from constants included, reuses
-one chunk's conv buffer. The output and the input gradient
-of any batch have the bits one pass over it would; so has the kernel
+so each pass over a chunk stays in cache. Its conv is one GEMM per sample
+of the kernel with the padded input's im2col columns, and its input
+gradient one of the flipped kernel with the padded norm gradient's; both
+copy those columns at most ``IM2COL_BYTES`` (or one sample's) at a time.
+It centres its conv output in place and scales only the pooled output by
+the norm's inverse deviation. A taped block keeps its ReLU mask as bools,
+one byte a pixel, and only a block whose input is taped also keeps its
+float64 centred planes, for the norm's backward. Any other block, a read
+from constants included, reuses one chunk's conv buffer. The output and
+the input gradient of any batch have the bits one pass over it would
+(whatever the chunks and pieces); so has the kernel
 gradient of a taped input, save on a block with one input and one output
 channel. A constant input, such as the images under the first block of
 every training step, takes its kernel gradient from moments of each
@@ -49,11 +53,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DimensionError, InputError, UsageError
 
 # Samples per pass inside conv_block: at the ConvNet's 16-channel width a
-# chunk's activations and im2col copy stay near a 2 MiB L2 cache, and a
-# synthetic set of up to 16 images is one chunk. 32 ran slower on
-# batch-256 training; 8 ran faster there, but split the 10-image training
-# batches of an ipc-1 evaluation in two, which cost it 12%.
+# chunk's activations stay near a 2 MiB L2 cache, and a synthetic set of up
+# to 16 images is one chunk. The im2col copies no longer grow with it (see
+# IM2COL_BYTES). On the 2x16 ConvNet, one BLAS thread, CHUNK 8 / 16 / 32 in
+# alternating rounds, medians of 6: batch-256 step 73.9 / 72.7 / 76.2 ms,
+# batch-10 step 3.21 / 2.89 / 3.03 ms, 200-image predict 21.6 / 20.9 /
+# 21.6 ms.
 CHUNK = 16
+# bytes of im2col columns copied per GEMM in conv_block, or one sample's
+# columns where those are more
+IM2COL_BYTES = 1 << 20
 
 
 class Tensor:
@@ -260,6 +269,28 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _node(x.values @ weight.values + bias.values, (x, weight, bias), _bw, "linear")
 
 
+def _im2col(padded: np.ndarray) -> np.ndarray:
+    """cols[b, (c, i, j), h, w] = padded[b, c, h + i, w + j] as a view of
+    padded [b, C, H + 2, W + 2], the windows of a 3x3 conv with padding 1."""
+    return sliding_window_view(padded, (3, 3), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+
+
+def _conv_gemm(w: np.ndarray, padded: np.ndarray, out: np.ndarray) -> None:
+    """out[b] = w @ im2col(padded[b]) for w [O, C*9], padded [c, C, H+2,
+    W+2] and a C-contiguous out [c, O, H*W]. The columns are copied a
+    piece of samples at a time, IM2COL_BYTES of them or one sample's if
+    that is more; each sample is one BLAS GEMM whatever its piece, so the
+    pieces move no bit."""
+    c, C, Hp, Wp = padded.shape
+    cols = _im2col(padded)
+    k = max(1, min(c, IM2COL_BYTES // (C * 9 * (Hp - 2) * (Wp - 2) * 8)))
+    piece = np.empty((k, C, 3, 3, Hp - 2, Wp - 2))
+    for s in range(0, c, k):
+        p = piece[:c - s]
+        p[...] = cols[s:s + len(p)]
+        np.matmul(w, p.reshape(len(p), C * 9, -1), out=out[s:s + len(p)])
+
+
 def conv_block(x: Tensor, kernel: Tensor) -> Tensor:
     """One ConvNet block as one node: a 3x3 cross-correlation with stride
     1, zero padding 1 and no bias (the norm would cancel one), then
@@ -274,11 +305,14 @@ def conv_block(x: Tensor, kernel: Tensor) -> Tensor:
     A taped block keeps its ReLU mask, a bool [B,O,H,W], and the backward
     spreads the output gradient onto it. With the input taped, the block
     also keeps its centred conv output; the backward runs the norm's
-    backward over each plane and meets it with the kernel's and the input's
-    nine taps. With the input a constant the block keeps no conv output.
-    Only the kernel gradient is asked for, and it comes from per-sample
-    products of the masked gradient and of the kernel with the centred
-    im2col columns; the forward and the input gradient keep their bits.
+    backward over each plane, zero-padded by a pixel, and meets it with the
+    kernel's nine taps for the kernel gradient and with the flipped kernel
+    in one im2col GEMM per sample for the input gradient. With the input a
+    constant the block keeps no conv output. Only the kernel gradient is
+    asked for, and it comes from per-sample products of the masked gradient
+    and of the kernel with the centred im2col columns; the forward keeps
+    its bits. Every im2col copy of the forward and the input gradient is
+    made IM2COL_BYTES at a time (see ``_conv_gemm``).
     """
     if x.values.ndim != 4:
         raise DimensionError(f"conv_block: expected [B,C,H,W], got {x.shape}")
@@ -295,11 +329,8 @@ def conv_block(x: Tensor, kernel: Tensor) -> Tensor:
     # offset (i, j) of every pool window as a strided view: four strided
     # adds, as a mean over the strided window axes runs 5x slower
     w0, w1, w2, w3 = [np.s_[:, :, i:2 * Ho:2, j:2 * Wo:2] for i in (0, 1) for j in (0, 1)]
-    # one chunk of x, zero-padded by a pixel; its border is never written.
-    # cols[b, (c, i, j), (h, w)] = xp[b, c, h + i, w + j]: one GEMM per
-    # sample leaves the conv in [B, O, H, W] order, straight in y
+    # one chunk of x, zero-padded by a pixel; its border is never written
     xp = np.zeros((m, C, Hp, Wp))
-    cols = sliding_window_view(xp, (3, 3), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
     # a block on a taped input keeps each plane's centred conv for the
     # norm's backward and takes ReLU into a chunk scratch; any other block
     # reuses one chunk's conv and takes ReLU in place. Every taped block
@@ -314,7 +345,7 @@ def conv_block(x: Tensor, kernel: Tensor) -> Tensor:
         ys, vs, invs = y[s:s + c] if taped else y[:c], v[s:s + c], inv[s:s + c]
         xp[:c, :, 1:-1, 1:-1] = x.values[s:s + c]
         yf = ys.reshape(c, O, H * W)
-        np.matmul(kv.reshape(O, -1), cols[:c].reshape(c, C * 9, H * W), out=yf)
+        _conv_gemm(kv.reshape(O, C * 9), xp[:c], yf)
         # one mean, the centring in place and its sum of squares: np.var
         # would take the mean and centre again
         yf -= np.add.reduce(yf, axis=2, keepdims=True) / (H * W)
@@ -358,7 +389,7 @@ def conv_block(x: Tensor, kernel: Tensor) -> Tensor:
                 gys, invs = spread(s, c)
                 xcs = xc[:c]
                 xp[:c, :, 1:-1, 1:-1] = x.values[s:s + c]
-                xcs.reshape(c, C, 3, 3, H, W)[...] = cols[:c]
+                xcs.reshape(c, C, 3, 3, H, W)[...] = _im2col(xp[:c])
                 xcs -= np.add.reduce(xcs, axis=2, keepdims=True) / (H * W)
                 mo = np.matmul(gys.reshape(c, O, H * W), xcs.transpose(0, 2, 1))
                 kg = np.matmul(kf, np.matmul(xcs, xcs.transpose(0, 2, 1)))
@@ -367,47 +398,43 @@ def conv_block(x: Tensor, kernel: Tensor) -> Tensor:
                 gk += mo.sum(0)
             return None, gk.reshape(O, C, 3, 3)
 
-        # a taped input: the norm's backward goes straight into gw, laid
-        # out on Wp columns (the last two zero) and cut to its first n
-        # positions: in the flattened padded plane, output pixel (h, w)
-        # reads xp at h*Wp + w + off for tap (i, j), with off = i*Wp + j,
-        # so gw meets each tap's slice of xp in one GEMM, and the last
-        # tap's slice ends at Hp*Wp exactly
+        # a taped input: the norm's backward goes into the interior of gp,
+        # a chunk's gradient zero-padded by a pixel, whose border is never
+        # written. The input gradient is the conv of gp with the kernel
+        # flipped and its channel axes swapped, kf[c, (o, i, j)] =
+        # kv[o, c, 2 - i, 2 - j]. In the flattened padded plane, output
+        # pixel (h, w) reads xp at h*Wp + w + off for tap (i, j), with
+        # off = i*Wp + j, so each tap of the kernel gradient is one GEMM of
+        # gp's n positions from offset Wp + 1, whose pad columns read as 0,
+        # with a slice of xp; the last tap's slice ends at Hp*Wp exactly
         n = (H - 1) * Wp + W
-        # kt[i, j] is the contiguous [C, O] slice that BLAS takes
-        kt = np.ascontiguousarray(kv.transpose(2, 3, 1, 0))
+        kf = np.ascontiguousarray(kv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(C, O * 9)
         gx = np.empty((B, C, H, W))
         gk = np.zeros((O, C, 3, 3)) if need[1] else None
-        gw = np.zeros((m, O, H, Wp))
+        gp = np.zeros((m, O, Hp, Wp))
         for s in range(0, B, CHUNK):
             c = min(CHUNK, B - s)
             ys = y[s:s + c]
             gys, invs = spread(s, c)
-            gcs = gw[:c, :, :, :W]
+            gcs = gp[:c, :, 1:-1, 1:-1]
             gm = (gys.sum(axis=(2, 3)) / (H * W))[:, :, None, None]
             gym = (np.einsum("bchw,bchw->bc", gys, ys) / (H * W))[:, :, None, None]
             np.multiply(ys, -(invs * invs * gym), out=gcs)
             gcs += gys
             gcs -= gm
-            gwn = gw[:c].reshape(c, O, H * Wp)[:, :, :n]
-            gxf = np.zeros((c, C, Hp * Wp))
-            tap = np.empty((c, C, n))
-            for i in range(3):
-                for j in range(3):
-                    off = i * Wp + j
-                    gxf[:, :, off:off + n] += np.matmul(kt[i, j], gwn, out=tap)
-            gx[s:s + c] = gxf.reshape(c, C, Hp, Wp)[:, :, 1:-1, 1:-1]
+            _conv_gemm(kf, gp[:c], gx[s:s + c].reshape(c, C, H * W))
             if need[1]:
                 # each running sum over samples enters as the chunk's first
                 # row, so it keeps the order of one sum over the batch; the
                 # last bits differ only where numpy sums the batch
                 # pairwise: a block with one input and one output channel
+                gpn = gp[:c].reshape(c, O, Hp * Wp)[:, :, Wp + 1:Wp + 1 + n]
                 xp[:c, :, 1:-1, 1:-1] = x.values[s:s + c]
                 xf = xp[:c].reshape(c, C, Hp * Wp)
                 for i in range(3):
                     for j in range(3):
                         off = i * Wp + j
-                        part = np.matmul(gwn, xf[:, :, off:off + n].transpose(0, 2, 1))
+                        part = np.matmul(gpn, xf[:, :, off:off + n].transpose(0, 2, 1))
                         if s:
                             part[0] += gk[:, :, i, j]
                         gk[:, :, i, j] = part.sum(0)

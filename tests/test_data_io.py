@@ -285,6 +285,25 @@ def test_synthetic_round_trip_bitwise(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_synthetic_save_and_load_hold_one_copy_of_the_images(tmp_path):
+    # save writes the images' own buffer and load keeps its one read of the
+    # file, so neither holds a second copy of the images at its peak
+    stats = NormStats(np.array([0.5]), np.array([0.2]))
+    synth = new_synthetic(10, 50, (1, 28, 28), np.random.default_rng(16), stats)
+    path = tmp_path / "s.cnd"
+    peaks = []
+    for step in (lambda: save_synthetic(synth, path), lambda: load_synthetic(path)):
+        tracemalloc.start()
+        try:
+            back = step()
+            peaks.append(tracemalloc.get_traced_memory()[1] / synth.images.values.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 1.1, peaks
+    assert np.array_equal(back.images.values, synth.images.values)
+    assert back.images.values.flags.writeable
+
+
 def test_container_bad_magic(tmp_path):
     path = tmp_path / "bad.cnd"
     path.write_bytes(b"XXXX" + b"\x00" * 40)

@@ -124,7 +124,8 @@ def test_conv2d_matches_loop_oracle(case):
 
 def test_conv2d_backward_peak_memory_is_a_few_inputs():
     # all three gradients of a ConvNet-sized block allocate less than 6
-    # times the input's bytes at their peak: no window-sized copy is made
+    # times the input's bytes at their peak: the im2col copy of the padded
+    # gradient is made IM2COL_BYTES at a time, never for a whole chunk
     rng = np.random.default_rng(15)
     x = Tensor(rng.standard_normal((32, 16, 14, 14)))
     out = T.conv_block(x, Tensor(rng.standard_normal((16, 16, 3, 3))))
@@ -137,6 +138,27 @@ def test_conv2d_backward_peak_memory_is_a_few_inputs():
         tracemalloc.stop()
     assert gx.shape == x.shape and gk.shape == (16, 16, 3, 3)
     assert peak < 6 * x.values.nbytes, peak / x.values.nbytes
+
+
+def test_first_layer_taped_backward_copies_one_sample_of_columns():
+    # the first block of condense's outer step, on the synthetic images:
+    # 1 input channel, so the padded gradient's im2col is 144 times an
+    # input sample and one sample's 0.90 MB is already past IM2COL_BYTES.
+    # Measured 4.46 MB: the masked gradient and the padded norm gradient
+    # (1.61 + 1.84 MB), one sample's columns and the 0.10 MB input
+    # gradient. The bound leaves 12%; a chunk's columns (14.5 MB) fail it
+    rng = np.random.default_rng(28)
+    x = Tensor(rng.standard_normal((T.CHUNK, 1, 28, 28)))
+    out = T.conv_block(x, Tensor(rng.standard_normal((16, 1, 3, 3))))
+    g = rng.standard_normal(out.shape)
+    tracemalloc.start()
+    try:
+        gx, gk = out._backward(g, (True, True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gx.shape == x.shape and gk.shape == (16, 1, 3, 3)
+    assert peak < 5.0e6, peak
 
 
 def test_conv2d_forward_peak_memory_is_a_few_inputs():
@@ -175,21 +197,24 @@ def _block_whole_batch(x, k, g):
     for w in windows:
         np.multiply(g * 0.25, y[w] > 0.0, out=gy[w])
     gc = _one_pass_norm_backward(y, inv, gy)
+    # the input gradient: the conv of the padded norm gradient with the
+    # kernel flipped and its channel axes swapped, one im2col GEMM
+    gp = np.pad(gc, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    gcols = sliding_window_view(gp, (3, 3), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+    kf = np.ascontiguousarray(k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(C, O * 9)
+    gx = np.matmul(kf, gcols.reshape(B, O * 9, H * W)).reshape(B, C, H, W)
+    # the kernel gradient: one GEMM per tap over the flattened padded
+    # planes, the gradient read from offset Wp + 1 with its pad columns
     Hp, Wp = H + 2, W + 2
     n = (H - 1) * Wp + W
-    gw = np.zeros((B, O, H, Wp))
-    gw[:, :, :, :W] = gc
-    gw = gw.reshape(B, O, H * Wp)[:, :, :n]
-    kt = np.ascontiguousarray(k.transpose(2, 3, 1, 0))
+    gpn = gp.reshape(B, O, Hp * Wp)[:, :, Wp + 1:Wp + 1 + n]
     xf = xp.reshape(B, C, Hp * Wp)
-    gxf = np.zeros((B, C, Hp * Wp))
     gk = np.empty((O, C, 3, 3))
     for i in range(3):
         for j in range(3):
             off = i * Wp + j
-            gxf[:, :, off:off + n] += np.matmul(kt[i, j], gw)
-            gk[:, :, i, j] = np.matmul(gw, xf[:, :, off:off + n].transpose(0, 2, 1)).sum(0)
-    return v, gxf.reshape(B, C, Hp, Wp)[:, :, 1:-1, 1:-1], gk
+            gk[:, :, i, j] = np.matmul(gpn, xf[:, :, off:off + n].transpose(0, 2, 1)).sum(0)
+    return v, gx, gk
 
 
 @pytest.mark.parametrize("B", [1, T.CHUNK - 1, T.CHUNK, T.CHUNK + 1, 2 * T.CHUNK + 3])
@@ -206,6 +231,24 @@ def test_chunked_kernels_match_the_whole_batch_bit_for_bit(B):
     ref = _block_whole_batch(x, k, g)
     for got, want in zip((out.values,) + out._backward(g, (True, True)), ref):
         np.testing.assert_array_equal(got, want)
+
+
+def test_im2col_pieces_move_no_bit(monkeypatch):
+    # each sample is one GEMM whatever piece its columns are copied in: one
+    # sample per piece and one piece per chunk give the same output, input
+    # gradient and kernel gradient, taped and as a read
+    rng = np.random.default_rng(27)
+    x = rng.standard_normal((2 * T.CHUNK + 3, 16, 14, 14))
+    k = rng.standard_normal((16, 16, 3, 3))
+    g = rng.standard_normal((2 * T.CHUNK + 3, 16, 7, 7))
+    runs = []
+    for budget in (1, 2 * T.CHUNK * 16 * 9 * 14 * 14 * 8):
+        monkeypatch.setattr(T, "IM2COL_BYTES", budget)
+        out = T.conv_block(Tensor(x), Tensor(k))
+        read = T.conv_block(Tensor.constant(x), Tensor.constant(k))
+        runs.append((out.values, read.values) + out._backward(g, (True, True)))
+    for one, whole in zip(*runs):
+        np.testing.assert_array_equal(one, whole)
 
 
 @pytest.mark.parametrize("B", [1, T.CHUNK - 1, T.CHUNK + 1, 2 * T.CHUNK + 3])
@@ -296,8 +339,9 @@ def test_constant_input_kernel_gradient_from_moments_matches_the_taps(B, H, W, C
 
 def test_constant_input_kernel_gradient_makes_no_padded_gradient_buffer():
     # the moment branch holds the masked window gradient gy and one chunk's
-    # im2col columns, never gy and the [m, O, H, Wp] buffer the taps spread
-    # the norm gradient into: its peak stays below that pair
+    # im2col columns, never gy and the zero-padded buffer the taped branch
+    # writes the norm gradient into: its peak stays below gy plus an
+    # [m, O, H, W + 2] buffer, a little less than that padded one
     B, C, O, H, W = 4 * T.CHUNK, 1, 32, 28, 28
     rng = np.random.default_rng(24)
     out = T.conv_block(Tensor(rng.standard_normal((B, C, H, W))),
