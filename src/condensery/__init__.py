@@ -18,7 +18,7 @@ from .errors import CondenseryError, ConfigError, DimensionError, InputError, \
     ParseError, UsageError
 from .evaluate import EvalConfig, EvalReport, evaluate_protocol, record_training_trace, \
     test_accuracy, train_on_synthetic
-from .losses import ClassMeans, cwfa, discrimination_logits, discrimination_loss, \
+from .losses import ClassMeans, discrimination_logits, discrimination_loss, \
     feature_alignment_loss, total_loss
 from .models import ConvNetSpec, FeaturePyramid, MLPSpec, ModelParams, forward, init_params
 from .tensor import Tensor, backward, sgd_step

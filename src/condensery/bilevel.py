@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,7 +21,7 @@ from . import tensor as T
 from . import evaluate
 from .data import LabeledDataset, SyntheticSet, new_synthetic
 from .errors import ConfigError, InputError, UsageError
-from .losses import ClassMeans, class_average, cwfa, discrimination_logits, discrimination_loss, \
+from .losses import ClassMeans, class_average, discrimination_logits, discrimination_loss, \
     feature_alignment_loss, total_loss
 from .models import ArchSpec, ModelParams, forward, init_params
 from .tensor import Tensor
@@ -104,35 +105,66 @@ def init_state(real: LabeledDataset, arch: ArchSpec, cfg: CondenseConfig) -> Con
     return CondenseState(synth, theta, 0, rng)
 
 
-def outer_step(state: CondenseState, real: LabeledDataset,
-               cfg: CondenseConfig) -> tuple[float, float, float]:
-    """One synthetic-pixel update at the scheduled learning rate; returns
-    l_f, l_d and the total, computed before the update. Only values leave,
-    so the step's tape is freed on return, before the caller's query."""
-    K = real.num_classes
-    real_idx = sample_class_balanced(real, cfg.n_per_class, state.rng)
-    real_labels = real.labels[real_idx]
-    synth = state.synthetic
-    # only the pixels are trained; read_slices reads the real batch without a
-    # tape, and each slice adds A[:, s:s+b] @ F to sums and leaves its last tap
-    avg, sums = class_average(real_labels, K), []
+def _class_means(theta: ModelParams, images: np.ndarray, avg: np.ndarray) -> tuple:
+    """Each layer's class means ``avg @ F_l`` over ``images``, and their last
+    taps, read by ``evaluate.read_slices`` without a tape: each slice adds
+    ``avg[:, s:s + b] @ F_l`` to the sums and leaves its last tap."""
+    sums = []
 
     def take(s, pyr):
         parts = [avg[:, s:s + len(f.values)] @ f.values for f in pyr.per_layer]
         sums[:] = [a + b for a, b in zip(sums, parts)] if sums else parts
         return pyr.per_layer[-1].values
-    real_last = np.concatenate(evaluate.read_slices(state.theta, real.images[real_idx], take))
-    synth_means = cwfa(forward(state.theta.constants(), synth.images), synth.labels, K)
-    l_f = feature_alignment_loss(synth_means, ClassMeans(list(map(Tensor.constant, sums))))
-    logits = discrimination_logits(Tensor.constant(real_last), synth_means.per_layer[-1])
+    last = np.concatenate(evaluate.read_slices(theta, images, take))
+    return sums, last
+
+
+def _losses_and_mean_grads(theta: ModelParams, real_images: np.ndarray, real_labels: np.ndarray,
+                           pixels: np.ndarray, avg: np.ndarray, beta: float) -> tuple:
+    """(l_f, l_d, total), and each layer's G_l = d total / d S_l at the
+    synthetic class means S_l, which enter the loss as leaves; the loss
+    tape is freed on return."""
+    K = avg.shape[0]
+    real_means, real_last = _class_means(theta, real_images, class_average(real_labels, K))
+    means = [Tensor(m) for m in _class_means(theta, pixels, avg)[0]]
+    l_f = feature_alignment_loss(ClassMeans(means),
+                                 ClassMeans(list(map(Tensor.constant, real_means))))
+    logits = discrimination_logits(Tensor.constant(real_last), means[-1])
     l_d = discrimination_loss(logits, real_labels)
-    total = total_loss(l_f, l_d, cfg.beta)
-
+    total = total_loss(l_f, l_d, beta)
     T.backward(total)
-    T.sgd_step([synth.images], outer_lr_at(cfg, state.outer_iter))
+    return (l_f.item(), l_d.item(), total.item()), [m.grad for m in means]
 
+
+def outer_step(state: CondenseState, real: LabeledDataset,
+               cfg: CondenseConfig) -> tuple[float, float, float]:
+    """One synthetic-pixel update at the scheduled learning rate; returns
+    l_f, l_d and the total, computed before the update. Only values leave,
+    so the step's tapes are freed on return, before the caller's query.
+
+    Only the pixels are trained, and both sets are read READ_BATCH images
+    at a time. The loss reads the synthetic set only through its class
+    means S_l = A F_l, so one tape-free read of them and one backward give
+    each G_l. No network op mixes samples, so a slice's pixel gradient is
+    that of sum_l <F_l, A[:, slice]^T G_l>: each slice is forwarded again,
+    on the tape, under that root. The step holds one slice's activations
+    whatever the set's size."""
+    real_idx = sample_class_balanced(real, cfg.n_per_class, state.rng)
+    synth = state.synthetic
+    pixels, avg = synth.images.values, class_average(synth.labels, real.num_classes)
+    losses, grads = _losses_and_mean_grads(state.theta, real.images[real_idx],
+                                           real.labels[real_idx], pixels, avg, cfg.beta)
+    consts, grad = state.theta.constants(), np.empty_like(pixels)
+    for s in range(0, len(pixels), evaluate.READ_BATCH):
+        x = Tensor(pixels[s:s + evaluate.READ_BATCH])
+        seeds = avg[:, s:s + len(x.values)].T
+        T.backward(reduce(T.add, [T.sum_all(T.mul(f, Tensor.constant(seeds @ g)))
+                                  for f, g in zip(forward(consts, x).per_layer, grads)]))
+        grad[s:s + len(x.values)] = x.grad
+    synth.images.grad = grad
+    T.sgd_step([synth.images], outer_lr_at(cfg, state.outer_iter))
     state.outer_iter += 1
-    return l_f.item(), l_d.item(), total.item()
+    return losses
 
 
 def inner_step(state: CondenseState, cfg: CondenseConfig) -> float:

@@ -440,7 +440,8 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONTAINER
-    except (CondenseryError, OSError) as e:
+    except (CondenseryError, OSError, MemoryError) as e:
+        # numpy's MemoryError names the size and shape it could not allocate
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -4,8 +4,9 @@ and the constant read the whole library shares.
 ``train_step`` is every SGD step on cross-entropy (the bi-level inner
 step, evaluation training, the forgetting trace). ``read_slices`` is every
 tape-free read: ``predict``'s (bi-level queries, the test split) and the
-outer step's real batch. It forwards constants READ_BATCH images at a
-time, so a read's activations stay bounded whatever the number of images.
+outer step's, of its real batch and of the synthetic set. It forwards
+constants READ_BATCH images at a time, so a read's activations stay
+bounded whatever the number of images.
 
 Each evaluation run trains a freshly initialized network on the synthetic
 images and reports held-out accuracy. The protocol repeats over
@@ -29,9 +30,10 @@ from .errors import ConfigError, DivergenceError
 from .models import ArchSpec, ModelParams, forward, init_params
 from .tensor import Tensor
 
-# Images per forward in read_slices, predict's and the outer step's real
-# batch alike; it bounds the activations a read holds (conv_block bounds
-# its window copies). A multiple of tensor.CHUNK, so slices split no chunk.
+# Images per forward in read_slices, and per taped forward of the outer
+# step's synthetic slices; it bounds the activations a read or a slice
+# holds (conv_block bounds its window copies). A multiple of tensor.CHUNK,
+# so slices split no chunk.
 READ_BATCH = 64
 
 

@@ -15,7 +15,9 @@ also on an odd plane, a 1-channel input and a batch that spans two of
 its sample chunks; and a one-block ConvNet built by ``models.forward``
 on a constant input, whose block takes its kernel gradient from moments,
 also on an odd 1-channel plane across two chunks; each on every
-coordinate of every leaf.
+coordinate of every leaf. Last, the pixel gradient ``bilevel.outer_step``
+applies, through the step itself, on every pixel of a synthetic set that
+crosses a slice seam.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
+from .bilevel import CondenseConfig, CondenseState, outer_step
+from .data import SyntheticSet, make_dataset
+from .evaluate import READ_BATCH
 from .models import ConvNetSpec, ModelParams, forward
 
 H_STEP = 1e-5
@@ -105,10 +110,12 @@ def check_op(name: str, build: Callable[[Sequence[T.Tensor]], T.Tensor],
             results.append(compare(leaf.grad, numeric_grad(f, leaf.values), f"{name}[arg{i}]"))
     except Exception as e:
         # fails the leaf under check and every leaf after it
-        results += [CheckResult(f"{name}[arg{i}]", float("inf"), False,
-                                f"raised {type(e).__name__}: {e}")
-                    for i in range(len(results), len(ts))]
+        results += [_raised(f"{name}[arg{i}]", e) for i in range(len(results), len(ts))]
     return results
+
+
+def _raised(name: str, e: Exception) -> CheckResult:
+    return CheckResult(name, float("inf"), False, f"raised {type(e).__name__}: {e}")
 
 
 def run_suite(seed: int = 0) -> list[CheckResult]:
@@ -145,6 +152,9 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
     out += _check_composed(rng, "composed_convnet", (2, 2, 4, 4), 3)
     out += _check_composed(rng, "composed_convnet_c1_chunked", (T.CHUNK + 1, 1, 5, 7), 3)
 
+    # the pixel gradient bilevel.outer_step applies, through the step itself
+    out += _check_outer_step(rng, "outer_step")
+
     # the tape's plumbing ops
     p, q = rng.standard_normal((2, 3, 4))
     out += check_op("add", lambda t: T.add(t[0], t[1]), [p, q])
@@ -167,16 +177,27 @@ def _off_kink(rng: np.random.Generator, shape: tuple) -> np.ndarray:
             return x
 
 
+def _off_kinks(x: np.ndarray, kernels: list) -> bool:
+    """Whether every block of a ConvNet body with ``kernels`` has its conv
+    output on ``x``, centred over each plane, at least 1e-3 of the plane's
+    std from ReLU's kink."""
+    for k in kernels:
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        c = np.einsum("bchwij,ocij->bohw", sliding_window_view(xp, (3, 3), axis=(2, 3)), k)
+        c -= c.mean(axis=(2, 3), keepdims=True)
+        if not np.all(np.abs(c) > 1e-3 * c.std(axis=(2, 3), keepdims=True)):
+            return False
+        x = T.conv_block(T.Tensor.constant(x), T.Tensor.constant(k)).values
+    return True
+
+
 def _block_leaves(rng: np.random.Generator, x_shape: tuple, out_channels: int) -> list:
     """An input and kernel for ``conv_block`` whose conv output, normalized
     over each plane, has no entry within 1e-3 of ReLU's kink."""
     while True:
         x = rng.standard_normal(x_shape)
         k = rng.standard_normal((out_channels, x_shape[1], 3, 3)) * 0.5
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        c = np.einsum("bchwij,ocij->bohw", sliding_window_view(xp, (3, 3), axis=(2, 3)), k)
-        c -= c.mean(axis=(2, 3), keepdims=True)
-        if np.all(np.abs(c) > 1e-3 * c.std(axis=(2, 3), keepdims=True)):
+        if _off_kinks(x, [k]):
             return [x, k]
 
 
@@ -196,3 +217,37 @@ def _check_composed(rng: np.random.Generator, name: str, x_shape: tuple,
         return T.softmax_cross_entropy_mean(logits, labels)
 
     return check_op(name, build, [kern, w, wb])
+
+
+def _check_outer_step(rng: np.random.Generator, name: str) -> list[CheckResult]:
+    """``bilevel.outer_step``'s pixel gradient on a two-block ConvNet, over a
+    synthetic set of READ_BATCH + 1 images in 5 classes, so the last
+    class's rows cross a slice seam. The step applies -lr * grad at lr
+    2**20, a power of two far above the pixels, so (before - after) / lr is
+    its gradient up to one rounding of the update; the numeric side
+    differences the total it returns. Each call draws the same real batch
+    from a fresh generator. An exception fails the check, with its type
+    and message as detail."""
+    K, ipc, shape = 5, READ_BATCH // 5 + 1, (1, 4, 4)
+    while True:
+        x = rng.standard_normal((K * ipc, *shape))
+        kernels = [rng.standard_normal((2, c, 3, 3)) * 0.5 for c in (1, 2)]
+        if _off_kinks(x, kernels):
+            break
+    spec = ConvNetSpec(blocks=2, channels=2, input_shape=shape, num_classes=K)
+    theta = ModelParams(spec, [T.Tensor(k) for k in kernels]
+                        + [T.Tensor(np.zeros((spec.embed_dim, K))), T.Tensor(np.zeros(K))])
+    real = make_dataset(rng.standard_normal((K * 2, *shape)), np.repeat(np.arange(K), 2), K)
+    cfg = CondenseConfig(ipc=ipc, n_per_class=2, outer_lr=2.0 ** 20)
+    labels = np.repeat(np.arange(K), ipc)
+
+    def step(pixels):
+        synth = SyntheticSet(T.Tensor(pixels.copy()), labels, ipc, K)
+        total = outer_step(CondenseState(synth, theta, 0, np.random.default_rng(0)), real, cfg)[2]
+        return total, synth.images.values
+
+    try:
+        analytic = (x - step(x)[1]) / cfg.outer_lr
+        return [compare(analytic, numeric_grad(lambda: step(x)[0], x), f"{name}[pixels]")]
+    except Exception as e:
+        return [_raised(f"{name}[pixels]", e)]

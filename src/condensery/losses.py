@@ -1,11 +1,12 @@
-"""Condensation objective: class-wise feature averaging, layer-wise
+"""Condensation objective: the class-averaging matrix, layer-wise
 alignment, discrimination through synthetic class centers, and the
 weighted total.
 
 Every term is a few matrix ops per layer. With the constant
 class-averaging matrix A[K, B] (A[k, i] = 1/n_k when sample i has label
 k, else 0), the class means at layer l are S_l = A @ F_l, one [K, C'_l]
-matrix. The alignment term is sum_l ||S_l - R_l||_F^2 between synthetic
+matrix; ``bilevel.outer_step`` reads them a slice of samples at a
+time. The alignment term is sum_l ||S_l - R_l||_F^2 between synthetic
 and real means: squared L2 gaps summed over classes and layers, not
 averaged. The last layer's synthetic mean matrix is the center matrix the
 discrimination term uses to classify individual real samples by inner
@@ -24,7 +25,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DimensionError, InputError
-from .models import FeaturePyramid
 from .tensor import Tensor
 
 
@@ -42,13 +42,6 @@ def class_average(labels, num_classes: int) -> np.ndarray:
     if missing.size:
         raise InputError(f"class {missing[0]} has no samples in the batch")
     return onehot / counts[:, None]
-
-
-def cwfa(pyramid: FeaturePyramid, labels, num_classes: int) -> ClassMeans:
-    """Per-layer, per-class arithmetic mean of flattened features. A is a
-    constant, so the means are on the tape exactly when the features are."""
-    avg = Tensor.constant(class_average(labels, num_classes))
-    return ClassMeans([T.matmul(avg, feats) for feats in pyramid.per_layer])
 
 
 def feature_alignment_loss(synth: ClassMeans, real: ClassMeans) -> Tensor:

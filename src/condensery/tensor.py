@@ -26,8 +26,9 @@ one node, and there is no broadcasting beyond what they need. The block
 works through a batch ``CHUNK`` samples at a time, forward and backward,
 so each pass over a chunk stays in cache. Its conv is one GEMM per sample
 of the kernel with the padded input's im2col columns, and its input
-gradient one of the flipped kernel with the padded norm gradient's; both
-copy those columns at most ``IM2COL_BYTES`` (or one sample's) at a time.
+gradient one of the flipped kernel with the padded norm gradient's; these
+and the moments below copy their columns at most ``IM2COL_BYTES`` (or one
+sample's) at a time.
 It centres its conv output in place and scales only the pooled output by
 the norm's inverse deviation. A taped block keeps its ReLU mask as bools,
 one byte a pixel, and only a block whose input is taped also keeps its
@@ -275,17 +276,21 @@ def _im2col(padded: np.ndarray) -> np.ndarray:
     return sliding_window_view(padded, (3, 3), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
 
 
+def _piece(c: int, C: int, H: int, W: int) -> int:
+    """Samples per im2col copy of c samples of a C x H x W input:
+    IM2COL_BYTES of columns, or one sample's if that is more."""
+    return max(1, min(c, IM2COL_BYTES // (C * 9 * H * W * 8)))
+
+
 def _conv_gemm(w: np.ndarray, padded: np.ndarray, out: np.ndarray) -> None:
     """out[b] = w @ im2col(padded[b]) for w [O, C*9], padded [c, C, H+2,
     W+2] and a C-contiguous out [c, O, H*W]. The columns are copied a
-    piece of samples at a time, IM2COL_BYTES of them or one sample's if
-    that is more; each sample is one BLAS GEMM whatever its piece, so the
-    pieces move no bit."""
+    piece of samples at a time (``_piece``); each sample is one BLAS GEMM
+    whatever its piece, so the pieces move no bit."""
     c, C, Hp, Wp = padded.shape
     cols = _im2col(padded)
-    k = max(1, min(c, IM2COL_BYTES // (C * 9 * (Hp - 2) * (Wp - 2) * 8)))
-    piece = np.empty((k, C, 3, 3, Hp - 2, Wp - 2))
-    for s in range(0, c, k):
+    piece = np.empty((_piece(c, C, Hp - 2, Wp - 2), C, 3, 3, Hp - 2, Wp - 2))
+    for s in range(0, c, len(piece)):
         p = piece[:c - s]
         p[...] = cols[s:s + len(p)]
         np.matmul(w, p.reshape(len(p), C * 9, -1), out=out[s:s + len(p)])
@@ -311,8 +316,8 @@ def conv_block(x: Tensor, kernel: Tensor) -> Tensor:
     constant the block keeps no conv output. Only the kernel gradient is
     asked for, and it comes from per-sample products of the masked gradient
     and of the kernel with the centred im2col columns; the forward keeps
-    its bits. Every im2col copy of the forward and the input gradient is
-    made IM2COL_BYTES at a time (see ``_conv_gemm``).
+    its bits. Every im2col copy, forward and backward, is made
+    IM2COL_BYTES at a time (see ``_piece``).
     """
     if x.values.ndim != 4:
         raise DimensionError(f"conv_block: expected [B,C,H,W], got {x.shape}")
@@ -380,22 +385,32 @@ def conv_block(x: Tensor, kernel: Tensor) -> Tensor:
             # plane and xc is centred, so its product with the columns is
             # M - inv**2 * mean(gy * y) * K xc xc^T with M = gy xc^T, and
             # mean(gy * y) = <M, K> / (H*W) per plane: no full-size pass
-            # but the mask's, and no tap GEMM
+            # but the mask's, and no tap GEMM. The columns are copied a
+            # piece at a time, as ``_conv_gemm`` copies them, and the
+            # chunk's running sum enters each piece as its first row, so
+            # the pieces keep the order of one sum over the chunk
             kf = kv.reshape(O, C * 9)
-            xc = np.empty((m, C * 9, H * W))
+            xc = np.empty((_piece(m, C, H, W), C * 9, H * W))
             gk = np.zeros((O, C * 9))
             for s in range(0, B, CHUNK):
                 c = min(CHUNK, B - s)
                 gys, invs = spread(s, c)
-                xcs = xc[:c]
                 xp[:c, :, 1:-1, 1:-1] = x.values[s:s + c]
-                xcs.reshape(c, C, 3, 3, H, W)[...] = _im2col(xp[:c])
-                xcs -= np.add.reduce(xcs, axis=2, keepdims=True) / (H * W)
-                mo = np.matmul(gys.reshape(c, O, H * W), xcs.transpose(0, 2, 1))
-                kg = np.matmul(kf, np.matmul(xcs, xcs.transpose(0, 2, 1)))
-                gym = np.einsum("bok,ok->bo", mo, kf)[:, :, None] / (H * W)
-                mo -= (invs[:, :, :, 0] * invs[:, :, :, 0] * gym) * kg
-                gk += mo.sum(0)
+                cols, part = _im2col(xp[:c]), None
+                for p in range(0, c, len(xc)):
+                    xcs = xc[:c - p]
+                    q = len(xcs)
+                    xcs.reshape(q, C, 3, 3, H, W)[...] = cols[p:p + q]
+                    xcs -= np.add.reduce(xcs, axis=2, keepdims=True) / (H * W)
+                    mo = np.matmul(gys[p:p + q].reshape(q, O, H * W), xcs.transpose(0, 2, 1))
+                    kg = np.matmul(kf, np.matmul(xcs, xcs.transpose(0, 2, 1)))
+                    gym = np.einsum("bok,ok->bo", mo, kf)[:, :, None] / (H * W)
+                    iv = invs[p:p + q, :, :, 0]
+                    mo -= (iv * iv * gym) * kg
+                    if part is not None:
+                        mo[0] += part
+                    part = mo.sum(0)
+                gk += part
             return None, gk.reshape(O, C, 3, 3)
 
         # a taped input: the norm's backward goes into the interior of gp,

@@ -26,8 +26,9 @@ from condensery.errors import ParseError
 from condensery.evaluate import EvalConfig, evaluate_protocol, train_on_synthetic
 from condensery.evaluate import test_accuracy as accuracy_on  # avoid pytest collection
 from condensery.gradcheck import run_suite
-from condensery.losses import cwfa, discrimination_loss, feature_alignment_loss, total_loss
-from condensery.models import ConvNetSpec, FeaturePyramid, MLPSpec
+from condensery.losses import ClassMeans, class_average, discrimination_loss, \
+    feature_alignment_loss, total_loss
+from condensery.models import ConvNetSpec, MLPSpec
 from condensery.tensor import Tensor
 from idx_files import save_idx
 
@@ -60,6 +61,12 @@ def test_criterion_1_gradient_suite():
     assert ok, [r.detail for r in results if not r.passed] or f"{elapsed=}"
 
 
+def class_means(features, labels, K):
+    """Each layer's [K, D] class means, A @ F with the class-averaging matrix."""
+    avg = Tensor.constant(class_average(labels, K))
+    return ClassMeans([T.matmul(avg, f) for f in features])
+
+
 def test_criterion_2_loss_oracles():
     rng = np.random.default_rng(0)
     K, L = 3, 2
@@ -67,9 +74,8 @@ def test_criterion_2_loss_oracles():
     synth = [rng.standard_normal((K, 5)) for _ in range(L)]
     yr = np.repeat(np.arange(K), 4)
     ys = np.arange(K)
-    pr = FeaturePyramid([Tensor(f) for f in real], Tensor(np.zeros((K * 4, 1))))
-    ps = FeaturePyramid([Tensor(f) for f in synth], Tensor(np.zeros((K, 1))))
-    lf = feature_alignment_loss(cwfa(ps, ys, K), cwfa(pr, yr, K)).item()
+    lf = feature_alignment_loss(class_means([Tensor(f) for f in synth], ys, K),
+                                class_means([Tensor(f) for f in real], yr, K)).item()
     lf_oracle = sum(float(((synth[l][ys == k].mean(0) - real[l][yr == k].mean(0)) ** 2).sum())
                     for l in range(L) for k in range(K))
     align_ok = abs(lf - lf_oracle) < 1e-12
@@ -97,9 +103,9 @@ def test_criterion_3_closed_form_optimum():
     labels = np.repeat(np.arange(K), 5)
     target = np.stack([real[labels == k].mean(0) for k in range(K)])
     synth = Tensor(rng.standard_normal((K, D)))
-    mr = cwfa(FeaturePyramid([Tensor(real)], Tensor(np.zeros((K * 5, 1)))), labels, K)
+    mr = class_means([Tensor(real)], labels, K)
     for _ in range(200):
-        ms = cwfa(FeaturePyramid([synth], Tensor(np.zeros((K, 1)))), np.arange(K), K)
+        ms = class_means([synth], np.arange(K), K)
         T.backward(feature_alignment_loss(ms, mr))
         T.sgd_step([synth], 0.5)
     gap = np.linalg.norm(synth.values - target)

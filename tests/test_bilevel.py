@@ -12,8 +12,8 @@ from condensery.bilevel import AccQueue, CondenseConfig, init_state, inner_step,
     outer_lr_at, outer_step, query_accuracy, run_condense, sample_class_balanced
 from condensery.data import make_blob_split
 from condensery.errors import ConfigError, DivergenceError, UsageError
-from condensery.losses import cwfa, discrimination_logits, discrimination_loss, \
-    feature_alignment_loss, total_loss
+from condensery.losses import ClassMeans, class_average, discrimination_logits, \
+    discrimination_loss, feature_alignment_loss, total_loss
 from condensery.models import ConvNetSpec, forward, init_params
 from condensery.tensor import Tensor
 
@@ -129,13 +129,21 @@ def test_outer_steps_reduce_alignment_on_blobs():
     assert drops >= 0.9 * (len(losses) - 1)
 
 
+def class_means(pyramid, labels, num_classes):
+    """Each layer's class means as one taped matmul over the whole batch."""
+    avg = Tensor.constant(class_average(labels, num_classes))
+    return ClassMeans([T.matmul(avg, f) for f in pyramid.per_layer])
+
+
 def step_and_reference(monkeypatch, ds, arch, cfg):
-    """One outer step and the same step with the whole real batch forwarded
-    once, on the tape, each as (losses, stepped pixels); and the logits of
-    the step's forwards: {"real": one per slice, "synth": ...}."""
+    """One outer step and the same step with the whole real batch and the
+    whole synthetic set each forwarded once, on the tape, each as (losses,
+    stepped pixels); and the logits of the step's forwards: {"read": one
+    per tape-free slice, the real batch's then the synthetic set's,
+    "taped": one per synthetic slice forwarded on the tape}."""
     state = init_state(ds, arch, cfg)
     ref = init_state(ds, arch, cfg)   # the same draws, pixels and weights
-    seen = {"real": [], "synth": []}
+    seen = {"read": [], "taped": []}
 
     def recording(kind):
         def run(params, x):
@@ -143,8 +151,8 @@ def step_and_reference(monkeypatch, ds, arch, cfg):
             seen[kind].append(pyramid.logits)
             return pyramid
         return run
-    monkeypatch.setattr(evaluate, "forward", recording("real"))
-    monkeypatch.setattr(bilevel, "forward", recording("synth"))
+    monkeypatch.setattr(evaluate, "forward", recording("read"))
+    monkeypatch.setattr(bilevel, "forward", recording("taped"))
     losses = outer_step(state, ds, cfg)
     monkeypatch.undo()
 
@@ -153,8 +161,8 @@ def step_and_reference(monkeypatch, ds, arch, cfg):
     real_pyr = forward(ref.theta, Tensor(ds.images[real_idx]))
     synth_pyr = forward(ref.theta, ref.synthetic.images)
     assert real_pyr.logits._backward is not None
-    real_means = cwfa(real_pyr, real_labels, ds.num_classes)
-    synth_means = cwfa(synth_pyr, ref.synthetic.labels, ds.num_classes)
+    real_means = class_means(real_pyr, real_labels, ds.num_classes)
+    synth_means = class_means(synth_pyr, ref.synthetic.labels, ds.num_classes)
     l_f = feature_alignment_loss(synth_means, real_means)
     l_d = discrimination_loss(discrimination_logits(real_pyr.per_layer[-1],
                                                     synth_means.per_layer[-1]), real_labels)
@@ -166,18 +174,20 @@ def step_and_reference(monkeypatch, ds, arch, cfg):
 
 
 def test_outer_step_equals_a_reference_with_a_taped_real_branch(monkeypatch):
-    # outer_step reads the real batch through evaluate.read_slices, from
-    # constants; its losses and its pixel update equal the same step's with
-    # the real branch on the tape. Its 24 real images are one slice
-    cfg = tiny_cfg(ipc=2, n_per_class=8)   # the synthetic batch is the whole set
+    # outer_step reads both sets through evaluate.read_slices, from
+    # constants, and forwards the synthetic set again on the tape under its
+    # class means' gradients; its losses and its pixel update equal the
+    # same step's with both sets on the tape. Its 24 real and 6 synthetic
+    # images are one slice each
+    cfg = tiny_cfg(ipc=2, n_per_class=8)
     step, ref, seen = step_and_reference(monkeypatch, tiny_data(2), TINY_ARCH, cfg)
-    assert [(t.shape[0], t._op) for t in seen["real"]] == [(24, "const")]
-    assert [t._backward is not None for t in seen["synth"]] == [True]
+    assert [(t.shape[0], t._op) for t in seen["read"]] == [(24, "const"), (6, "const")]
+    assert [(t.shape[0], t._backward is not None) for t in seen["taped"]] == [(6, True)]
     assert step[0] == ref[0]
     np.testing.assert_array_equal(step[1], ref[1])
 
 
-@pytest.mark.parametrize("K, n_per_class, slices", [(3, 32, [64, 32]), (8, 16, [64, 64])])
+@pytest.mark.parametrize("K, n_per_class, slices", [(3, 32, [64, 32, 6]), (8, 16, [64, 64, 16])])
 def test_outer_step_over_slices_that_split_no_class_is_exact(monkeypatch, K, n_per_class,
                                                              slices):
     # each class's rows fall inside one slice, so every other slice adds an
@@ -187,7 +197,7 @@ def test_outer_step_over_slices_that_split_no_class_is_exact(monkeypatch, K, n_p
     arch = ConvNetSpec(blocks=1, channels=4, input_shape=(1, 4, 4), num_classes=K)
     step, ref, seen = step_and_reference(monkeypatch, ds, arch,
                                          tiny_cfg(ipc=2, n_per_class=n_per_class))
-    assert [t.shape[0] for t in seen["real"]] == slices
+    assert [t.shape[0] for t in seen["read"]] == slices
     assert step[0] == ref[0]
     np.testing.assert_array_equal(step[1], ref[1])
 
@@ -197,7 +207,41 @@ def test_outer_step_over_a_class_split_by_a_slice_seam_is_within_rounding(monkey
     # two partial sums added: the step moves by rounding only
     step, ref, seen = step_and_reference(monkeypatch, tiny_data(2), TINY_ARCH,
                                          tiny_cfg(ipc=2, n_per_class=40))
-    assert [t.shape[0] for t in seen["real"]] == [64, 56]
+    assert [t.shape[0] for t in seen["read"]] == [64, 56, 6]
+    np.testing.assert_allclose(step[0], ref[0], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(step[1], ref[1], rtol=0, atol=1e-14 * np.abs(ref[1]).max())
+
+
+# two blocks, so the root of each synthetic slice sums over two layers and
+# the first block's gradient meets the second's
+TWO_BLOCKS = ConvNetSpec(blocks=2, channels=4, input_shape=(1, 8, 8), num_classes=4)
+
+
+def two_block_data():
+    return make_blob_split(4, 16, 1, (1, 8, 8), spread=0.2, separation=5.0, seed=7)[0]
+
+
+@pytest.mark.parametrize("ipc, taped", [(1, [4]), (16, [64]), (32, [64, 64])])
+def test_synthetic_slices_that_split_no_class_step_exactly(monkeypatch, ipc, taped):
+    # the synthetic set is read and forwarded on the tape a slice at a
+    # time; no class's rows cross a seam, so its class means, the losses
+    # and every pixel's gradient have the bits of one taped batch
+    step, ref, seen = step_and_reference(monkeypatch, two_block_data(), TWO_BLOCKS,
+                                         tiny_cfg(ipc=ipc, n_per_class=16))
+    assert [t.shape[0] for t in seen["read"]] == [64] + taped
+    assert [t.shape[0] for t in seen["taped"]] == taped
+    assert all(t._backward is not None for t in seen["taped"])
+    assert step[0] == ref[0]
+    np.testing.assert_array_equal(step[1], ref[1])
+
+
+def test_a_synthetic_class_split_by_a_slice_seam_steps_within_rounding(monkeypatch):
+    # 4 classes of 20 images: rows 60..79 are class 3 and the seam is at
+    # row 64, so its means are two partial sums added and the losses, hence
+    # every G_l, move by rounding only
+    step, ref, seen = step_and_reference(monkeypatch, two_block_data(), TWO_BLOCKS,
+                                         tiny_cfg(ipc=20, n_per_class=16))
+    assert [t.shape[0] for t in seen["taped"]] == [64, 16]
     np.testing.assert_allclose(step[0], ref[0], rtol=1e-14, atol=0)
     np.testing.assert_allclose(step[1], ref[1], rtol=0, atol=1e-14 * np.abs(ref[1]).max())
 
@@ -224,6 +268,29 @@ def test_outer_step_peak_memory_barely_grows_with_the_real_batch():
     added = 4 * (128 - 16)
     per_image = 8 * (16 * 16 + arch.embed_dim)
     assert peaks[1] - peaks[0] < 2 * added * per_image, (peaks[1] - peaks[0]) / (added * per_image)
+
+
+def test_outer_step_peak_memory_barely_grows_with_ipc():
+    # the synthetic set is read, and forwarded on the tape, READ_BATCH
+    # images at a time, so going from ipc 5 to 50 adds only what is kept
+    # for the whole set: its pixel gradient, and its last taps (as large
+    # as its pixels here) with their concatenation. One taped batch of the
+    # whole set added 108 MB here, 38 times the added pixels
+    arch = ConvNetSpec(blocks=2, channels=16, input_shape=(1, 28, 28), num_classes=10)
+    ds = make_blob_split(10, 4, 1, (1, 28, 28), spread=0.2, seed=0)[0]
+    peaks = []
+    for ipc in (5, 50):
+        cfg = tiny_cfg(ipc=ipc, n_per_class=4)
+        state = init_state(ds, arch, cfg)
+        outer_step(state, ds, cfg)
+        tracemalloc.start()
+        try:
+            outer_step(state, ds, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    added = 10 * (50 - 5) * 28 * 28 * 8
+    assert peaks[1] - peaks[0] < 4 * added, (peaks[1] - peaks[0]) / added
 
 
 def test_inner_step_zero_lr_keeps_theta():

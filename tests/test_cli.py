@@ -6,6 +6,7 @@ import json
 import os
 import platform
 import re
+import resource
 import struct
 import subprocess
 import sys
@@ -213,6 +214,34 @@ def test_wrong_typed_config_value_exits_2(tmp_path, monkeypatch, capsys, command
     named = overrides[-1].split("=")[0] if overrides else "CONDENSERY_THREADS"
     assert named in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def _cap_address_space():
+    # 4 GiB of address space: numpy's allocator refuses each size below at
+    # once on any host, whatever its overcommit policy
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    cap = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+
+@pytest.mark.parametrize("override", ["dataset.shape=[1,100000000,100000000]",
+                                      "condense.ipc=1000000000000",
+                                      "arch.channels=1000000000000"])
+def test_a_size_that_cannot_be_allocated_exits_2(tmp_path, override):
+    # each value passes its key's check, and numpy refuses the first array
+    # it sizes (the blob class means, the synthetic set, the first kernel):
+    # one line that names the size, not a traceback
+    path, _ = blob_config(tmp_path)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "condensery.cli", "condense", "--config",
+                           str(path), "--set", override], env=env, capture_output=True,
+                          text=True, timeout=300, preexec_fn=_cap_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert re.fullmatch(r"error: Unable to allocate .* for an array with shape \(.*\) and data "
+                        r"type float64\n", proc.stderr), proc.stderr
+    assert not (tmp_path / "run" / "synthetic.cnd").exists()
 
 
 def test_an_exponent_with_no_dot_or_no_sign_is_a_number(tmp_path):

@@ -6,8 +6,8 @@ import pytest
 import condensery.tensor as T
 from condensery.errors import DimensionError, InputError
 from condensery.gradcheck import compare, numeric_grad
-from condensery.losses import ClassMeans, cwfa, discrimination_logits, discrimination_loss, \
-    feature_alignment_loss, total_loss
+from condensery.losses import ClassMeans, class_average, discrimination_logits, \
+    discrimination_loss, feature_alignment_loss, total_loss
 from condensery.models import ConvNetSpec, FeaturePyramid, forward, init_params
 from condensery.tensor import Tensor
 
@@ -18,21 +18,28 @@ def pyramid_from(feats):
     return FeaturePyramid([t], Tensor(np.zeros((t.shape[0], 1))))
 
 
+def class_means(pyramid, labels, num_classes):
+    """Each layer's class means as one taped matmul with the class-averaging
+    matrix, as the objective defines them."""
+    avg = Tensor.constant(class_average(labels, num_classes))
+    return ClassMeans([T.matmul(avg, f) for f in pyramid.per_layer])
+
+
+# CWFA, class-wise feature averaging, is the class-averaging matrix A of
+# class_average applied to each layer's features: S_l = A @ F_l
 def test_cwfa_two_sample_mean():
-    pyr = pyramid_from([[1.0, 3.0], [3.0, 5.0]])
-    means = cwfa(pyr, [0, 0], 1)
-    np.testing.assert_array_equal(means.per_layer[0].values, [[2.0, 4.0]])
+    means = class_average([0, 0], 1) @ np.array([[1.0, 3.0], [3.0, 5.0]])
+    np.testing.assert_array_equal(means, [[2.0, 4.0]])
 
 
 def test_cwfa_singleton_classes_identity():
     feats = np.random.default_rng(0).standard_normal((3, 4))
-    means = cwfa(pyramid_from(feats), [0, 1, 2], 3)
-    np.testing.assert_array_equal(means.per_layer[0].values, feats)
+    np.testing.assert_array_equal(class_average([0, 1, 2], 3) @ feats, feats)
 
 
 def test_cwfa_missing_class_raises():
-    with pytest.raises(InputError):
-        cwfa(pyramid_from(np.zeros((2, 3))), [0, 0], 2)
+    with pytest.raises(InputError, match="^class 1 has no samples in the batch$"):
+        class_average([0, 0], 2)
 
 
 def test_cwfa_permutation_invariance():
@@ -42,25 +49,25 @@ def test_cwfa_permutation_invariance():
     equal = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2])
     unequal = np.array([0, 1, 2, 0, 1, 2, 1, 2, 2, 1, 0, 2])   # class sizes 3/4/5
     for labels in (equal, unequal):
-        base = cwfa(pyramid_from(feats), labels, 3)
-        permuted = cwfa(pyramid_from(feats[perm]), labels[perm], 3)
+        base = class_average(labels, 3) @ feats
+        permuted = class_average(labels[perm], 3) @ feats[perm]
         # oracle: sorted-order summation per class
         for k in range(3):
             oracle = feats[labels == k].mean(axis=0)
-            np.testing.assert_allclose(base.per_layer[0].values[k], oracle, rtol=1e-12)
-            np.testing.assert_allclose(permuted.per_layer[0].values[k], oracle, rtol=1e-12)
+            np.testing.assert_allclose(base[k], oracle, rtol=1e-12)
+            np.testing.assert_allclose(permuted[k], oracle, rtol=1e-12)
 
 
 def test_alignment_zero_for_identical_means():
     feats = np.random.default_rng(2).standard_normal((4, 6))
-    a = cwfa(pyramid_from(feats), [0, 0, 1, 1], 2)
-    b = cwfa(pyramid_from(feats.copy()), [0, 0, 1, 1], 2)
+    a = class_means(pyramid_from(feats), [0, 0, 1, 1], 2)
+    b = class_means(pyramid_from(feats.copy()), [0, 0, 1, 1], 2)
     assert feature_alignment_loss(a, b).item() == 0.0
 
 
 def test_alignment_squared_norm():
-    a = cwfa(pyramid_from([[0.0, 0.0]]), [0], 1)
-    b = cwfa(pyramid_from([[3.0, 4.0]]), [0], 1)
+    a = class_means(pyramid_from([[0.0, 0.0]]), [0], 1)
+    b = class_means(pyramid_from([[3.0, 4.0]]), [0], 1)
     assert feature_alignment_loss(a, b).item() == pytest.approx(25.0)
 
 
@@ -73,7 +80,8 @@ def test_alignment_matches_double_loop_oracle():
     labels_s = np.arange(K)
     pr = FeaturePyramid([Tensor(f) for f in real_feats], Tensor(np.zeros((K * 2, 1))))
     ps = FeaturePyramid([Tensor(f) for f in synth_feats], Tensor(np.zeros((K, 1))))
-    got = feature_alignment_loss(cwfa(ps, labels_s, K), cwfa(pr, labels_r, K)).item()
+    got = feature_alignment_loss(class_means(ps, labels_s, K),
+                                 class_means(pr, labels_r, K)).item()
     # independent double-loop sum oracle
     expected = 0.0
     for l in range(L):
@@ -85,15 +93,15 @@ def test_alignment_matches_double_loop_oracle():
 
 def test_alignment_symmetry():
     rng = np.random.default_rng(4)
-    a = cwfa(pyramid_from(rng.standard_normal((2, 3))), [0, 1], 2)
-    b = cwfa(pyramid_from(rng.standard_normal((2, 3))), [0, 1], 2)
+    a = class_means(pyramid_from(rng.standard_normal((2, 3))), [0, 1], 2)
+    b = class_means(pyramid_from(rng.standard_normal((2, 3))), [0, 1], 2)
     assert feature_alignment_loss(a, b).item() == pytest.approx(
         feature_alignment_loss(b, a).item(), rel=1e-15)
 
 
 def test_alignment_shape_mismatch():
-    a = cwfa(pyramid_from(np.zeros((2, 3))), [0, 1], 2)
-    b = cwfa(pyramid_from(np.zeros((2, 4))), [0, 1], 2)
+    a = class_means(pyramid_from(np.zeros((2, 3))), [0, 1], 2)
+    b = class_means(pyramid_from(np.zeros((2, 4))), [0, 1], 2)
     with pytest.raises(DimensionError):
         feature_alignment_loss(a, b)
 
@@ -182,8 +190,8 @@ def test_total_loss_gradient_through_tiny_model():
     def objective(s_tensor):
         pr = forward(params, Tensor(real))
         ps = forward(params, s_tensor)
-        mr = cwfa(pr, real_labels, 2)
-        ms = cwfa(ps, synth_labels, 2)
+        mr = class_means(pr, real_labels, 2)
+        ms = class_means(ps, synth_labels, 2)
         lf = feature_alignment_loss(ms, mr)
         logits = discrimination_logits(pr.per_layer[-1], ms.per_layer[-1])
         ld = discrimination_loss(logits, real_labels)
@@ -207,8 +215,8 @@ def test_lf_minimizer_is_real_class_pixel_mean():
     target = np.stack([real[labels == k].mean(0) for k in range(K)])
     synth = Tensor(rng.standard_normal((K, D)))
     for _ in range(200):
-        ms = cwfa(FeaturePyramid([synth], Tensor(np.zeros((K, 1)))), np.arange(K), K)
-        mr = cwfa(FeaturePyramid([Tensor(real)], Tensor(np.zeros((K * 5, 1)))), labels, K)
+        ms = class_means(FeaturePyramid([synth], Tensor(np.zeros((K, 1)))), np.arange(K), K)
+        mr = class_means(FeaturePyramid([Tensor(real)], Tensor(np.zeros((K * 5, 1)))), labels, K)
         T.backward(feature_alignment_loss(ms, mr))
         T.sgd_step([synth], 0.5)
     assert np.linalg.norm(synth.values - target) <= 1e-2

@@ -161,6 +161,26 @@ def test_first_layer_taped_backward_copies_one_sample_of_columns():
     assert peak < 5.0e6, peak
 
 
+def test_constant_input_backward_copies_im2col_in_pieces():
+    # the first block of a training step on 3x32x32 images: its kernel
+    # gradient reads the input's im2col moments IM2COL_BYTES at a time.
+    # Measured 3.58 MB: the masked gradient (2.10 MB), a piece of four
+    # samples' columns (0.88 MB) and the moments. A chunk's columns
+    # (3.54 MB) took it to 6.23 MB
+    rng = np.random.default_rng(29)
+    x = Tensor.constant(rng.standard_normal((T.CHUNK, 3, 32, 32)))
+    out = T.conv_block(x, Tensor(rng.standard_normal((16, 3, 3, 3))))
+    g = rng.standard_normal(out.shape)
+    tracemalloc.start()
+    try:
+        gx, gk = out._backward(g, (False, True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gx is None and gk.shape == (16, 3, 3, 3)
+    assert peak < 4.5e6, peak
+
+
 def test_conv2d_forward_peak_memory_is_a_few_inputs():
     # the forward pads and copies one chunk's windows at a time, not the
     # batch's: the block keeps its centred conv output and its output
@@ -234,21 +254,30 @@ def test_chunked_kernels_match_the_whole_batch_bit_for_bit(B):
 
 
 def test_im2col_pieces_move_no_bit(monkeypatch):
-    # each sample is one GEMM whatever piece its columns are copied in: one
-    # sample per piece and one piece per chunk give the same output, input
-    # gradient and kernel gradient, taped and as a read
+    # each sample is one GEMM whatever piece its columns are copied in, and
+    # a constant input's kernel gradient carries the chunk's running sum
+    # into each piece as its first row: one sample per piece, five (so a
+    # piece ends inside a chunk) and one piece per chunk give the same
+    # output, input gradient and kernel gradients, taped, as a read and on
+    # a constant input, 16-channel and 3-channel
     rng = np.random.default_rng(27)
-    x = rng.standard_normal((2 * T.CHUNK + 3, 16, 14, 14))
-    k = rng.standard_normal((16, 16, 3, 3))
-    g = rng.standard_normal((2 * T.CHUNK + 3, 16, 7, 7))
-    runs = []
-    for budget in (1, 2 * T.CHUNK * 16 * 9 * 14 * 14 * 8):
-        monkeypatch.setattr(T, "IM2COL_BYTES", budget)
-        out = T.conv_block(Tensor(x), Tensor(k))
-        read = T.conv_block(Tensor.constant(x), Tensor.constant(k))
-        runs.append((out.values, read.values) + out._backward(g, (True, True)))
-    for one, whole in zip(*runs):
-        np.testing.assert_array_equal(one, whole)
+    B = 2 * T.CHUNK + 3
+    for C, H in ((16, 14), (3, 16)):
+        x = rng.standard_normal((B, C, H, H))
+        k = rng.standard_normal((16, C, 3, 3))
+        g = rng.standard_normal((B, 16, H // 2, H // 2))
+        sample = C * 9 * H * H * 8
+        runs = []
+        for budget in (1, 5 * sample, 2 * T.CHUNK * sample):
+            monkeypatch.setattr(T, "IM2COL_BYTES", budget)
+            out = T.conv_block(Tensor(x), Tensor(k))
+            read = T.conv_block(Tensor.constant(x), Tensor.constant(k))
+            first = T.conv_block(Tensor.constant(x), Tensor(k))
+            runs.append((out.values, read.values, first.values)
+                        + out._backward(g, (True, True)) + first._backward(g, (False, True))[1:])
+        for one, *others in zip(*runs):
+            for other in others:
+                np.testing.assert_array_equal(one, other)
 
 
 @pytest.mark.parametrize("B", [1, T.CHUNK - 1, T.CHUNK + 1, 2 * T.CHUNK + 3])
