@@ -16,8 +16,8 @@ its sample chunks; and a one-block ConvNet built by ``models.forward``
 on a constant input, whose block takes its kernel gradient from moments,
 also on an odd 1-channel plane across two chunks; each on every
 coordinate of every leaf. Last, the pixel gradient ``bilevel.outer_step``
-applies, through the step itself, on every pixel of a synthetic set that
-crosses a slice seam.
+applies, on every pixel of a synthetic set that crosses a slice seam,
+against differences of the loss the step descends.
 """
 
 from __future__ import annotations
@@ -29,9 +29,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
-from .bilevel import CondenseConfig, CondenseState, outer_step
+from .bilevel import CondenseConfig, CondenseState, _losses_and_mean_grads, outer_step, \
+    sample_class_balanced
 from .data import SyntheticSet, make_dataset
 from .evaluate import READ_BATCH
+from .losses import class_average
 from .models import ConvNetSpec, ModelParams, forward
 
 H_STEP = 1e-5
@@ -224,10 +226,11 @@ def _check_outer_step(rng: np.random.Generator, name: str) -> list[CheckResult]:
     synthetic set of READ_BATCH + 1 images in 5 classes, so the last
     class's rows cross a slice seam. The step applies -lr * grad at lr
     2**20, a power of two far above the pixels, so (before - after) / lr is
-    its gradient up to one rounding of the update; the numeric side
-    differences the total it returns. Each call draws the same real batch
-    from a fresh generator. An exception fails the check, with its type
-    and message as detail."""
+    its gradient up to one rounding of the update. The numeric side
+    differences the loss the step descends, ``_losses_and_mean_grads`` on
+    the real batch the step draws from a fresh generator; the check fails
+    if the total the step returns is not that loss at the pixels. An
+    exception fails the check, with its type and message as detail."""
     K, ipc, shape = 5, READ_BATCH // 5 + 1, (1, 4, 4)
     while True:
         x = rng.standard_normal((K * ipc, *shape))
@@ -240,14 +243,21 @@ def _check_outer_step(rng: np.random.Generator, name: str) -> list[CheckResult]:
     real = make_dataset(rng.standard_normal((K * 2, *shape)), np.repeat(np.arange(K), 2), K)
     cfg = CondenseConfig(ipc=ipc, n_per_class=2, outer_lr=2.0 ** 20)
     labels = np.repeat(np.arange(K), ipc)
+    idx = sample_class_balanced(real, cfg.n_per_class, np.random.default_rng(0))
+    avg = class_average(labels, K)
 
-    def step(pixels):
-        synth = SyntheticSet(T.Tensor(pixels.copy()), labels, ipc, K)
-        total = outer_step(CondenseState(synth, theta, 0, np.random.default_rng(0)), real, cfg)[2]
-        return total, synth.images.values
+    def loss():
+        return _losses_and_mean_grads(theta, real.images[idx], real.labels[idx], x, avg,
+                                      cfg.beta)[0][2]
 
     try:
-        analytic = (x - step(x)[1]) / cfg.outer_lr
-        return [compare(analytic, numeric_grad(lambda: step(x)[0], x), f"{name}[pixels]")]
+        synth = SyntheticSet(T.Tensor(x.copy()), labels, ipc, K)
+        total = outer_step(CondenseState(synth, theta, 0, np.random.default_rng(0)), real, cfg)[2]
+        base = loss()
+        if total != base:
+            return [CheckResult(f"{name}[pixels]", float("inf"), False,
+                                f"the step returned total {total!r}, not its loss {base!r}")]
+        analytic = (x - synth.images.values) / cfg.outer_lr
+        return [compare(analytic, numeric_grad(loss, x), f"{name}[pixels]")]
     except Exception as e:
         return [_raised(f"{name}[pixels]", e)]

@@ -24,24 +24,23 @@ provided, in the forms those use: ``conv_block`` is a whole ConvNet block
 (3x3 conv with padding 1 and no bias, instance norm, ReLU and 2x2 pool) as
 one node, and there is no broadcasting beyond what they need. The block
 works through a batch ``CHUNK`` samples at a time, forward and backward,
-so each pass over a chunk stays in cache. Its conv is one GEMM per sample
-of the kernel with the padded input's im2col columns, and its input
-gradient one of the flipped kernel with the padded norm gradient's; these
-and the moments below copy their columns at most ``IM2COL_BYTES`` (or one
-sample's) at a time.
+so each pass over a chunk stays in cache. Every GEMM it runs reads im2col
+columns, which ``_col_pieces`` copies at most ``IM2COL_BYTES`` (or one
+sample's) at a time: its conv is one GEMM per sample of the kernel with
+the padded input's columns, its input gradient one of the flipped kernel
+with the padded norm gradient's, and its kernel gradient one of those same
+columns with the input.
 It centres its conv output in place and scales only the pooled output by
 the norm's inverse deviation. A taped block keeps its ReLU mask as bools,
 one byte a pixel, and only a block whose input is taped also keeps its
 float64 centred planes, for the norm's backward. Any other block, a read
 from constants included, reuses one chunk's conv buffer. The output and
-the input gradient of any batch have the bits one pass over it would
-(whatever the chunks and pieces); so has the kernel
-gradient of a taped input, save on a block with one input and one output
-channel. A constant input, such as the images under the first block of
-every training step, takes its kernel gradient from moments of each
-sample's centred im2col columns instead: no norm gradient plane and no
-per-tap GEMM. It is the same sum in another order, within 1e-13 of the
-largest entry of the taps' kernel gradient.
+both gradients of any batch have the bits one pass over it would
+(whatever the chunks and pieces). A constant input, such as the images
+under the first block of every training step, takes its kernel gradient
+from moments of each sample's centred im2col columns instead: no norm
+gradient plane. It is the same sum in another order, within 1e-13 of the
+largest entry of the taped block's kernel gradient.
 """
 
 from __future__ import annotations
@@ -270,30 +269,21 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _node(x.values @ weight.values + bias.values, (x, weight, bias), _bw, "linear")
 
 
-def _im2col(padded: np.ndarray) -> np.ndarray:
-    """cols[b, (c, i, j), h, w] = padded[b, c, h + i, w + j] as a view of
-    padded [b, C, H + 2, W + 2], the windows of a 3x3 conv with padding 1."""
-    return sliding_window_view(padded, (3, 3), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
-
-
-def _piece(c: int, C: int, H: int, W: int) -> int:
-    """Samples per im2col copy of c samples of a C x H x W input:
-    IM2COL_BYTES of columns, or one sample's if that is more."""
-    return max(1, min(c, IM2COL_BYTES // (C * 9 * H * W * 8)))
-
-
-def _conv_gemm(w: np.ndarray, padded: np.ndarray, out: np.ndarray) -> None:
-    """out[b] = w @ im2col(padded[b]) for w [O, C*9], padded [c, C, H+2,
-    W+2] and a C-contiguous out [c, O, H*W]. The columns are copied a
-    piece of samples at a time (``_piece``); each sample is one BLAS GEMM
-    whatever its piece, so the pieces move no bit."""
+def _col_pieces(padded: np.ndarray):
+    """Yield (p, cols) over padded [c, C, H + 2, W + 2], with cols[b, (ch,
+    i, j), h*W + w] = padded[p + b, ch, h + i, w + j]: the im2col columns of
+    a 3x3 conv with padding 1 for samples p onward, copied IM2COL_BYTES (or
+    one sample's, where those are more) at a time into one buffer that each
+    piece overwrites. A GEMM per sample on them gives the bits of one over
+    the whole batch, whatever the pieces."""
     c, C, Hp, Wp = padded.shape
-    cols = _im2col(padded)
-    piece = np.empty((_piece(c, C, Hp - 2, Wp - 2), C, 3, 3, Hp - 2, Wp - 2))
-    for s in range(0, c, len(piece)):
-        p = piece[:c - s]
-        p[...] = cols[s:s + len(p)]
-        np.matmul(w, p.reshape(len(p), C * 9, -1), out=out[s:s + len(p)])
+    H, W = Hp - 2, Wp - 2
+    windows = sliding_window_view(padded, (3, 3), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+    piece = np.empty((max(1, min(c, IM2COL_BYTES // (C * 9 * H * W * 8))), C, 3, 3, H, W))
+    for p in range(0, c, len(piece)):
+        cols = piece[:c - p]
+        cols[...] = windows[p:p + len(cols)]
+        yield p, cols.reshape(len(cols), C * 9, H * W)
 
 
 def conv_block(x: Tensor, kernel: Tensor) -> Tensor:
@@ -310,14 +300,14 @@ def conv_block(x: Tensor, kernel: Tensor) -> Tensor:
     A taped block keeps its ReLU mask, a bool [B,O,H,W], and the backward
     spreads the output gradient onto it. With the input taped, the block
     also keeps its centred conv output; the backward runs the norm's
-    backward over each plane, zero-padded by a pixel, and meets it with the
-    kernel's nine taps for the kernel gradient and with the flipped kernel
-    in one im2col GEMM per sample for the input gradient. With the input a
-    constant the block keeps no conv output. Only the kernel gradient is
-    asked for, and it comes from per-sample products of the masked gradient
-    and of the kernel with the centred im2col columns; the forward keeps
-    its bits. Every im2col copy, forward and backward, is made
-    IM2COL_BYTES at a time (see ``_piece``).
+    backward over each plane, zero-padded by a pixel, and meets its im2col
+    columns in one GEMM per sample with the flipped kernel for the input
+    gradient and in one with the input for the kernel gradient. With the
+    input a constant the block keeps no conv output. Only the kernel
+    gradient is asked for, and it comes from per-sample products of the
+    masked gradient and of the kernel with the centred im2col columns; the
+    forward keeps its bits. Every im2col copy, forward and backward, is
+    made by ``_col_pieces``.
     """
     if x.values.ndim != 4:
         raise DimensionError(f"conv_block: expected [B,C,H,W], got {x.shape}")
@@ -329,6 +319,7 @@ def conv_block(x: Tensor, kernel: Tensor) -> Tensor:
     O = kernel.shape[0]
     Hp, Wp, Ho, Wo, m = H + 2, W + 2, H // 2, W // 2, min(B, CHUNK)
     kv = kernel.values
+    kf = kv.reshape(O, C * 9)
     taped = x._op != "const"
     read = not taped and kernel._op == "const"   # _node's test: the output is a constant
     # offset (i, j) of every pool window as a strided view: four strided
@@ -350,7 +341,9 @@ def conv_block(x: Tensor, kernel: Tensor) -> Tensor:
         ys, vs, invs = y[s:s + c] if taped else y[:c], v[s:s + c], inv[s:s + c]
         xp[:c, :, 1:-1, 1:-1] = x.values[s:s + c]
         yf = ys.reshape(c, O, H * W)
-        _conv_gemm(kv.reshape(O, C * 9), xp[:c], yf)
+        for p, cols in _col_pieces(xp[:c]):
+            np.matmul(kf, cols, out=yf[p:p + len(cols)])
+        del cols    # else its piece lives on while the next chunk's is made
         # one mean, the centring in place and its sum of squares: np.var
         # would take the mean and centre again
         yf -= np.add.reduce(yf, axis=2, keepdims=True) / (H * W)
@@ -385,47 +378,42 @@ def conv_block(x: Tensor, kernel: Tensor) -> Tensor:
             # plane and xc is centred, so its product with the columns is
             # M - inv**2 * mean(gy * y) * K xc xc^T with M = gy xc^T, and
             # mean(gy * y) = <M, K> / (H*W) per plane: no full-size pass
-            # but the mask's, and no tap GEMM. The columns are copied a
-            # piece at a time, as ``_conv_gemm`` copies them, and the
-            # chunk's running sum enters each piece as its first row, so
-            # the pieces keep the order of one sum over the chunk
-            kf = kv.reshape(O, C * 9)
-            xc = np.empty((_piece(m, C, H, W), C * 9, H * W))
+            # but the mask's, and no norm gradient plane. The chunk's running
+            # sum enters each piece as its first row, so the pieces keep the
+            # order of one sum over the chunk
             gk = np.zeros((O, C * 9))
             for s in range(0, B, CHUNK):
                 c = min(CHUNK, B - s)
                 gys, invs = spread(s, c)
                 xp[:c, :, 1:-1, 1:-1] = x.values[s:s + c]
-                cols, part = _im2col(xp[:c]), None
-                for p in range(0, c, len(xc)):
-                    xcs = xc[:c - p]
-                    q = len(xcs)
-                    xcs.reshape(q, C, 3, 3, H, W)[...] = cols[p:p + q]
-                    xcs -= np.add.reduce(xcs, axis=2, keepdims=True) / (H * W)
-                    mo = np.matmul(gys[p:p + q].reshape(q, O, H * W), xcs.transpose(0, 2, 1))
-                    kg = np.matmul(kf, np.matmul(xcs, xcs.transpose(0, 2, 1)))
+                part = None
+                for p, xc in _col_pieces(xp[:c]):
+                    q = len(xc)
+                    xc -= np.add.reduce(xc, axis=2, keepdims=True) / (H * W)
+                    mo = np.matmul(gys[p:p + q].reshape(q, O, H * W), xc.transpose(0, 2, 1))
+                    kg = np.matmul(kf, np.matmul(xc, xc.transpose(0, 2, 1)))
                     gym = np.einsum("bok,ok->bo", mo, kf)[:, :, None] / (H * W)
                     iv = invs[p:p + q, :, :, 0]
                     mo -= (iv * iv * gym) * kg
                     if part is not None:
                         mo[0] += part
                     part = mo.sum(0)
+                del xc
                 gk += part
             return None, gk.reshape(O, C, 3, 3)
 
         # a taped input: the norm's backward goes into the interior of gp,
         # a chunk's gradient zero-padded by a pixel, whose border is never
-        # written. The input gradient is the conv of gp with the kernel
-        # flipped and its channel axes swapped, kf[c, (o, i, j)] =
-        # kv[o, c, 2 - i, 2 - j]. In the flattened padded plane, output
-        # pixel (h, w) reads xp at h*Wp + w + off for tap (i, j), with
-        # off = i*Wp + j, so each tap of the kernel gradient is one GEMM of
-        # gp's n positions from offset Wp + 1, whose pad columns read as 0,
-        # with a slice of xp; the last tap's slice ends at Hp*Wp exactly
-        n = (H - 1) * Wp + W
-        kf = np.ascontiguousarray(kv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(C, O * 9)
+        # written. Both gradients read gp's im2col columns: the input
+        # gradient is their product with the kernel flipped and its channel
+        # axes swapped, kt[c, (o, i, j)] = kv[o, c, 2 - i, 2 - j], and the
+        # kernel gradient, flipped, their product with the input summed over
+        # samples, acc[(o, i, j), c] = gk[o, c, 2 - i, 2 - j]. The running
+        # sum enters each piece as its first row, so it keeps the order of
+        # one sum over the batch
+        kt = np.ascontiguousarray(kv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(C, O * 9)
         gx = np.empty((B, C, H, W))
-        gk = np.zeros((O, C, 3, 3)) if need[1] else None
+        acc = None
         gp = np.zeros((m, O, Hp, Wp))
         for s in range(0, B, CHUNK):
             c = min(CHUNK, B - s)
@@ -437,22 +425,19 @@ def conv_block(x: Tensor, kernel: Tensor) -> Tensor:
             np.multiply(ys, -(invs * invs * gym), out=gcs)
             gcs += gys
             gcs -= gm
-            _conv_gemm(kf, gp[:c], gx[s:s + c].reshape(c, C, H * W))
-            if need[1]:
-                # each running sum over samples enters as the chunk's first
-                # row, so it keeps the order of one sum over the batch; the
-                # last bits differ only where numpy sums the batch
-                # pairwise: a block with one input and one output channel
-                gpn = gp[:c].reshape(c, O, Hp * Wp)[:, :, Wp + 1:Wp + 1 + n]
-                xp[:c, :, 1:-1, 1:-1] = x.values[s:s + c]
-                xf = xp[:c].reshape(c, C, Hp * Wp)
-                for i in range(3):
-                    for j in range(3):
-                        off = i * Wp + j
-                        part = np.matmul(gpn, xf[:, :, off:off + n].transpose(0, 2, 1))
-                        if s:
-                            part[0] += gk[:, :, i, j]
-                        gk[:, :, i, j] = part.sum(0)
+            gxs, xs = gx[s:s + c].reshape(c, C, H * W), x.values[s:s + c].reshape(c, C, H * W)
+            for p, cols in _col_pieces(gp[:c]):
+                q = len(cols)
+                np.matmul(kt, cols, out=gxs[p:p + q])
+                if need[1]:
+                    part = np.matmul(cols, xs[p:p + q].transpose(0, 2, 1))
+                    if acc is not None:
+                        part[0] += acc
+                    acc = part.sum(0)
+                    del part    # else it lives on while the next piece makes its own
+            del cols
+        gk = np.ascontiguousarray(acc.reshape(O, 3, 3, C)[:, ::-1, ::-1].transpose(0, 3, 1, 2)) \
+            if need[1] else None
         return gx, gk
 
     return _node(v, (x, kernel), _bw, "conv_block")

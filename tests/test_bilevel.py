@@ -272,10 +272,13 @@ def test_outer_step_peak_memory_barely_grows_with_the_real_batch():
 
 def test_outer_step_peak_memory_barely_grows_with_ipc():
     # the synthetic set is read, and forwarded on the tape, READ_BATCH
-    # images at a time, so going from ipc 5 to 50 adds only what is kept
-    # for the whole set: its pixel gradient, and its last taps (as large
-    # as its pixels here) with their concatenation. One taped batch of the
-    # whole set added 108 MB here, 38 times the added pixels
+    # images at a time, so going from ipc 5 to 50 adds only its pixel
+    # gradient and a larger taped slice. The step peaks in its taped slice
+    # loop, 20.25 -> 27.21 MB (tracemalloc), 2.5 times the added pixels: a
+    # 64-image slice against a 50-image one (+4.1 MB) and the 2.8 MB pixel
+    # gradient buffer. The synthetic set's last taps, freed before that
+    # loop, leave the peak as it is. One taped batch of the whole set added
+    # 108 MB here, 38 times the added pixels
     arch = ConvNetSpec(blocks=2, channels=16, input_shape=(1, 28, 28), num_classes=10)
     ds = make_blob_split(10, 4, 1, (1, 28, 28), spread=0.2, seed=0)[0]
     peaks = []

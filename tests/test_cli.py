@@ -17,7 +17,7 @@ import pytest
 import yaml
 
 import condensery.tensor as T
-from condensery import cli
+from condensery import cli, gradcheck
 from condensery.bilevel import CondenseConfig, run_condense
 from condensery.data import STATS_BLOCK, load_idx, load_synthetic, new_synthetic, \
     save_synthetic
@@ -564,6 +564,20 @@ def test_gradcheck_reports_a_faulty_check_as_failed(monkeypatch, capsys, phase, 
     err = capsys.readouterr().err
     assert f"FAIL relu[arg0]: {detail}" in err
     assert err.count("FAIL") == 1
+
+
+def test_gradcheck_fails_an_outer_step_whose_total_is_not_its_loss(monkeypatch):
+    # the pixel check differences the loss outer_step descends, not the
+    # step itself, so a step that returns another total fails it
+    real_step = gradcheck.outer_step
+
+    def off_by_a_bit(*args):
+        l_f, l_d, total = real_step(*args)
+        return l_f, l_d, total * (1 + 1e-12)
+
+    monkeypatch.setattr(gradcheck, "outer_step", off_by_a_bit)
+    [result] = gradcheck._check_outer_step(np.random.default_rng(0), "outer_step")
+    assert not result.passed and "not its loss" in result.detail, result
 
 
 def test_gradcheck_negative_seed_exits_2(capsys):

@@ -217,23 +217,15 @@ def _block_whole_batch(x, k, g):
     for w in windows:
         np.multiply(g * 0.25, y[w] > 0.0, out=gy[w])
     gc = _one_pass_norm_backward(y, inv, gy)
-    # the input gradient: the conv of the padded norm gradient with the
-    # kernel flipped and its channel axes swapped, one im2col GEMM
+    # both gradients read the padded norm gradient's im2col columns: the
+    # input gradient with the kernel flipped and its channel axes swapped,
+    # the kernel gradient, flipped, with the input, summed over samples
     gp = np.pad(gc, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    gcols = sliding_window_view(gp, (3, 3), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+    gcols = sliding_window_view(gp, (3, 3), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3).reshape(B, O * 9, H * W)
     kf = np.ascontiguousarray(k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(C, O * 9)
-    gx = np.matmul(kf, gcols.reshape(B, O * 9, H * W)).reshape(B, C, H, W)
-    # the kernel gradient: one GEMM per tap over the flattened padded
-    # planes, the gradient read from offset Wp + 1 with its pad columns
-    Hp, Wp = H + 2, W + 2
-    n = (H - 1) * Wp + W
-    gpn = gp.reshape(B, O, Hp * Wp)[:, :, Wp + 1:Wp + 1 + n]
-    xf = xp.reshape(B, C, Hp * Wp)
-    gk = np.empty((O, C, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            off = i * Wp + j
-            gk[:, :, i, j] = np.matmul(gpn, xf[:, :, off:off + n].transpose(0, 2, 1)).sum(0)
+    gx = np.matmul(kf, gcols).reshape(B, C, H, W)
+    acc = np.matmul(gcols, x.reshape(B, C, H * W).transpose(0, 2, 1)).sum(0)
+    gk = acc.reshape(O, 3, 3, C)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
     return v, gx, gk
 
 
@@ -241,16 +233,18 @@ def _block_whole_batch(x, k, g):
 def test_chunked_kernels_match_the_whole_batch_bit_for_bit(B):
     # every result the block computes chunk by chunk is per sample, and
     # the kernel gradient carries its running sum across the seams in the
-    # order of one sum over the batch: no bit may move. The input is a
-    # strided view, and its 5x7 plane is pooled with a floor
+    # order of one sum over the batch: no bit may move, also on a block
+    # with one input and one output channel. The input is a strided view,
+    # and its 5x7 plane is pooled with a floor
     rng = np.random.default_rng(20)
-    x = rng.standard_normal((B, 6, 5, 8))[:, ::2, :, 1:]
-    k = rng.standard_normal((4, 3, 3, 3))
-    out = T.conv_block(Tensor(x), Tensor(k))
-    g = rng.standard_normal(out.shape)
-    ref = _block_whole_batch(x, k, g)
-    for got, want in zip((out.values,) + out._backward(g, (True, True)), ref):
-        np.testing.assert_array_equal(got, want)
+    for C, O in ((3, 4), (1, 1)):
+        x = rng.standard_normal((B, 2 * C, 5, 8))[:, ::2, :, 1:]
+        k = rng.standard_normal((O, C, 3, 3))
+        out = T.conv_block(Tensor(x), Tensor(k))
+        g = rng.standard_normal(out.shape)
+        ref = _block_whole_batch(x, k, g)
+        for got, want in zip((out.values,) + out._backward(g, (True, True)), ref):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_im2col_pieces_move_no_bit(monkeypatch):
@@ -354,8 +348,9 @@ def test_kernel_gradient_through_a_constant_input_matches_the_taped_block(B):
 @pytest.mark.parametrize("B", [1, T.CHUNK - 1, T.CHUNK + 1, 2 * T.CHUNK + 3])
 def test_constant_input_kernel_gradient_from_moments_matches_the_taps(B, H, W, C, O):
     # with the input a constant the block asks for the kernel gradient
-    # alone and takes it from im2col moments; the taps' sum over the norm
-    # gradient gives the same numbers, to float64 round-off
+    # alone and takes it from im2col moments; the taped block's GEMM of the
+    # norm gradient's columns with the input gives the same numbers, to
+    # float64 round-off
     rng = np.random.default_rng(23)
     out = T.conv_block(Tensor(rng.standard_normal((B, C, H, W))),
                        Tensor(rng.standard_normal((O, C, 3, 3))))
