@@ -106,34 +106,28 @@ def init_state(real: LabeledDataset, arch: ArchSpec, cfg: CondenseConfig) -> Con
 
 
 def _class_means(theta: ModelParams, images: np.ndarray, avg: np.ndarray) -> tuple:
-    """Each layer's class means ``avg @ F_l`` over ``images``, and their last
-    taps, read by ``evaluate.read_slices`` without a tape: each slice adds
-    ``avg[:, s:s + b] @ F_l`` to the sums and leaves its last tap."""
+    """Each layer's class means ``avg @ F_l`` over ``images``, and the last
+    tap of each slice, read by ``evaluate.read_slices`` without a tape: each
+    slice adds ``avg[:, s:s + b] @ F_l`` to the sums and leaves its last tap."""
     sums = []
 
     def take(s, pyr):
         parts = [avg[:, s:s + len(f.values)] @ f.values for f in pyr.per_layer]
         sums[:] = [a + b for a, b in zip(sums, parts)] if sums else parts
         return pyr.per_layer[-1].values
-    last = np.concatenate(evaluate.read_slices(theta, images, take))
-    return sums, last
+    return sums, evaluate.read_slices(theta, images, take)
 
 
-def _losses_and_mean_grads(theta: ModelParams, real_images: np.ndarray, real_labels: np.ndarray,
-                           pixels: np.ndarray, avg: np.ndarray, beta: float) -> tuple:
-    """(l_f, l_d, total), and each layer's G_l = d total / d S_l at the
-    synthetic class means S_l, which enter the loss as leaves; the loss
-    tape is freed on return."""
-    K = avg.shape[0]
-    real_means, real_last = _class_means(theta, real_images, class_average(real_labels, K))
-    means = [Tensor(m) for m in _class_means(theta, pixels, avg)[0]]
+def _objective(means: list, real_means: list, real_last: np.ndarray, real_labels: np.ndarray,
+               beta: float) -> tuple:
+    """CAFE's (l_f, l_d, l_f + beta * l_d) on the tape, with no backward, on
+    the synthetic class means, one tensor per layer, against the real batch's
+    means, last taps and labels; the last layer's means are the centers."""
     l_f = feature_alignment_loss(ClassMeans(means),
                                  ClassMeans(list(map(Tensor.constant, real_means))))
-    logits = discrimination_logits(Tensor.constant(real_last), means[-1])
-    l_d = discrimination_loss(logits, real_labels)
-    total = total_loss(l_f, l_d, beta)
-    T.backward(total)
-    return (l_f.item(), l_d.item(), total.item()), [m.grad for m in means]
+    l_d = discrimination_loss(discrimination_logits(Tensor.constant(real_last), means[-1]),
+                              real_labels)
+    return l_f, l_d, total_loss(l_f, l_d, beta)
 
 
 def outer_step(state: CondenseState, real: LabeledDataset,
@@ -144,17 +138,22 @@ def outer_step(state: CondenseState, real: LabeledDataset,
 
     Only the pixels are trained, and both sets are read READ_BATCH images
     at a time. The loss reads the synthetic set only through its class
-    means S_l = A F_l, so one tape-free read of them and one backward give
-    each G_l. No network op mixes samples, so a slice's pixel gradient is
-    that of sum_l <F_l, A[:, slice]^T G_l>: each slice is forwarded again,
-    on the tape, under that root. The step holds one slice's activations
-    whatever the set's size."""
+    means S_l = A F_l, so one tape-free read of them, ``_objective``'s
+    leaves, and one backward give each G_l. No op mixes samples, so a
+    slice's pixel gradient is that of sum_l <F_l, A[:, slice]^T G_l>: each
+    slice is forwarded again, on the tape, under that root. The step holds
+    one slice's activations whatever the set's size."""
     real_idx = sample_class_balanced(real, cfg.n_per_class, state.rng)
-    synth = state.synthetic
+    real_labels, synth, theta = real.labels[real_idx], state.synthetic, state.theta
     pixels, avg = synth.images.values, class_average(synth.labels, real.num_classes)
-    losses, grads = _losses_and_mean_grads(state.theta, real.images[real_idx],
-                                           real.labels[real_idx], pixels, avg, cfg.beta)
-    consts, grad = state.theta.constants(), np.empty_like(pixels)
+    real_means, real_last = _class_means(theta, real.images[real_idx],
+                                         class_average(real_labels, real.num_classes))
+    means = [Tensor(m) for m in _class_means(theta, pixels, avg)[0]]
+    terms = _objective(means, real_means, np.concatenate(real_last), real_labels, cfg.beta)
+    T.backward(terms[2])
+    losses, grads = tuple(t.item() for t in terms), [m.grad for m in means]
+    del real_last, terms        # the real taps and the loss tape go before the taped slices
+    consts, grad = theta.constants(), np.empty_like(pixels)
     for s in range(0, len(pixels), evaluate.READ_BATCH):
         x = Tensor(pixels[s:s + evaluate.READ_BATCH])
         seeds = avg[:, s:s + len(x.values)].T

@@ -339,17 +339,17 @@ def cmd_coreset(args) -> int:
         raise ConfigError(f"unknown method {args.method!r}; valid: {', '.join(CORESET_METHODS)}")
     cfg = load_config(args.config, args.set or [])
     train = build_split(cfg, "train")
-    ccfg = build_condense_config(cfg)
+    ipc = cfg["condense"]["ipc"]
     if args.method == "random":
-        sel = select_random(train, ccfg.ipc, cfg["seed"])
+        sel = select_random(train, ipc, cfg["seed"])
     elif args.method == "herding":
-        sel = select_herding(train, ccfg.ipc)
+        sel = select_herding(train, ipc)
     elif args.method == "kcenter":
-        sel = select_kcenter(train, ccfg.ipc)
+        sel = select_kcenter(train, ipc)
     else:
         arch = build_arch(cfg, train.image_shape, train.num_classes)
         trace = record_training_trace(train, arch, build_trace_config(cfg), cfg["seed"])
-        sel = select_forgetting(train, ccfg.ipc, trace)
+        sel = select_forgetting(train, ipc, trace)
     with _run_dir(cfg, f"coreset:{args.method}", ["synthetic.cnd", "selection.csv"],
                   args.malloc_thresholds) as out:
         save_synthetic(materialize(train, sel), out / "synthetic.cnd")

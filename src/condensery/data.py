@@ -250,7 +250,7 @@ def _non_finite(a: np.ndarray) -> int:
 
 def _read_container(path) -> tuple[dict, dict]:
     """The header and each section as a view of one writable buffer that
-    holds the whole file."""
+    holds the whole file; a tag that appears twice is refused."""
     with open(path, "rb") as f:
         data = memoryview(bytearray(os.fstat(f.fileno()).st_size))
         data = data[:f.readinto(data)]
@@ -271,6 +271,8 @@ def _read_container(path) -> tuple[dict, dict]:
             tag = bytes(data[off:off + 8]).decode("ascii").strip()
         except UnicodeDecodeError:
             raise ParseError("section tag is not ASCII", off) from None
+        if tag in sections:
+            raise ParseError(f"section {tag!r} appears twice", off)
         length = struct.unpack("<Q", data[off + 8:off + 16])[0]
         off += 16
         if off + length > len(data):

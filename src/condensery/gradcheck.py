@@ -17,7 +17,7 @@ on a constant input, whose block takes its kernel gradient from moments,
 also on an odd 1-channel plane across two chunks; each on every
 coordinate of every leaf. Last, the pixel gradient ``bilevel.outer_step``
 applies, on every pixel of a synthetic set that crosses a slice seam,
-against differences of the loss the step descends.
+against differences of the loss the step descends, ``bilevel._objective``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
-from .bilevel import CondenseConfig, CondenseState, _losses_and_mean_grads, outer_step, \
+from .bilevel import CondenseConfig, CondenseState, _class_means, _objective, outer_step, \
     sample_class_balanced
 from .data import SyntheticSet, make_dataset
 from .evaluate import READ_BATCH
@@ -55,16 +55,14 @@ def numeric_grad(f: Callable[[], float], x: np.ndarray, h: float = H_STEP) -> np
     ``f`` must recompute from the current contents of ``x``.
     """
     g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gf = g.reshape(-1)
+    flat, gf = x.reshape(-1), g.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
         fp = f()
         flat[i] = orig - h
-        fm = f()
+        gf[i] = (fp - f()) / (2 * h)
         flat[i] = orig
-        gf[i] = (fp - fm) / (2 * h)
     return g
 
 
@@ -136,10 +134,8 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
     out += check_op("relu", lambda t: T.relu(t[0]), [_off_kink(rng, (3, 6))])
 
     # linear 3x4 @ 4x2
-    xl = rng.standard_normal((3, 4))
-    w = rng.standard_normal((4, 2))
-    bl = rng.standard_normal(2)
-    out += check_op("linear", lambda t: T.linear(t[0], t[1], t[2]), [xl, w, bl])
+    out += check_op("linear", lambda t: T.linear(t[0], t[1], t[2]),
+                    [rng.standard_normal(s) for s in ((3, 4), (4, 2), 2)])
 
     # softmax cross-entropy
     lg = rng.standard_normal((4, 3))
@@ -227,10 +223,11 @@ def _check_outer_step(rng: np.random.Generator, name: str) -> list[CheckResult]:
     class's rows cross a slice seam. The step applies -lr * grad at lr
     2**20, a power of two far above the pixels, so (before - after) / lr is
     its gradient up to one rounding of the update. The numeric side
-    differences the loss the step descends, ``_losses_and_mean_grads`` on
-    the real batch the step draws from a fresh generator; the check fails
-    if the total the step returns is not that loss at the pixels. An
-    exception fails the check, with its type and message as detail."""
+    differences ``_objective``, the loss the step descends, on constant
+    class means, with no backward, against the real batch the step draws
+    from a fresh generator, read once. The check fails if the total the
+    step returns is not that loss at the pixels. An exception fails the
+    check, with its type and message as detail."""
     K, ipc, shape = 5, READ_BATCH // 5 + 1, (1, 4, 4)
     while True:
         x = rng.standard_normal((K * ipc, *shape))
@@ -245,12 +242,14 @@ def _check_outer_step(rng: np.random.Generator, name: str) -> list[CheckResult]:
     labels = np.repeat(np.arange(K), ipc)
     idx = sample_class_balanced(real, cfg.n_per_class, np.random.default_rng(0))
     avg = class_average(labels, K)
-
-    def loss():
-        return _losses_and_mean_grads(theta, real.images[idx], real.labels[idx], x, avg,
-                                      cfg.beta)[0][2]
-
     try:
+        real_means, last = _class_means(theta, real.images[idx], class_average(real.labels[idx], K))
+        real_last = np.concatenate(last)
+
+        def loss():
+            means = [T.Tensor.constant(m) for m in _class_means(theta, x, avg)[0]]
+            return _objective(means, real_means, real_last, real.labels[idx], cfg.beta)[2].item()
+
         synth = SyntheticSet(T.Tensor(x.copy()), labels, ipc, K)
         total = outer_step(CondenseState(synth, theta, 0, np.random.default_rng(0)), real, cfg)[2]
         base = loss()

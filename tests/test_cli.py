@@ -17,12 +17,12 @@ import pytest
 import yaml
 
 import condensery.tensor as T
-from condensery import cli, gradcheck
+from condensery import bilevel, cli, gradcheck
 from condensery.bilevel import CondenseConfig, run_condense
 from condensery.data import STATS_BLOCK, load_idx, load_synthetic, new_synthetic, \
     save_synthetic
 from condensery.errors import ConfigError, DivergenceError
-from condensery.evaluate import EvalConfig, EvalReport
+from condensery.evaluate import READ_BATCH, EvalConfig, EvalReport
 from condensery.models import ConvNetSpec
 from idx_files import save_idx
 
@@ -578,6 +578,26 @@ def test_gradcheck_fails_an_outer_step_whose_total_is_not_its_loss(monkeypatch):
     monkeypatch.setattr(gradcheck, "outer_step", off_by_a_bit)
     [result] = gradcheck._check_outer_step(np.random.default_rng(0), "outer_step")
     assert not result.passed and "not its loss" in result.detail, result
+
+
+def test_gradcheck_fails_an_outer_step_wrong_only_past_the_seam(monkeypatch):
+    # the step's second taped forward is its slice after the READ_BATCH
+    # seam; scaling that slice's first tap skews only its pixels' gradient.
+    # The numeric side reads through evaluate.forward, which keeps its bits
+    real_forward, calls = bilevel.forward, []
+
+    def skewed(params, x):
+        pyr = real_forward(params, x)
+        calls.append(len(x.values))
+        if len(calls) == 2:
+            pyr.per_layer[0] = T.scale(pyr.per_layer[0], 1.01)
+        return pyr
+
+    monkeypatch.setattr(bilevel, "forward", skewed)
+    [result] = gradcheck._check_outer_step(np.random.default_rng(0), "outer_step")
+    assert calls == [READ_BATCH, 1]
+    assert not result.passed, result
+    assert int(re.match(r"flat index (\d+):", result.detail)[1]) >= READ_BATCH * 16, result
 
 
 def test_gradcheck_negative_seed_exits_2(capsys):

@@ -357,6 +357,20 @@ def test_container_non_ascii_section_tag(tmp_path):
     assert e.value.offset == 32
 
 
+def test_container_repeated_section_tag(tmp_path):
+    # the first images section is all NaN and the second valid: the file is
+    # refused, not read as its last copy
+    images = np.zeros((3, 1, 2, 2))
+    raw = cnd_bytes([(b"images", np.full_like(images, np.nan).astype("<f8").tobytes()),
+                     (b"labels", np.arange(3, dtype="<u4").tobytes()),
+                     (b"images", images.astype("<f8").tobytes())], num_classes=3)
+    path = tmp_path / "twice.cnd"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match="'images' appears twice") as e:
+        load_synthetic(path)
+    assert e.value.offset == raw.rindex(b"images")
+
+
 @pytest.mark.parametrize("labels", [[0, 1, 99], [2, 1, 0]])
 def test_container_labels_must_be_class_major(tmp_path, labels):
     path = tmp_path / "labels.cnd"
